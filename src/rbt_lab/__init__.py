@@ -49,6 +49,7 @@ from .certify import (
     partition_bound_params,
     scan_alpha_beta_inequality,
     scan_lpq_inequality,
+    theory_bound,
 )
 from .search import (
     SearchConfig,

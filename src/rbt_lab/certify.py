@@ -27,6 +27,25 @@ def floor_quarter_sq(n: int) -> int:
     return n * n // 4
 
 
+def theory_bound(objective: str, n: int, t: int) -> int | None:
+    """Upper bound on the objective over rainbow-free t-tuples on n vertices.
+
+    sum: n(n-1) for triples on n >= 3 vertices, t*floor(n^2/4) for t >= 4,
+    and None where no theorem applies (t <= 2, or triples on n < 3, where
+    three copies of one edge already exceed n(n-1)).  product: the open
+    conjecture floor(n^2/4)^3; the objective is defined for triples only.
+    """
+    if objective == "sum":
+        if t == 3:
+            return n * (n - 1) if n >= 3 else None
+        return t * floor_quarter_sq(n) if t >= 4 else None
+    if objective == "product":
+        if t != 3:
+            raise ValueError(f"the product objective is defined for t = 3, got t={t}")
+        return floor_quarter_sq(n) ** 3
+    raise ValueError(f"unknown objective {objective!r}")
+
+
 def _require_rbt_free(s: GraphSystem, context: str) -> None:
     witness = find_rainbow_triangle(s)
     if witness is not None:
@@ -78,7 +97,7 @@ def certify_sum_t3(s: GraphSystem) -> CertReport:
         raise PreconditionError(f"sum-t3 needs n >= 3, got n={s.n}")
     _require_rbt_free(s, "sum-t3")
     value = s.total_edges()
-    bound = s.n * (s.n - 1)
+    bound = theory_bound("sum", s.n, 3)
     witness: dict = {"edge_counts": list(s.edge_counts())}
     if value == bound and s.n >= 5:
         witness["equality_pattern"] = matches_two_complete_one_empty(s)
@@ -91,7 +110,7 @@ def certify_sum_t(s: GraphSystem) -> CertReport:
         raise PreconditionError(f"sum-t needs at least 4 graphs, got {s.t}")
     _require_rbt_free(s, "sum-t")
     value = s.total_edges()
-    bound = s.t * floor_quarter_sq(s.n)
+    bound = theory_bound("sum", s.n, s.t)
     return make_report("sum-t", value, bound, {"edge_counts": list(s.edge_counts())})
 
 
@@ -143,7 +162,7 @@ def conjecture_margin(b: Graph, c: Graph, d: Graph) -> CertReport:
     """
     s = _triple(b, c, d, "conjecture")
     value = b.edge_count() * c.edge_count() * d.edge_count()
-    bound = floor_quarter_sq(b.n) ** 3
+    bound = theory_bound("product", b.n, 3)
     witness = {
         "edge_counts": [b.edge_count(), c.edge_count(), d.edge_count()],
         "system_hex": [g.to_hex() for g in s.graphs],

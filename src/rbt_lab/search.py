@@ -2,13 +2,19 @@
 
 Graphs are C(n,2)-bit integers in colex order, so a system is a tuple of
 ints and the whole search runs on machine words.  Exhaustive search
-enumerates ordered tuples level by level with branch-and-bound; the final
-slot is never enumerated because, given a rainbow-free prefix, the edges
-admissible in the last graph form a fixed mask and every subset of it is
-admissible, so the maximizing last graph is exactly that mask.
+enumerates ordered tuples level by level with branch-and-bound.  Each
+node carries its prefix's forbidden-edge mask: the edges that would close
+a triangle whose other two edges lie in two distinct prefix graphs.  A
+graph can be appended without creating a rainbow triangle iff it avoids
+that mask, so only admissible children are ever generated, as submasks of
+its complement.  The final slot is never enumerated: every subset of the
+complement is admissible, so the maximizing last graph is the complement
+itself.
 
-Parallel runs split the first-graph range into fixed-size chunks whose
-results merge deterministically, making reports thread-count invariant.
+Parallel runs split the first-graph range into fixed-size chunks, each
+pruned against the same seed value, whose results merge deterministically;
+reports therefore do not depend on the thread count, on the order in which
+chunks run, or on which chunks a checkpoint resume replays.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
-from .certify import floor_quarter_sq
+from .certify import theory_bound
 from .graph import Graph, max_edge_count
 from .systems import GraphSystem
 
@@ -73,8 +79,9 @@ class SearchReport:
 
     witnesses hold each graph as its colex bit integer; canonical forms are
     used when n is small enough to canonicalize (n <= 8).  nodes counts
-    expanded partial tuples, pruned counts subtrees cut by the optimistic
-    bound (exhaustive) or moves rejected by the rainbow guard (local).
+    expanded partial tuples.  pruned counts admissible (rainbow-free)
+    children cut by the optimistic bound in exhaustive mode, and moves
+    rejected by the rainbow guard in local mode.
     """
 
     objective: str
@@ -138,44 +145,40 @@ def _triangle_tables(n: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tu
     return tuple(triples), tuple(tuple(x) for x in through)
 
 
-def _memberships(graphs: Sequence[int], e1: int, e2: int, e3: int) -> tuple[int, int, int]:
-    m1 = m2 = m3 = 0
-    bit = 1
-    for g in graphs:
-        if g >> e1 & 1:
-            m1 |= bit
-        if g >> e2 & 1:
-            m2 |= bit
-        if g >> e3 & 1:
-            m3 |= bit
-        bit <<= 1
-    return m1, m2, m3
-
-
-def _sdr3(m1: int, m2: int, m3: int) -> bool:
-    if not (m1 and m2 and m3):
-        return False
-    if (
-        (m1 | m2).bit_count() < 2
-        or (m1 | m3).bit_count() < 2
-        or (m2 | m3).bit_count() < 2
-    ):
-        return False
-    return (m1 | m2 | m3).bit_count() >= 3
-
-
 def _pair_assignable(ma: int, mb: int) -> bool:
     return bool(ma and mb and (ma | mb).bit_count() >= 2)
 
 
+def _cross(through: Sequence[tuple[tuple[int, int], ...]], union: int, g: int) -> int:
+    """Edges e closing a triangle {e, f, h} with f in g and h in union.
+
+    This is the rainbow kernel.  For a rainbow-free prefix with union U and
+    forbidden mask F (the edges closing a triangle whose other two edges lie
+    in two distinct prefix graphs), a new graph g keeps the system
+    rainbow-free iff g & F == 0, and the extended system's mask is
+    F | _cross(through, U, g).
+    """
+    out = 0
+    while g:
+        low = g & -g
+        for a, b in through[low.bit_length() - 1]:
+            if union >> b & 1:
+                out |= 1 << a
+            if union >> a & 1:
+                out |= 1 << b
+        g ^= low
+    return out
+
+
 def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
     """Rainbow-freeness check on raw bit-integer graphs."""
-    if len(graphs) < 3:
-        return True
-    triples, _ = _triangle_tables(n)
-    for e1, e2, e3 in triples:
-        if _sdr3(*_memberships(graphs, e1, e2, e3)):
+    _, through = _triangle_tables(n)
+    union = forbidden = 0
+    for g in graphs:
+        if g & forbidden:
             return False
+        forbidden |= _cross(through, union, g)
+        union |= g
     return True
 
 
@@ -186,18 +189,12 @@ def allowed_last_graph_mask(n: int, prefix: Sequence[int]) -> int:
     two edges assignable to two distinct prefix graphs; any subset of the
     returned mask keeps the extended system rainbow-free.
     """
-    m = max_edge_count(n)
-    allowed = (1 << m) - 1
-    triples, _ = _triangle_tables(n)
-    for e1, e2, e3 in triples:
-        m1, m2, m3 = _memberships(prefix, e1, e2, e3)
-        if allowed >> e1 & 1 and _pair_assignable(m2, m3):
-            allowed &= ~(1 << e1)
-        if allowed >> e2 & 1 and _pair_assignable(m1, m3):
-            allowed &= ~(1 << e2)
-        if allowed >> e3 & 1 and _pair_assignable(m1, m2):
-            allowed &= ~(1 << e3)
-    return allowed
+    _, through = _triangle_tables(n)
+    union = forbidden = 0
+    for g in prefix:
+        forbidden |= _cross(through, union, g)
+        union |= g
+    return ((1 << max_edge_count(n)) - 1) & ~forbidden
 
 
 # -- extremal constructors ---------------------------------------------------------
@@ -267,20 +264,24 @@ def _search_chunk(
     incumbent: int,
     tie_cap: int,
 ) -> dict[str, Any]:
-    """Enumerate all tuples whose first graph lies in `first_graphs`.
+    """Enumerate all rainbow-free tuples whose first graph lies in `first_graphs`.
 
-    Returns the chunk-local best value, the tuples attaining it (capped at
-    tie_cap per value), and node/prune counters.  Pruning is strict, so
-    tuples tying the incumbent are always visited.
+    Each node carries the union of its prefix and the prefix's forbidden
+    mask (see `_cross`), so its admissible children are exactly the
+    submasks of the complement of that mask; they are walked in ascending
+    order.  Returns the chunk-local best value, the tuples attaining it
+    (capped at tie_cap per value), and node/prune counters.  Pruning is
+    strict, so tuples tying the incumbent are always visited.
     """
     m = max_edge_count(n)
+    full = (1 << m) - 1
+    _, through = _triangle_tables(n)
     is_sum = objective == "sum"
     best = incumbent
     ties: dict[int, set[tuple[int, ...]]] = {}
     overflow: dict[int, bool] = {}
     nodes = 0
     pruned = 0
-    space = range(1 << m)
 
     def record(value: int, graphs: tuple[int, ...]) -> None:
         bucket = ties.setdefault(value, set())
@@ -292,21 +293,26 @@ def _search_chunk(
             return
         bucket.add(w)
 
-    def extend(prefix: list[int], partial: int) -> None:
+    def extend(prefix: list[int], partial: int, union: int, forbidden: int) -> None:
         nonlocal best, nodes, pruned
         nodes += 1
         k = len(prefix)
+        avail = full & ~forbidden
         if k == t - 1:
-            allowed = allowed_last_graph_mask(n, prefix)
-            count = allowed.bit_count()
+            count = avail.bit_count()
             value = partial + count if is_sum else partial * count
             if value > best:
                 best = value
             if value == best:
-                record(value, tuple(prefix) + (allowed,))
+                record(value, tuple(prefix) + (avail,))
             return
         remaining = t - k
-        for g in space:
+        rows = [_cross(through, union, 1 << e) for e in range(m)]
+        # cross[g] = edges closing a triangle with one edge in g, one in union;
+        # each submask extends one visited earlier by its lowest edge
+        cross = {0: 0}
+        g = 0
+        while True:
             gc = g.bit_count()
             cand = partial + gc if is_sum else partial * gc
             optimistic = (
@@ -314,13 +320,15 @@ def _search_chunk(
             )
             if optimistic < best:
                 pruned += 1
-                continue
-            prefix.append(g)
-            if len(prefix) >= 3 and not rbt_free_bits(n, prefix):
+            else:
+                prefix.append(g)
+                extend(prefix, cand, union | g, forbidden | cross[g])
                 prefix.pop()
-                continue
-            extend(prefix, cand)
-            prefix.pop()
+            g = (g - avail) & avail
+            if not g:
+                break
+            low = g & -g
+            cross[g] = cross[g ^ low] | rows[low.bit_length() - 1]
 
     for g1 in first_graphs:
         cand = g1.bit_count()
@@ -328,7 +336,7 @@ def _search_chunk(
         if optimistic < best:
             pruned += 1
             continue
-        extend([g1], cand)
+        extend([g1], cand, g1, 0)
 
     # drop tie buckets below the chunk best; they can never win the merge
     keep = {v: sorted(ws) for v, ws in ties.items() if v == best}
@@ -455,6 +463,8 @@ def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> Search
         else:
             pending.append((chunk_id, graphs))
 
+    # every chunk prunes against the seed value alone, so its result does not
+    # depend on which chunks ran before it, in this process or another
     if cfg.threads > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             futures = {
@@ -468,13 +478,10 @@ def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> Search
                 if checkpoint:
                     checkpoint.record(chunk_id, results[chunk_id])
     else:
-        incumbent = seed_value
         for chunk_id, graphs in pending:
-            res = _search_chunk(objective, n, t, graphs, incumbent, tie_cap)
-            results[chunk_id] = res
-            incumbent = max(incumbent, res["best"])
+            results[chunk_id] = _search_chunk(objective, n, t, graphs, seed_value, tie_cap)
             if checkpoint:
-                checkpoint.record(chunk_id, res)
+                checkpoint.record(chunk_id, results[chunk_id])
 
     best = max((r["best"] for r in results.values()), default=seed_value)
     merged: set[tuple[int, ...]] = set()
@@ -493,7 +500,7 @@ def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> Search
     pruned = sum(r["pruned"] for r in results.values())
     references = {"seed_value": seed_value}
     if objective == "product":
-        references["conjecture_bound"] = floor_quarter_sq(n) ** 3
+        references["conjecture_bound"] = theory_bound("product", n, 3)
     return SearchReport(
         objective=objective,
         n=n,
@@ -729,7 +736,7 @@ def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
         wall_time=time.perf_counter() - started,
         exhaustive=False,
         references={
-            "conjecture_bound": floor_quarter_sq(n) ** 3,
+            "conjecture_bound": theory_bound("product", n, 3),
             "constructor_value": counts[0] * counts[1] * counts[2],
         },
         config={

@@ -292,11 +292,15 @@ def system_from_json_dict(doc: Any) -> GraphSystem:
     raise ValueError('system document needs either "graphs" or "hex"')
 
 
-def system_from_json(text: str) -> GraphSystem:
+def load_json(text: str) -> Any:
+    """Decode a JSON document; malformed text raises ValueError with its position."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    return system_from_json_dict(doc)
+
+
+def system_from_json(text: str) -> GraphSystem:
+    return system_from_json_dict(load_json(text))

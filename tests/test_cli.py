@@ -90,6 +90,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, ["check-rbt", "-i", path])
         assert code == 2
         assert "error" in err
+        if text == "{broken":
+            assert "malformed JSON at line 1, column 2" in err
 
 
 def test_format_flag_enforced(tmp_path, capsys):
@@ -142,6 +144,24 @@ def test_search_checkpoint_and_threads_flags(tmp_path, capsys):
     code, out2, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out2)["best_value"] == "64"
+
+
+def test_search_theory_bound_only_where_a_theorem_applies(capsys):
+    # sum-t3 needs n >= 3 and no theorem bounds t <= 2: report null, exit 0
+    for n, t, best in (("2", "3", "3"), ("3", "2", "6")):
+        code, out, _ = run(capsys, ["search", "--objective", "sum", "--n", n, "--t", t,
+                                    "--output", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["best_value"] == best
+        assert doc["theory_bound"] is None
+        assert doc["bound_exceeded"] is False
+    code, out, _ = run(capsys, ["search", "--objective", "sum", "--n", "2", "--t", "3"])
+    assert code == 0 and "no theory bound" in out
+    # the product objective is defined for triples only
+    code, _, err = run(capsys, ["search", "--objective", "product", "--n", "4", "--t", "5"])
+    assert code == 2
+    assert "t = 3" in err
 
 
 def test_search_budget_error(capsys):

@@ -18,7 +18,49 @@ from rbt_lab import (
     max_triangle_free_edges,
     two_complete_one_empty,
 )
-from rbt_lab.search import allowed_last_graph_mask, rbt_free_bits
+from rbt_lab.search import _triangle_tables, allowed_last_graph_mask, rbt_free_bits
+
+
+# -- per-triangle Hall check, the reference for the search's rainbow kernel ----------
+
+
+def memberships(graphs, e1, e2, e3):
+    """Bit i of the k-th mask is set when graph i holds the k-th edge."""
+    masks = [0, 0, 0]
+    for i, g in enumerate(graphs):
+        for k, e in enumerate((e1, e2, e3)):
+            if g >> e & 1:
+                masks[k] |= 1 << i
+    return masks
+
+
+def pair_assignable(ma, mb):
+    return bool(ma and mb and (ma | mb).bit_count() >= 2)
+
+
+def triangle_rainbow(m1, m2, m3):
+    """Hall's condition for a system of distinct representatives of three sets."""
+    if not (m1 and m2 and m3):
+        return False
+    if min((m1 | m2).bit_count(), (m1 | m3).bit_count(), (m2 | m3).bit_count()) < 2:
+        return False
+    return (m1 | m2 | m3).bit_count() >= 3
+
+
+def reference_rbt_free(n, graphs):
+    triples, _ = _triangle_tables(n)
+    return not any(triangle_rainbow(*memberships(graphs, *tri)) for tri in triples)
+
+
+def reference_allowed_mask(n, prefix):
+    allowed = (1 << max_edge_count(n)) - 1
+    triples, _ = _triangle_tables(n)
+    for tri in triples:
+        masks = memberships(prefix, *tri)
+        for k in range(3):
+            if pair_assignable(masks[k - 1], masks[k - 2]):
+                allowed &= ~(1 << tri[k])
+    return allowed
 
 
 def system_value(objective: str, s: GraphSystem) -> int:
@@ -34,6 +76,7 @@ def system_value(objective: str, s: GraphSystem) -> int:
 def test_pruned_matches_unpruned_n3():
     assert exhaustive_max_sum(3, 3).best_value == brute_force_max("sum", 3, 3) == 6
     assert exhaustive_max_sum(3, 4).best_value == brute_force_max("sum", 3, 4)
+    assert exhaustive_max_sum(3, 5).best_value == brute_force_max("sum", 3, 5) == 10
     assert exhaustive_max_product(3).best_value == brute_force_max("product", 3, 3) == 8
 
 
@@ -77,6 +120,32 @@ def test_rainbow_bits_matches_system_level():
         bits = [rng.randrange(1 << m) for _ in range(t)]
         s = GraphSystem(n=n, graphs=tuple(Graph.from_bits(n, b) for b in bits))
         assert rbt_free_bits(n, bits) == is_rbt_free(s)
+
+
+def test_rainbow_kernel_matches_per_triangle_reference():
+    rng = random.Random(74)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(3, 6)
+        m = max_edge_count(n)
+        graphs = []
+        for _ in range(rng.randint(1, 5)):
+            density = rng.random()
+            graphs.append(sum(1 << e for e in range(m) if rng.random() < density))
+        free = reference_rbt_free(n, graphs)
+        outcomes.add(free)
+        assert rbt_free_bits(n, graphs) == free
+        assert allowed_last_graph_mask(n, graphs) == reference_allowed_mask(n, graphs)
+    assert outcomes == {True, False}
+
+
+def test_exhaustive_n5_pinned():
+    report = exhaustive_max_sum(5, 3)
+    assert report.best_value == 20
+    assert report.nodes == 617_690
+    full = (1 << 10) - 1
+    assert report.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
+    assert not report.witness_overflow
 
 
 def test_allowed_last_mask_is_exact():
@@ -168,6 +237,17 @@ def test_thread_count_invariance():
     assert base.best_value == threaded.best_value
     assert base.witnesses == threaded.witnesses
     assert base.witness_overflow == threaded.witness_overflow
+    # at t = 2 the seed value is below the optimum, so a chunk pruning against
+    # an incumbent carried over from earlier chunks would count differently
+    for n in (3, 4):
+        base = exhaustive_max_sum(n, 2, SearchConfig(chunk_size=1))
+        threaded = exhaustive_max_sum(n, 2, SearchConfig(chunk_size=1, threads=2))
+        assert (base.best_value, base.witnesses, base.nodes, base.pruned) == (
+            threaded.best_value,
+            threaded.witnesses,
+            threaded.nodes,
+            threaded.pruned,
+        )
 
 
 def test_exhaustive_run_to_run_determinism():
