@@ -14,6 +14,11 @@ from typing import Iterable, Iterator, NamedTuple
 MAX_VERTICES = 64
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def max_edge_count(n: int) -> int:
     """Number of possible edges on n vertices, C(n, 2)."""
     return n * (n - 1) // 2
@@ -83,11 +88,22 @@ class Graph:
     rows: tuple[int, ...]
 
     def __init__(self, n: int, rows: Iterable[int] | None = None):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)
         self.n = n
         self.rows = tuple(rows) if rows is not None else (0,) * n
         self._validate()
+
+    @classmethod
+    def _trusted(cls, n: int, rows: Iterable[int]) -> Graph:
+        """Graph from rows that are symmetric, loop-free and in range by construction.
+
+        Skips `_validate`; only for rows built from already valid graphs or
+        from checked input.
+        """
+        g = object.__new__(cls)
+        g.n = n
+        g.rows = tuple(rows)
+        return g
 
     def _validate(self) -> None:
         n, rows = self.n, self.rows
@@ -112,6 +128,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        _check_vertex_count(n)
         rows = [0] * n
         seen = set()
         for pair in edges:
@@ -124,21 +141,24 @@ class Graph:
             seen.add(e)
             rows[e.u] |= 1 << e.v
             rows[e.v] |= 1 << e.u
-        return cls(n, rows)
+        return cls._trusted(n, rows)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
+        _check_vertex_count(n)
         full = (1 << n) - 1
-        return cls(n, (full ^ (1 << v) for v in range(n)))
+        return cls._trusted(n, (full ^ (1 << v) for v in range(n)))
 
     @classmethod
     def complete_bipartite(cls, left: int, right: int) -> Graph:
         """K_{left,right} with part {0..left-1} against {left..left+right-1}."""
         n = left + right
+        if left < 0 or right < 0:
+            raise ValueError(f"part sizes must be nonnegative, got {left} and {right}")
+        _check_vertex_count(n)
         left_mask = (1 << left) - 1
         right_mask = ((1 << n) - 1) ^ left_mask
-        rows = [right_mask] * left + [left_mask] * right
-        return cls(n, rows)
+        return cls._trusted(n, [right_mask] * left + [left_mask] * right)
 
     @classmethod
     def cycle(cls, n: int) -> Graph:
@@ -151,6 +171,7 @@ class Graph:
     @classmethod
     def from_bits(cls, n: int, bits: int) -> Graph:
         """Graph from its colex edge-bit integer."""
+        _check_vertex_count(n)
         m = max_edge_count(n)
         if bits < 0 or bits >> m:
             raise ValueError(f"edge bits out of range for n={n}")
@@ -159,7 +180,7 @@ class Graph:
             u, v = edge_at(i)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls._trusted(n, rows)
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> Graph:
@@ -240,11 +261,11 @@ class Graph:
 
     def __and__(self, other: Graph) -> Graph:
         self._require_same_n(other)
-        return Graph(self.n, (a & b for a, b in zip(self.rows, other.rows)))
+        return Graph._trusted(self.n, (a & b for a, b in zip(self.rows, other.rows)))
 
     def __or__(self, other: Graph) -> Graph:
         self._require_same_n(other)
-        return Graph(self.n, (a | b for a, b in zip(self.rows, other.rows)))
+        return Graph._trusted(self.n, (a | b for a, b in zip(self.rows, other.rows)))
 
     def is_subgraph_of(self, other: Graph) -> bool:
         self._require_same_n(other)
@@ -257,7 +278,7 @@ class Graph:
         rows = list(self.rows)
         rows[e.u] |= 1 << e.v
         rows[e.v] |= 1 << e.u
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows)
 
     def without_edge(self, u: int, v: int) -> Graph:
         e = edge(u, v)
@@ -266,7 +287,7 @@ class Graph:
         rows = list(self.rows)
         rows[e.u] &= ~(1 << e.v)
         rows[e.v] &= ~(1 << e.u)
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows)
 
     def toggle_edge(self, u: int, v: int) -> Graph:
         return self.without_edge(u, v) if self.has_edge(u, v) else self.with_edge(u, v)
@@ -284,7 +305,7 @@ class Graph:
                 continue
             row = self.rows[v]
             rows.append((row & low) | ((row >> (x + 1)) << x))
-        return Graph(self.n - 1, rows)
+        return Graph._trusted(self.n - 1, rows)
 
     def relabel(self, perm: list[int] | tuple[int, ...]) -> Graph:
         """Image under the vertex permutation v -> perm[v]."""
@@ -295,7 +316,7 @@ class Graph:
             pv = perm[v]
             for u in iter_bits(row):
                 rows[pv] |= 1 << perm[u]
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows)
 
     # -- serialization -------------------------------------------------------
 

@@ -351,6 +351,9 @@ def _search_chunk(
 
 def _seed_value(objective: str, n: int, t: int) -> int:
     if objective == "sum":
+        if t < 3:
+            # a rainbow triangle needs three graphs, so t copies of K_n are optimal
+            return t * max_edge_count(n)
         if t == 3:
             return two_complete_one_empty(n).total_edges()
         return balanced_bipartite_system(n, t).total_edges()
@@ -691,7 +694,7 @@ def _local_restart(
             break
     return {
         "best": best_value,
-        "witness": _canonical_witness(n, best_graphs),
+        "witness": best_graphs,
         "evals": evals,
         "rejected": rejected,
     }
@@ -720,7 +723,9 @@ def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
         results = [_local_restart(*args) for args in runs]
 
     best = max(r["best"] for r in results)
-    witnesses = sorted({tuple(r["witness"]) for r in results if r["best"] == best})
+    # canonicalize only the distinct best-valued witnesses
+    raw = {tuple(r["witness"]) for r in results if r["best"] == best}
+    witnesses = sorted({_canonical_witness(n, w) for w in raw})
     overflow = len(witnesses) > cfg.witness_cap
     witnesses = witnesses[: cfg.witness_cap]
     counts = bipartite_triple(n).edge_counts()

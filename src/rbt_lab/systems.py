@@ -1,9 +1,12 @@
 """Systems of graphs on a shared vertex set and rainbow-triangle machinery.
 
 A rainbow triangle picks its three edges from three distinct graphs of the
-system.  Detection walks the triangles of the union graph and asks, per
-triangle, whether the three per-edge membership masks admit a system of
-distinct representatives; for three sets that is a constant-time Hall check.
+system: the three per-edge membership masks must admit a system of distinct
+representatives.  Detection never lists triangles.  Per vertex it keeps
+bitmask rows of the neighbours joined only through one graph, or only
+through one pair of graphs; for each union edge ab those rows give, in a few
+word operations, every c whose triangle abc fails Hall's condition.  The
+first rainbow triangle in (b, a, c) order is the lowest remaining bit.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class GraphSystem:
         for g in self.graphs:
             for v, row in enumerate(g.rows):
                 rows[v] |= row
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows)
 
     def edge_membership(self, u: int, v: int) -> int:
         """Bitmask of graph indices containing edge (u, v)."""
@@ -103,48 +106,88 @@ class RainbowWitness:
         }
 
 
-def _sdr_possible(m1: int, m2: int, m3: int) -> bool:
-    # Hall's condition for three sets of graph indices
-    if not (m1 and m2 and m3):
-        return False
-    if (m1 | m2).bit_count() < 2 or (m1 | m3).bit_count() < 2 or (m2 | m3).bit_count() < 2:
-        return False
-    return (m1 | m2 | m3).bit_count() >= 3
-
-
-def _pick_sdr(masks: Sequence[int]) -> tuple[int, ...] | None:
+def _pick_sdr(masks: Sequence[int]) -> tuple[int, ...]:
+    """First distinct-index assignment (i1, i2, i3), i_k in masks[k], by graph index."""
     for i1 in iter_bits(masks[0]):
         for i2 in iter_bits(masks[1] & ~(1 << i1)):
-            rest = masks[2] & ~(1 << i1) & ~(1 << i2)
-            for i3 in iter_bits(rest):
+            for i3 in iter_bits(masks[2] & ~(1 << i1) & ~(1 << i2)):
                 return (i1, i2, i3)
-    return None
+    raise ValueError(f"membership masks {list(masks)} admit no distinct assignment")
+
+
+def _witness(s: GraphSystem, tri: Triangle) -> RainbowWitness:
+    tri_edges = tri.edges
+    picked = _pick_sdr([s.edge_membership(e.u, e.v) for e in tri_edges])
+    by_index = sorted(zip(picked, tri_edges))
+    return RainbowWitness(
+        triangle=tri,
+        graph_indices=tuple(i for i, _ in by_index),
+        edges=tuple(e for _, e in by_index),
+    )
 
 
 def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
-    """First rainbow triangle in triangle-enumeration order, or None.
+    """First rainbow triangle in (b, a, c) order, or None.
 
+    Triangles a < b < c of the union are ordered by b, then a, then c, as
+    `Graph.triangles` lists them; the witness assigns the first distinct
+    graph indices, by index, to the edges ab, ac, bc (see `_pick_sdr`).
     Systems with fewer than three nonempty graphs cannot contain one.
     """
-    if s.t < 3:
+    n, t = s.n, s.t
+    if t < 3 or sum(1 for g in s.graphs if any(g.rows)) < 3:
         return None
-    if sum(1 for g in s.graphs if g.edge_count()) < 3:
-        return None
-    union = s.union()
-    for tri in union.triangles():
-        tri_edges = tri.edges
-        masks = [s.edge_membership(e.u, e.v) for e in tri_edges]
-        if not _sdr_possible(*masks):
+    rows = [g.rows for g in s.graphs]
+    # u1/u2/u3[v]: vertices joined to v in at least one/two/three graphs
+    u1, u2, u3 = [0] * n, [0] * n, [0] * n
+    for r in rows:
+        for v in range(n):
+            u3[v] |= u2[v] & r[v]
+            u2[v] |= u1[v] & r[v]
+            u1[v] |= r[v]
+    # only[j][v]: joined to v in G_j and in no other graph
+    only = [[r[v] & ~u2[v] for v in range(n)] for r in rows]
+    within_rows: dict[tuple[int, int], list[int]] = {}
+
+    def within(j: int, k: int) -> list[int]:
+        """Per vertex v: the vertices joined to v only through G_j or G_k."""
+        key = (j, k) if j < k else (k, j)
+        w = within_rows.get(key)
+        if w is None:
+            oj, ok, rj, rk = only[j], only[k], rows[j], rows[k]
+            w = [oj[v] | ok[v] | (rj[v] & rk[v] & ~u3[v]) for v in range(n)]
+            within_rows[key] = w
+        return w
+
+    # For a triangle a < b < c with membership masks M_ab, M_ac, M_bc, Hall's
+    # condition fails exactly when M_ac = M_bc = {j}, when M_ab = {j} equals
+    # M_ac or M_bc, or when all three lie inside one pair {j, k}.
+    for b in range(1, n):
+        above = u1[b] & ~((1 << (b + 1)) - 1)
+        if not above:
             continue
-        picked = _pick_sdr(masks)
-        if picked is None:
-            continue
-        by_index = sorted(zip(picked, tri_edges))
-        return RainbowWitness(
-            triangle=tri,
-            graph_indices=tuple(i for i, _ in by_index),
-            edges=tuple(e for _, e in by_index),
-        )
+        for a in iter_bits(u1[b] & ((1 << b) - 1)):
+            cand = u1[a] & above
+            if not cand:
+                continue
+            m_ab = s.edge_membership(a, b)
+            bad = 0
+            for o in only:
+                bad |= o[a] & o[b]
+            rest = m_ab & (m_ab - 1)
+            if not rest:
+                j = m_ab.bit_length() - 1
+                bad |= only[j][a] | only[j][b]
+                for k in range(t):
+                    if k != j:
+                        w = within(j, k)
+                        bad |= w[a] & w[b]
+            elif not rest & (rest - 1):
+                w = within(m_ab.bit_length() - 1, (m_ab & -m_ab).bit_length() - 1)
+                bad |= w[a] & w[b]
+            free = cand & ~bad
+            if free:
+                return _witness(s, Triangle(a, b, (free & -free).bit_length() - 1))
     return None
 
 

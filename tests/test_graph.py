@@ -141,8 +141,41 @@ def test_mutation_preserves_invariants():
         if u == v:
             continue
         g = g.toggle_edge(u, v)
-        # constructor validation would raise if symmetry or loops broke
+        # the public constructor re-validates: it raises if symmetry or loops broke
+        assert Graph(g.n, g.rows) == g
         assert g.has_edge(u, v) == g.has_edge(v, u)
+
+
+def test_derived_graphs_pass_validation():
+    # operations build rows without re-validating; the public constructor checks them
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        g, h = random_graph(rng, n), random_graph(rng, n)
+        u, v = rng.sample(range(n), 2)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        derived = [
+            g & h, g | h, g.with_edge(u, v), g.without_edge(u, v),
+            g.delete_vertex(u), g.relabel(perm), Graph.complete(n),
+            Graph.complete_bipartite(u, n - u), Graph.from_edges(n, g.edges()),
+        ]
+        for d in derived:
+            assert Graph(d.n, d.rows) == d
+
+
+def test_constructors_reject_vertex_counts():
+    for build in (
+        lambda: Graph.complete(0),
+        lambda: Graph.complete(65),
+        lambda: Graph.complete_bipartite(40, 25),
+        lambda: Graph.complete_bipartite(3, -1),
+        lambda: Graph.from_bits(0, 0),
+        lambda: Graph.from_edges(0, []),
+        lambda: Graph.from_edges(65, []),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_hex_round_trip_example():

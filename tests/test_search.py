@@ -250,6 +250,19 @@ def test_thread_count_invariance():
         )
 
 
+def test_chunk_size_invariance_t2():
+    # the t = 2 seed is the optimum 2 * C(n, 2), so no chunk's incumbent rises
+    reports = [exhaustive_max_sum(4, 2, SearchConfig(chunk_size=c)) for c in (1, 4, 64)]
+    assert reports[0].best_value == 12
+    for r in reports[1:]:
+        assert (r.nodes, r.pruned, r.best_value, r.witnesses) == (
+            reports[0].nodes,
+            reports[0].pruned,
+            reports[0].best_value,
+            reports[0].witnesses,
+        )
+
+
 def test_exhaustive_run_to_run_determinism():
     a = exhaustive_max_sum(4, 3, SearchConfig(iso_pruning=True))
     b = exhaustive_max_sum(4, 3, SearchConfig(iso_pruning=True))

@@ -6,12 +6,14 @@ import pytest
 from rbt_lab import (
     Graph,
     GraphSystem,
+    RainbowWitness,
     auxiliary_incidence_graph,
     bipartite_deficiency_check,
     edge_multiplicities,
     find_rainbow_triangle,
     is_nested,
     is_rbt_free,
+    iter_bits,
     mask_of,
     max_edge_count,
     maximum_matching,
@@ -35,6 +37,44 @@ def rainbow_oracle(s: GraphSystem) -> bool:
             ):
                 return True
     return False
+
+
+# -- per-triangle Hall check, the reference for the word-parallel detector ------
+
+
+def sdr_possible(m1: int, m2: int, m3: int) -> bool:
+    """Hall's condition for three sets of graph indices."""
+    if not (m1 and m2 and m3):
+        return False
+    if min((m1 | m2).bit_count(), (m1 | m3).bit_count(), (m2 | m3).bit_count()) < 2:
+        return False
+    return (m1 | m2 | m3).bit_count() >= 3
+
+
+def pick_sdr(masks):
+    """First distinct assignment (i1, i2, i3), i_k in masks[k], by graph index."""
+    for i1 in iter_bits(masks[0]):
+        for i2 in iter_bits(masks[1] & ~(1 << i1)):
+            for i3 in iter_bits(masks[2] & ~(1 << i1) & ~(1 << i2)):
+                return (i1, i2, i3)
+    return None
+
+
+def reference_witness(s: GraphSystem) -> RainbowWitness | None:
+    """First union triangle passing Hall's check, first assignment by graph index."""
+    if s.t < 3 or sum(1 for g in s.graphs if g.edge_count()) < 3:
+        return None
+    for tri in s.union().triangles():
+        masks = [s.edge_membership(e.u, e.v) for e in tri.edges]
+        if not sdr_possible(*masks):
+            continue
+        by_index = sorted(zip(pick_sdr(masks), tri.edges))
+        return RainbowWitness(
+            triangle=tri,
+            graph_indices=tuple(i for i, _ in by_index),
+            edges=tuple(e for _, e in by_index),
+        )
+    return None
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -108,6 +148,58 @@ def test_rainbow_agreement_random():
         if w is None:
             assert not rainbow_oracle(s)
         else:
+            assert w.is_valid_for(s)
+
+
+def near_copies(rng: random.Random, n: int, t: int) -> GraphSystem:
+    """Perturbed copies of one random graph, some emptied: often rainbow-free."""
+    m = max_edge_count(n)
+    base = rng.getrandbits(m)
+    graphs = []
+    for _ in range(t):
+        g = base
+        for _ in range(rng.randint(0, 3)):
+            g ^= 1 << rng.randrange(m)
+        graphs.append(Graph.from_bits(n, 0 if rng.random() < 0.2 else g))
+    return GraphSystem(n=n, graphs=tuple(graphs))
+
+
+def test_witness_matches_per_triangle_reference():
+    rng = random.Random(2718)
+    found = free = 0
+    for k in range(2400):
+        n = rng.randint(3, 10)
+        t = rng.randint(3, 6)
+        s = random_system(rng, n, t) if k % 2 else near_copies(rng, n, t)
+        w = find_rainbow_triangle(s)
+        assert w == reference_witness(s)
+        if w is None:
+            free += 1
+        else:
+            found += 1
+    # both outcomes are exercised in quantity
+    assert found > 500 and free > 500
+
+
+def test_witness_matches_reference_dense():
+    # K_n + M + M is rainbow-free with every triangle of K_n in the union;
+    # one extra edge in the third graph makes only late triangles rainbow
+    rng = random.Random(31)
+    n = 32
+    kn = Graph.complete(n)
+    for _ in range(3):
+        order = list(range(n))
+        rng.shuffle(order)
+        pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
+        m = Graph.from_edges(n, pairs)
+        assert find_rainbow_triangle(GraphSystem.of(kn, m, m)) is None
+        assert reference_witness(GraphSystem.of(kn, m, m)) is None
+        for u, v in ((n - 1, n - 2), (n - 1, n - 3), (0, 1)):
+            if m.has_edge(u, v):
+                continue
+            s = GraphSystem.of(kn, m, m.with_edge(u, v))
+            w = find_rainbow_triangle(s)
+            assert w is not None and w == reference_witness(s)
             assert w.is_valid_for(s)
 
 
