@@ -179,7 +179,6 @@ def _search_config(args) -> se.SearchConfig:
     return se.SearchConfig(
         mode=mode,
         seed=args.seed,
-        iterations=args.iters,
         restarts=args.restarts,
         threads=args.threads,
         iso_pruning=args.iso_pruning,
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true", default=True)
     mode.add_argument("--local", action="store_true", default=False)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--iters", type=int, default=20_000)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--iso-pruning", action="store_true")

@@ -15,6 +15,10 @@ Parallel runs split the first-graph range into fixed-size chunks, each
 pruned against the same seed value, whose results merge deterministically;
 reports therefore do not depend on the thread count, on the order in which
 chunks run, or on which chunks a checkpoint resume replays.
+
+Local search for the product objective takes the balanced bipartite
+triple plus seeded random maximal fills, built on the same kernel, and
+keeps the best; it does not climb from them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -44,8 +49,9 @@ _OBJECTIVES = ("sum", "product")
 class SearchConfig:
     """Knobs shared by the exhaustive and local searches.
 
-    mode: "exhaustive" or "local"; local requires a seed.
-    iterations / restarts / patience drive the local search only.
+    mode: "exhaustive" or "local".  Local search requires a seed and runs
+    `restarts` restarts; a seed in exhaustive mode, or iso_pruning or a
+    checkpoint in local mode, is rejected rather than ignored.
     iso_pruning enumerates the first graph up to isomorphism.
     chunk_size fixes the parallel work split; it is independent of the
     thread count so reports do not depend on it.
@@ -53,9 +59,7 @@ class SearchConfig:
 
     mode: str = "exhaustive"
     seed: int | None = None
-    iterations: int = 20_000
     restarts: int = 8
-    patience: int = 50
     threads: int = 1
     iso_pruning: bool = False
     witness_cap: int = 64
@@ -67,10 +71,14 @@ class SearchConfig:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.mode == "local" and self.seed is None:
             raise ValueError("local search requires a seed")
+        if self.mode == "local" and (self.checkpoint is not None or self.iso_pruning):
+            raise ValueError("checkpoint and iso_pruning apply to exhaustive search only")
+        if self.mode == "exhaustive" and self.seed is not None:
+            raise ValueError("a seed applies to local search only")
         if self.threads < 1 or self.witness_cap < 1 or self.chunk_size < 1:
             raise ValueError("threads, witness_cap and chunk_size must be >= 1")
-        if self.iterations < 0 or self.restarts < 1 or self.patience < 0:
-            raise ValueError("iterations and patience must be >= 0, restarts >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -78,10 +86,11 @@ class SearchReport:
     """Search outcome: best objective value, maximizing systems, and counters.
 
     witnesses hold each graph as its colex bit integer; canonical forms are
-    used when n is small enough to canonicalize (n <= 8).  nodes counts
-    expanded partial tuples.  pruned counts admissible (rainbow-free)
-    children cut by the optimistic bound in exhaustive mode, and moves
-    rejected by the rainbow guard in local mode.
+    used when n is small enough to canonicalize (n <= 8).  In exhaustive
+    mode nodes counts expanded partial tuples and pruned counts admissible
+    (rainbow-free) children cut by the optimistic bound.  In local mode
+    nodes counts the fill moves examined, 3 * C(n,2) per random restart,
+    and pruned counts the moves refused by the forbidden-edge mask.
     """
 
     objective: str
@@ -127,26 +136,19 @@ class SearchReport:
 
 
 @lru_cache(maxsize=32)
-def _triangle_tables(n: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """Edge-index triples of all triangles, and per-edge list of other-edge pairs."""
-    m = max_edge_count(n)
-    triples = []
-    through: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+def _through_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per edge e, the pairs of other edges that close a triangle with e."""
+    through: list[list[tuple[int, int]]] = [[] for _ in range(max_edge_count(n))]
     for c in range(n):
         for b in range(c):
             for a in range(b):
                 e_ab = b * (b - 1) // 2 + a
                 e_ac = c * (c - 1) // 2 + a
                 e_bc = c * (c - 1) // 2 + b
-                triples.append((e_ab, e_ac, e_bc))
                 through[e_ab].append((e_ac, e_bc))
                 through[e_ac].append((e_ab, e_bc))
                 through[e_bc].append((e_ab, e_ac))
-    return tuple(triples), tuple(tuple(x) for x in through)
-
-
-def _pair_assignable(ma: int, mb: int) -> bool:
-    return bool(ma and mb and (ma | mb).bit_count() >= 2)
+    return tuple(tuple(x) for x in through)
 
 
 def _cross(through: Sequence[tuple[tuple[int, int], ...]], union: int, g: int) -> int:
@@ -172,7 +174,7 @@ def _cross(through: Sequence[tuple[tuple[int, int], ...]], union: int, g: int) -
 
 def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
     """Rainbow-freeness check on raw bit-integer graphs."""
-    _, through = _triangle_tables(n)
+    through = _through_pairs(n)
     union = forbidden = 0
     for g in graphs:
         if g & forbidden:
@@ -189,7 +191,7 @@ def allowed_last_graph_mask(n: int, prefix: Sequence[int]) -> int:
     two edges assignable to two distinct prefix graphs; any subset of the
     returned mask keeps the extended system rainbow-free.
     """
-    _, through = _triangle_tables(n)
+    through = _through_pairs(n)
     union = forbidden = 0
     for g in prefix:
         forbidden |= _cross(through, union, g)
@@ -275,7 +277,7 @@ def _search_chunk(
     """
     m = max_edge_count(n)
     full = (1 << m) - 1
-    _, through = _triangle_tables(n)
+    through = _through_pairs(n)
     is_sum = objective == "sum"
     best = incumbent
     ties: dict[int, set[tuple[int, ...]]] = {}
@@ -583,144 +585,75 @@ def max_triangle_free_edges(n: int) -> int:
     """Maximum edges of a triangle-free graph on n vertices, by full enumeration."""
     if not 1 <= n <= 6:
         raise ValueError("full graph enumeration supported for n <= 6")
-    triples, _ = _triangle_tables(n)
-    m = max_edge_count(n)
+    through = _through_pairs(n)
     best = 0
-    for g in range(1 << m):
-        if g.bit_count() <= best:
-            continue
-        if any(g >> e1 & 1 and g >> e2 & 1 and g >> e3 & 1 for e1, e2, e3 in triples):
-            continue
-        best = g.bit_count()
+    for g in range(1 << max_edge_count(n)):
+        # g holds a triangle iff one of its edges closes one with two others
+        if g.bit_count() > best and not g & _cross(through, g, g):
+            best = g.bit_count()
     return best
 
 
 # -- local search --------------------------------------------------------------------
 
 
-def _toggle_on_safe(
-    member: list[int], graph_index: int, e: int, through: Sequence[tuple[int, int]]
-) -> bool:
-    """Whether adding edge e to the given graph keeps the triple rainbow-free."""
-    drop = ~(1 << graph_index)
-    for f, g in through:
-        if _pair_assignable(member[f] & drop, member[g] & drop):
-            return False
-    return True
-
-
 def _random_rbt_free_triple(n: int, rng: random.Random) -> list[int]:
-    """Random greedy fill: toggle random admissible edges on until maximal."""
+    """Random maximal fill: walk all (graph, edge) moves in shuffled order.
+
+    forbidden[i] holds the edges that would close a triangle whose other two
+    edges lie in the two other graphs, so a move is taken iff its edge is
+    outside that mask.  Each move is visited once, so every refused edge
+    stays refused and the result is maximal.
+    """
     m = max_edge_count(n)
-    _, through = _triangle_tables(n)
-    member = [0] * m
+    through = _through_pairs(n)
+    graphs = [0, 0, 0]
+    forbidden = [0, 0, 0]
     moves = [(i, e) for i in range(3) for e in range(m)]
     rng.shuffle(moves)
     for i, e in moves:
-        if not member[e] >> i & 1 and _toggle_on_safe(member, i, e, through[e]):
-            member[e] |= 1 << i
-    return _member_to_graphs(member)
-
-
-def _member_to_graphs(member: list[int]) -> list[int]:
-    graphs = [0, 0, 0]
-    for e, mask in enumerate(member):
-        for i in range(3):
-            if mask >> i & 1:
-                graphs[i] |= 1 << e
+        if forbidden[i] >> e & 1:
+            continue
+        graphs[i] |= 1 << e
+        # a new rainbow triangle puts e in G_i and its other edges in G_j, G_k
+        j, k = (i + 1) % 3, (i + 2) % 3
+        forbidden[j] |= _cross(through, graphs[k], 1 << e)
+        forbidden[k] |= _cross(through, graphs[j], 1 << e)
     return graphs
 
 
-def _local_restart(
-    n: int, restart_index: int, seed: int, iterations: int, patience: int
-) -> dict[str, Any]:
-    """One hill-climbing run; deterministic in (seed, restart_index)."""
-    rng = random.Random((seed << 20) ^ restart_index)
-    m = max_edge_count(n)
-    _, through = _triangle_tables(n)
+def _local_restart(n: int, restart_index: int, seed: int) -> dict[str, Any]:
+    """Restart 0 is the bipartite triple, any other a fill seeded by (seed, restart_index)."""
     if restart_index == 0:
         graphs = [g.to_bits() for g in bipartite_triple(n).graphs]
+        moves = refused = 0
     else:
-        graphs = _random_rbt_free_triple(n, rng)
-    member = [0] * m
-    for i, g in enumerate(graphs):
-        for e in range(m):
-            if g >> e & 1:
-                member[e] |= 1 << i
-    counts = [g.bit_count() for g in graphs]
-
-    def product() -> int:
-        return counts[0] * counts[1] * counts[2]
-
-    value = product()
-    best_value = value
-    best_graphs = tuple(graphs)
-    moves = [(i, e) for i in range(3) for e in range(m)]
-    evals = 0
-    rejected = 0
-    sideways_left = patience
-    while evals < iterations:
-        rng.shuffle(moves)
-        accepted = False
-        for i, e in moves:
-            if evals >= iterations:
-                break
-            evals += 1
-            on = bool(member[e] >> i & 1)
-            if on:
-                new_count = counts[i] - 1
-            else:
-                if not _toggle_on_safe(member, i, e, through[e]):
-                    rejected += 1
-                    continue
-                new_count = counts[i] + 1
-            others = 1
-            for j in range(3):
-                if j != i:
-                    others *= counts[j]
-            new_value = new_count * others
-            if new_value > value or (new_value == value and sideways_left > 0):
-                if new_value == value:
-                    sideways_left -= 1
-                member[e] ^= 1 << i
-                graphs[i] ^= 1 << e
-                counts[i] = new_count
-                value = new_value
-                accepted = True
-                if value > best_value:
-                    best_value = value
-                    best_graphs = tuple(graphs)
-        if not accepted:
-            break
-    return {
-        "best": best_value,
-        "witness": best_graphs,
-        "evals": evals,
-        "rejected": rejected,
-    }
+        graphs = _random_rbt_free_triple(n, random.Random((seed << 20) ^ restart_index))
+        moves = 3 * max_edge_count(n)
+        # every move not taken was refused by the mask
+        refused = moves - sum(g.bit_count() for g in graphs)
+    a, b, c = (g.bit_count() for g in graphs)
+    return {"best": a * b * c, "witness": tuple(graphs), "moves": moves, "refused": refused}
 
 
 def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
-    """Hill climbing over single-edge toggles, seeded by the bipartite triple.
+    """Best product over the bipartite triple and restarts - 1 random maximal fills.
 
-    Moves that would create a rainbow triangle are rejected via the
-    incremental per-edge membership masks; only the <= n-2 triangles through
-    the toggled edge are re-examined.  The reported value is a lower bound
-    on the true maximum.
+    Every fill is rainbow-free and maximal, and the best of them wins;
+    the reported value is a lower bound on the true maximum.
     """
     if cfg.mode != "local":
         raise ValueError("local search invoked with a non-local config")
     if cfg.seed is None:
         raise ValueError("local search requires a seed")
     started = time.perf_counter()
-    runs = [
-        (n, r, cfg.seed, cfg.iterations, cfg.patience) for r in range(cfg.restarts)
-    ]
-    if cfg.threads > 1 and len(runs) > 1:
+    if cfg.threads > 1 and cfg.restarts > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_local_restart_star, runs))
+            results = list(
+                pool.map(_local_restart, repeat(n), range(cfg.restarts), repeat(cfg.seed))
+            )
     else:
-        results = [_local_restart(*args) for args in runs]
+        results = [_local_restart(n, r, cfg.seed) for r in range(cfg.restarts)]
 
     best = max(r["best"] for r in results)
     # canonicalize only the distinct best-valued witnesses
@@ -736,8 +669,8 @@ def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
         best_value=best,
         witnesses=witnesses,
         witness_overflow=overflow,
-        nodes=sum(r["evals"] for r in results),
-        pruned=sum(r["rejected"] for r in results),
+        nodes=sum(r["moves"] for r in results),
+        pruned=sum(r["refused"] for r in results),
         wall_time=time.perf_counter() - started,
         exhaustive=False,
         references={
@@ -747,12 +680,7 @@ def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
         config={
             "mode": cfg.mode,
             "seed": cfg.seed,
-            "iterations": cfg.iterations,
             "restarts": cfg.restarts,
             "threads": cfg.threads,
         },
     )
-
-
-def _local_restart_star(args: tuple) -> dict[str, Any]:
-    return _local_restart(*args)

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from rbt_lab import Graph, system_from_json
 from rbt_lab.cli import main
 
@@ -125,11 +127,26 @@ def test_search_local_cli(capsys):
     code, out, _ = run(
         capsys,
         ["search", "--objective", "product", "--n", "6", "--local", "--seed", "4",
-         "--iters", "2000", "--restarts", "2", "--output", "json"],
+         "--restarts", "2", "--output", "json"],
     )
     assert code == 0
     doc = json.loads(out)
     assert int(doc["best_value"]) >= int(doc["references"]["constructor_value"])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--local", "--seed", "1", "--checkpoint", "run.json"], "exhaustive search only"),
+    (["--local", "--seed", "1", "--iso-pruning"], "exhaustive search only"),
+    (["--exhaustive", "--seed", "3"], "local search only"),
+    (["--local", "--seed", "4", "--iters", "2000"], "unrecognized arguments: --iters"),
+])
+def test_search_rejects_flags_the_mode_ignores(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["search", "--objective", "product", "--n", "4"] + flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "run.json").exists()
 
 
 def test_search_checkpoint_and_threads_flags(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,10 +19,18 @@ from rbt_lab import (
     max_triangle_free_edges,
     two_complete_one_empty,
 )
-from rbt_lab.search import _triangle_tables, allowed_last_graph_mask, rbt_free_bits
+from rbt_lab.search import _random_rbt_free_triple, allowed_last_graph_mask, rbt_free_bits
 
 
 # -- per-triangle Hall check, the reference for the search's rainbow kernel ----------
+
+
+def triangle_edges(n):
+    """Colex edge indices (ab, ac, bc) of every triangle a < b < c."""
+    def index(u, v):
+        return v * (v - 1) // 2 + u
+
+    return [(index(a, b), index(a, c), index(b, c)) for a, b, c in combinations(range(n), 3)]
 
 
 def memberships(graphs, e1, e2, e3):
@@ -48,14 +57,12 @@ def triangle_rainbow(m1, m2, m3):
 
 
 def reference_rbt_free(n, graphs):
-    triples, _ = _triangle_tables(n)
-    return not any(triangle_rainbow(*memberships(graphs, *tri)) for tri in triples)
+    return not any(triangle_rainbow(*memberships(graphs, *tri)) for tri in triangle_edges(n))
 
 
 def reference_allowed_mask(n, prefix):
     allowed = (1 << max_edge_count(n)) - 1
-    triples, _ = _triangle_tables(n)
-    for tri in triples:
+    for tri in triangle_edges(n):
         masks = memberships(prefix, *tri)
         for k in range(3):
             if pair_assignable(masks[k - 1], masks[k - 2]):
@@ -165,30 +172,26 @@ def test_allowed_last_mask_is_exact():
         assert rbt_free_bits(n, prefix + [allowed])
 
 
-def test_incremental_toggle_guard_is_exact():
-    from rbt_lab.search import _toggle_on_safe, _triangle_tables
-
-    rng = random.Random(73)
-    for _ in range(200):
-        n = rng.randint(3, 6)
+def test_random_fill_guard_is_exact_and_maximal():
+    # replay the fill's move order, adding each edge iff the per-triangle
+    # oracle accepts the grown triple
+    for n in range(3, 9):
         m = max_edge_count(n)
-        while True:
-            bits = [rng.randrange(1 << m) for _ in range(3)]
-            if rbt_free_bits(n, bits):
-                break
-        member = [0] * m
-        for i, g in enumerate(bits):
-            for e in range(m):
-                if g >> e & 1:
-                    member[e] |= 1 << i
-        _, through = _triangle_tables(n)
-        i = rng.randrange(3)
-        e = rng.randrange(m)
-        if member[e] >> i & 1:
-            continue
-        grown = list(bits)
-        grown[i] |= 1 << e
-        assert _toggle_on_safe(member, i, e, through[e]) == rbt_free_bits(n, grown)
+        for seed in range(4):
+            for restart in (1, 2, 5):
+                graphs = _random_rbt_free_triple(n, random.Random((seed << 20) ^ restart))
+                moves = [(i, e) for i in range(3) for e in range(m)]
+                random.Random((seed << 20) ^ restart).shuffle(moves)
+                expected = [0, 0, 0]
+                for i, e in moves:
+                    grown = list(expected)
+                    grown[i] |= 1 << e
+                    if reference_rbt_free(n, grown):
+                        expected = grown
+                assert graphs == expected
+                for i in range(3):
+                    others = [graphs[j] for j in range(3) if j != i]
+                    assert graphs[i] == allowed_last_graph_mask(n, others)
 
 
 def test_constructors_attain_bounds():
@@ -322,10 +325,10 @@ def test_checkpoint_resume_n5_iso():
 
 
 def test_local_search_consistent_with_conjecture_larger_n():
-    # a failure here would mean the hill climber beat floor(n^2/4)^3, i.e. a
+    # a failure here would mean a local search restart beat floor(n^2/4)^3, i.e. a
     # counterexample to the open product bound; record the witness if so
     for n in (12, 16, 20):
-        cfg = SearchConfig(mode="local", seed=2026, iterations=4000, restarts=3)
+        cfg = SearchConfig(mode="local", seed=2026, restarts=3)
         report = local_search_product(n, cfg)
         bound = (n * n // 4) ** 3
         assert report.best_value >= report.references["constructor_value"]
@@ -335,7 +338,7 @@ def test_local_search_consistent_with_conjecture_larger_n():
 
 
 def test_local_search_matches_exhaustive_n4():
-    cfg = SearchConfig(mode="local", seed=11, iterations=2000, restarts=3)
+    cfg = SearchConfig(mode="local", seed=11, restarts=3)
     report = local_search_product(4, cfg)
     assert report.best_value == 64
     assert not report.exhaustive
@@ -349,7 +352,7 @@ def test_local_search_seeded_bound_n10():
 
 
 def test_local_search_deterministic():
-    cfg = SearchConfig(mode="local", seed=99, iterations=3000, restarts=4)
+    cfg = SearchConfig(mode="local", seed=99, restarts=4)
     a = local_search_product(6, cfg)
     b = local_search_product(6, cfg)
     assert a.best_value == b.best_value
@@ -357,14 +360,29 @@ def test_local_search_deterministic():
     assert a.nodes == b.nodes
 
     threaded = local_search_product(
-        6, SearchConfig(mode="local", seed=99, iterations=3000, restarts=4, threads=2)
+        6, SearchConfig(mode="local", seed=99, restarts=4, threads=2)
     )
     assert threaded.best_value == a.best_value
     assert threaded.witnesses == a.witnesses
 
 
+def test_local_search_counts_fill_moves():
+    # nodes: moves examined, 3 * C(n,2) per random restart (restart 0 makes
+    # none); pruned: the moves the forbidden mask refused
+    n, seed, restarts = 7, 21, 4
+    report = local_search_product(n, SearchConfig(mode="local", seed=seed, restarts=restarts))
+    moves = 3 * max_edge_count(n)
+    taken = sum(
+        sum(g.bit_count() for g in _random_rbt_free_triple(n, random.Random((seed << 20) ^ r)))
+        for r in range(1, restarts)
+    )
+    assert report.nodes == moves * (restarts - 1)
+    assert report.pruned == report.nodes - taken
+    assert "iterations" not in report.config
+
+
 def test_local_search_witnesses_are_free():
-    cfg = SearchConfig(mode="local", seed=21, iterations=2000, restarts=3)
+    cfg = SearchConfig(mode="local", seed=21, restarts=3)
     report = local_search_product(7, cfg)
     for witness in report.witness_systems():
         assert is_rbt_free(witness)
