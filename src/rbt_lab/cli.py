@@ -49,6 +49,16 @@ def _load_system(args: argparse.Namespace) -> GraphSystem:
     return system
 
 
+def _mode_flag(args, name: str, used: bool, default: Any, scope: str) -> Any:
+    """A flag read in one mode only: its default when not given, exit 2 if given elsewhere."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if not used:
+        raise PreconditionError(f"--{name.replace('_', '-')} applies to {scope} only")
+    return value
+
+
 def _emit_json(doc: Any) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -179,7 +189,7 @@ def _search_config(args) -> se.SearchConfig:
     return se.SearchConfig(
         mode=mode,
         seed=args.seed,
-        restarts=args.restarts,
+        restarts=_mode_flag(args, "restarts", args.local, 8, "local search"),
         threads=args.threads,
         iso_pruning=args.iso_pruning,
         witness_cap=args.witness_cap,
@@ -225,12 +235,13 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    copies = _mode_flag(args, "t", args.kind == "bipartite-k", 4, "--kind bipartite-k")
     if args.kind == "two-complete":
         system = se.two_complete_one_empty(args.n)
         value = system.total_edges()
         label = "sum"
     elif args.kind == "bipartite-k":
-        system = se.balanced_bipartite_system(args.n, args.t)
+        system = se.balanced_bipartite_system(args.n, copies)
         value = system.total_edges()
         label = "sum"
     else:
@@ -253,18 +264,21 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_ineq_scan(args) -> int:
-    if args.which == "31":
-        violations = list(cert.scan_lpq_inequality(args.l_max, args.q_max))
+    lpq = args.which == "31"
+    l_max = _mode_flag(args, "l_max", lpq, 30, "--which 31")
+    q_max = _mode_flag(args, "q_max", lpq, 60, "--which 31")
+    step = Fraction(_mode_flag(args, "step", not lpq, "1/100", "--which 32"))
+    max_value = Fraction(_mode_flag(args, "max", not lpq, "10", "--which 32"))
+    if lpq:
+        violations = list(cert.scan_lpq_inequality(l_max, q_max))
         doc: dict[str, Any] = {
             "which": "31",
-            "l_max": args.l_max,
-            "q_max": args.q_max,
+            "l_max": l_max,
+            "q_max": q_max,
             "violations": [list(v) for v in violations],
         }
         human = [f"(l={v[0]}, p={v[1]}, q={v[2]})" for v in violations]
     else:
-        step = Fraction(args.step)
-        max_value = Fraction(args.max)
         violations = list(cert.scan_alpha_beta_inequality(step, max_value))
         doc = {
             "which": "32",
@@ -331,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true", default=True)
     mode.add_argument("--local", action="store_true", default=False)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=None, help="local restarts (default 8)")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--iso-pruning", action="store_true")
     p.add_argument("--witness-cap", type=int, default=64)
@@ -344,17 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("two-complete", "bipartite-k", "bipartite-triple"),
                    required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=4, help="copies for bipartite-k")
+    p.add_argument("--t", type=int, default=None, help="copies for bipartite-k (default 4)")
     p.add_argument("--compact", action="store_true", help="emit hex form")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("ineq-scan", help="grid scans of the two product inequalities")
     add_io(p, system_input=False)
     p.add_argument("--which", choices=("31", "32"), required=True)
-    p.add_argument("--l-max", type=int, default=30)
-    p.add_argument("--q-max", type=int, default=60)
-    p.add_argument("--step", default="1/100", help="grid step for the rational scan")
-    p.add_argument("--max", default="10", help="grid upper end for the rational scan")
+    p.add_argument("--l-max", type=int, default=None, help="scan 31 bound on l (default 30)")
+    p.add_argument("--q-max", type=int, default=None, help="scan 31 bound on q (default 60)")
+    p.add_argument("--step", default=None, help="scan 32 grid step (default 1/100)")
+    p.add_argument("--max", default=None, help="scan 32 grid upper end (default 10)")
     p.set_defaults(func=_cmd_ineq_scan)
 
     return parser

@@ -29,8 +29,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -43,6 +42,10 @@ BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
 DEFAULT_BUDGET_BITS = 32
 
 _OBJECTIVES = ("sum", "product")
+# first graphs per exhaustive work unit, the unit of parallelism and of checkpointing
+_CHUNK_SIZE = 64
+# bumped whenever the stored chunk record changes, so older files are refused
+_CHECKPOINT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,9 @@ class SearchConfig:
     mode: "exhaustive" or "local".  Local search requires a seed and runs
     `restarts` restarts; a seed in exhaustive mode, or iso_pruning or a
     checkpoint in local mode, is rejected rather than ignored.
-    iso_pruning enumerates the first graph up to isomorphism.
-    chunk_size fixes the parallel work split; it is independent of the
-    thread count so reports do not depend on it.
+    iso_pruning enumerates the first graph up to isomorphism.  The work
+    split is fixed (first graphs in chunks of _CHUNK_SIZE), so reports do
+    not depend on the thread count.
     """
 
     mode: str = "exhaustive"
@@ -63,7 +66,6 @@ class SearchConfig:
     threads: int = 1
     iso_pruning: bool = False
     witness_cap: int = 64
-    chunk_size: int = 64
     checkpoint: str | None = None
 
     def __post_init__(self):
@@ -75,8 +77,8 @@ class SearchConfig:
             raise ValueError("checkpoint and iso_pruning apply to exhaustive search only")
         if self.mode == "exhaustive" and self.seed is not None:
             raise ValueError("a seed applies to local search only")
-        if self.threads < 1 or self.witness_cap < 1 or self.chunk_size < 1:
-            raise ValueError("threads, witness_cap and chunk_size must be >= 1")
+        if self.threads < 1 or self.witness_cap < 1:
+            raise ValueError("threads and witness_cap must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -225,19 +227,13 @@ def bipartite_triple(n: int) -> GraphSystem:
 # -- exhaustive search ---------------------------------------------------------------
 
 
-def _budget_bits() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET_BITS
+def _check_budget(n: int, t: int) -> None:
+    raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET_BITS))
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def _check_budget(n: int, t: int) -> None:
     bits = max_edge_count(n) * t
-    budget = _budget_bits()
     if bits > budget:
         raise ValueError(
             f"search space is 2^{bits} tuples which exceeds the 2^{budget} budget; "
@@ -262,51 +258,45 @@ def _search_chunk(
     objective: str,
     n: int,
     t: int,
-    first_graphs: Sequence[int],
     incumbent: int,
     tie_cap: int,
+    first_graphs: Sequence[int],
 ) -> dict[str, Any]:
     """Enumerate all rainbow-free tuples whose first graph lies in `first_graphs`.
 
     Each node carries the union of its prefix and the prefix's forbidden
     mask (see `_cross`), so its admissible children are exactly the
     submasks of the complement of that mask; they are walked in ascending
-    order.  Returns the chunk-local best value, the tuples attaining it
-    (capped at tie_cap per value), and node/prune counters.  Pruning is
-    strict, so tuples tying the incumbent are always visited.
+    order.  Returns the chunk record: the chunk-local best value, the
+    sorted tuples attaining it, and node/prune counters.  Only the current
+    best is tracked, so the witness set resets whenever it rises; it keeps
+    at most tie_cap tuples, and the caller passes one more than it reports,
+    so a full set is how it sees an overflow.  Pruning is strict, so tuples
+    tying the incumbent are always visited.
     """
     m = max_edge_count(n)
     full = (1 << m) - 1
     through = _through_pairs(n)
     is_sum = objective == "sum"
     best = incumbent
-    ties: dict[int, set[tuple[int, ...]]] = {}
-    overflow: dict[int, bool] = {}
+    witnesses: set[tuple[int, ...]] = set()
     nodes = 0
     pruned = 0
 
-    def record(value: int, graphs: tuple[int, ...]) -> None:
-        bucket = ties.setdefault(value, set())
-        w = _canonical_witness(n, graphs)
-        if w in bucket:
-            return
-        if len(bucket) >= tie_cap:
-            overflow[value] = True
-            return
-        bucket.add(w)
-
-    def extend(prefix: list[int], partial: int, union: int, forbidden: int) -> None:
-        nonlocal best, nodes, pruned
+    def extend(prefix: list[int], part: int, union: int, forbidden: int) -> None:
+        nonlocal best, witnesses, nodes, pruned
         nodes += 1
         k = len(prefix)
         avail = full & ~forbidden
         if k == t - 1:
             count = avail.bit_count()
-            value = partial + count if is_sum else partial * count
+            value = part + count if is_sum else part * count
+            if value < best:
+                return
             if value > best:
-                best = value
-            if value == best:
-                record(value, tuple(prefix) + (avail,))
+                best, witnesses = value, set()
+            if len(witnesses) < tie_cap:
+                witnesses.add(_canonical_witness(n, tuple(prefix) + (avail,)))
             return
         remaining = t - k
         rows = [_cross(through, union, 1 << e) for e in range(m)]
@@ -316,7 +306,7 @@ def _search_chunk(
         g = 0
         while True:
             gc = g.bit_count()
-            cand = partial + gc if is_sum else partial * gc
+            cand = part + gc if is_sum else part * gc
             optimistic = (
                 cand + (remaining - 1) * m if is_sum else cand * m ** (remaining - 1)
             )
@@ -340,12 +330,9 @@ def _search_chunk(
             continue
         extend([g1], cand, g1, 0)
 
-    # drop tie buckets below the chunk best; they can never win the merge
-    keep = {v: sorted(ws) for v, ws in ties.items() if v == best}
     return {
         "best": best,
-        "ties": keep,
-        "tie_overflow": {v: overflow.get(v, False) for v in keep},
+        "witnesses": sorted(witnesses),
         "nodes": nodes,
         "pruned": pruned,
     }
@@ -363,56 +350,29 @@ def _seed_value(objective: str, n: int, t: int) -> int:
     return counts[0] * counts[1] * counts[2]
 
 
-def _chunks(items: Sequence[int], size: int) -> list[tuple[int, list[int]]]:
-    return [(i // size, list(items[i : i + size])) for i in range(0, len(items), size)]
+def _map(threads: int, fn, *iterables):
+    """map(fn, *iterables), in a pool of `threads` processes when threads > 1; in order."""
+    if threads == 1:
+        yield from map(fn, *iterables)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, *iterables)
 
 
-class _Checkpoint:
-    """Per-chunk result store for resumable exhaustive runs."""
+def _load_checkpoint(path: str, header: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """Chunk records stored at `path` by a run with the same header, keyed by chunk id."""
+    if not Path(path).exists():
+        return {}
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or doc.get("header") != header:
+        raise ValueError(f"checkpoint {path} was written by a different search setup")
+    return doc["done"]
 
-    def __init__(self, path: str, header: dict[str, Any]):
-        self.path = Path(path)
-        self.header = header
-        self.done: dict[int, dict[str, Any]] = {}
-        if self.path.exists():
-            doc = json.loads(self.path.read_text())
-            if doc.get("header") != header:
-                raise ValueError(
-                    f"checkpoint {path} was written by a different search setup"
-                )
-            self.done = {int(k): v for k, v in doc["done"].items()}
 
-    def record(self, chunk_id: int, result: dict[str, Any]) -> None:
-        packed = {
-            "best": str(result["best"]),
-            "ties": {str(v): [[str(b) for b in w] for w in ws] for v, ws in result["ties"].items()},
-            "tie_overflow": {str(v): flag for v, flag in result["tie_overflow"].items()},
-            "nodes": str(result["nodes"]),
-            "pruned": str(result["pruned"]),
-        }
-        self.done[chunk_id] = packed
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(
-                {"header": self.header, "done": {str(k): v for k, v in self.done.items()}}
-            )
-        )
-        tmp.replace(self.path)
-
-    def result(self, chunk_id: int) -> dict[str, Any] | None:
-        raw = self.done.get(chunk_id)
-        if raw is None:
-            return None
-        return {
-            "best": int(raw["best"]),
-            "ties": {
-                int(v): [tuple(int(b) for b in w) for w in ws]
-                for v, ws in raw["ties"].items()
-            },
-            "tie_overflow": {int(v): flag for v, flag in raw["tie_overflow"].items()},
-            "nodes": int(raw["nodes"]),
-            "pruned": int(raw["pruned"]),
-        }
+def _save_checkpoint(path: str, header: dict[str, Any], done: dict[str, Any]) -> None:
+    tmp = Path(path).with_suffix(".tmp")
+    tmp.write_text(json.dumps({"header": header, "done": done}))
+    tmp.replace(path)
 
 
 def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> SearchReport:
@@ -424,97 +384,53 @@ def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> Search
         raise ValueError("t must be at least 1")
     _check_budget(n, t)
     started = time.perf_counter()
+    m = max_edge_count(n)
     if t == 1:
-        # no rainbow constraint is possible; the full graph is the unique maximizer
-        m = max_edge_count(n)
-        full = (1 << m) - 1
-        return SearchReport(
-            objective=objective,
-            n=n,
-            t=1,
-            best_value=m,
-            witnesses=[_canonical_witness(n, (full,))],
-            witness_overflow=False,
-            nodes=1,
-            pruned=0,
-            wall_time=time.perf_counter() - started,
-            exhaustive=True,
-            references={},
-            config={"mode": cfg.mode, "iso_pruning": cfg.iso_pruning,
-                    "threads": cfg.threads, "chunk_size": cfg.chunk_size},
-        )
-    seed_value = _seed_value(objective, n, t)
-    first = _first_level(n, cfg.iso_pruning)
-    chunks = _chunks(first, cfg.chunk_size)
-    tie_cap = cfg.witness_cap + 1
-
-    header = {
-        "objective": objective,
-        "n": n,
-        "t": t,
-        "iso_pruning": cfg.iso_pruning,
-        "chunk_size": cfg.chunk_size,
-        "num_chunks": len(chunks),
-        "seed_value": str(seed_value),
-    }
-    checkpoint = _Checkpoint(cfg.checkpoint, header) if cfg.checkpoint else None
-
-    results: dict[int, dict[str, Any]] = {}
-    pending = []
-    for chunk_id, graphs in chunks:
-        stored = checkpoint.result(chunk_id) if checkpoint else None
-        if stored is not None:
-            results[chunk_id] = stored
-        else:
-            pending.append((chunk_id, graphs))
-
-    # every chunk prunes against the seed value alone, so its result does not
-    # depend on which chunks ran before it, in this process or another
-    if cfg.threads > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {
-                chunk_id: pool.submit(
-                    _search_chunk, objective, n, t, graphs, seed_value, tie_cap
-                )
-                for chunk_id, graphs in pending
-            }
-            for chunk_id, fut in futures.items():
-                results[chunk_id] = fut.result()
-                if checkpoint:
-                    checkpoint.record(chunk_id, results[chunk_id])
+        # no rainbow constraint is possible; the complete graph, its own
+        # canonical form, is the unique maximizer
+        done = {"0": {"best": m, "witnesses": [((1 << m) - 1,)], "nodes": 1, "pruned": 0}}
+        references = {}
     else:
-        for chunk_id, graphs in pending:
-            results[chunk_id] = _search_chunk(objective, n, t, graphs, seed_value, tie_cap)
-            if checkpoint:
-                checkpoint.record(chunk_id, results[chunk_id])
+        seed_value = _seed_value(objective, n, t)
+        first = _first_level(n, cfg.iso_pruning)
+        chunks = [first[i : i + _CHUNK_SIZE] for i in range(0, len(first), _CHUNK_SIZE)]
+        header = {
+            "format": _CHECKPOINT_FORMAT,
+            "objective": objective,
+            "n": n,
+            "t": t,
+            "iso_pruning": cfg.iso_pruning,
+            "chunk_size": _CHUNK_SIZE,
+            "num_chunks": len(chunks),
+            "seed_value": seed_value,
+        }
+        done = _load_checkpoint(cfg.checkpoint, header) if cfg.checkpoint else {}
+        pending = [str(i) for i in range(len(chunks)) if str(i) not in done]
+        # every chunk prunes against the seed value alone, so its record does
+        # not depend on which chunks ran before it, in this process or another
+        search = partial(_search_chunk, objective, n, t, seed_value, cfg.witness_cap + 1)
+        records = _map(cfg.threads if len(pending) > 1 else 1, search,
+                       [chunks[int(key)] for key in pending])
+        for key, record in zip(pending, records, strict=True):
+            done[key] = record
+            if cfg.checkpoint:
+                _save_checkpoint(cfg.checkpoint, header, done)
+        references = {"seed_value": seed_value}
+        if objective == "product":
+            references["conjecture_bound"] = theory_bound("product", n, 3)
 
-    best = max((r["best"] for r in results.values()), default=seed_value)
-    merged: set[tuple[int, ...]] = set()
-    overflow = False
-    for r in results.values():
-        for value, ws in r["ties"].items():
-            if value == best:
-                merged.update(tuple(w) for w in ws)
-                overflow = overflow or r["tie_overflow"].get(value, False)
-    witnesses = sorted(merged)
-    if len(witnesses) > cfg.witness_cap:
-        overflow = True
-        witnesses = witnesses[: cfg.witness_cap]
-
-    nodes = sum(r["nodes"] for r in results.values())
-    pruned = sum(r["pruned"] for r in results.values())
-    references = {"seed_value": seed_value}
-    if objective == "product":
-        references["conjecture_bound"] = theory_bound("product", n, 3)
+    best = max(r["best"] for r in done.values())
+    tops = [r for r in done.values() if r["best"] == best]
+    witnesses = sorted({tuple(w) for r in tops for w in r["witnesses"]})
     return SearchReport(
         objective=objective,
         n=n,
         t=t,
         best_value=best,
-        witnesses=witnesses,
-        witness_overflow=overflow,
-        nodes=nodes,
-        pruned=pruned,
+        witnesses=witnesses[: cfg.witness_cap],
+        witness_overflow=len(witnesses) > cfg.witness_cap,
+        nodes=sum(r["nodes"] for r in done.values()),
+        pruned=sum(r["pruned"] for r in done.values()),
         wall_time=time.perf_counter() - started,
         exhaustive=True,
         references=references,
@@ -522,7 +438,7 @@ def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> Search
             "mode": cfg.mode,
             "iso_pruning": cfg.iso_pruning,
             "threads": cfg.threads,
-            "chunk_size": cfg.chunk_size,
+            "chunk_size": _CHUNK_SIZE,
         },
     )
 
@@ -622,7 +538,7 @@ def _random_rbt_free_triple(n: int, rng: random.Random) -> list[int]:
     return graphs
 
 
-def _local_restart(n: int, restart_index: int, seed: int) -> dict[str, Any]:
+def _local_restart(n: int, seed: int, restart_index: int) -> dict[str, Any]:
     """Restart 0 is the bipartite triple, any other a fill seeded by (seed, restart_index)."""
     if restart_index == 0:
         graphs = [g.to_bits() for g in bipartite_triple(n).graphs]
@@ -644,16 +560,9 @@ def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
     """
     if cfg.mode != "local":
         raise ValueError("local search invoked with a non-local config")
-    if cfg.seed is None:
-        raise ValueError("local search requires a seed")
     started = time.perf_counter()
-    if cfg.threads > 1 and cfg.restarts > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(_local_restart, repeat(n), range(cfg.restarts), repeat(cfg.seed))
-            )
-    else:
-        results = [_local_restart(n, r, cfg.seed) for r in range(cfg.restarts)]
+    threads = cfg.threads if cfg.restarts > 1 else 1
+    results = list(_map(threads, partial(_local_restart, n, cfg.seed), range(cfg.restarts)))
 
     best = max(r["best"] for r in results)
     # canonicalize only the distinct best-valued witnesses

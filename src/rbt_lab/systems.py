@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .graph import Edge, Graph, Triangle, iter_bits, max_edge_count
+from .graph import Edge, Graph, Triangle, iter_bits
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,20 @@ class RainbowWitness:
         }
 
 
+def _multiplicity_levels(graph_rows: Sequence[Sequence[int]], depth: int) -> list[list[int]]:
+    """levels[k][v]: the vertices joined to v in more than k of the graphs, for k < depth.
+
+    Bit-sliced counting: each graph lifts the neighbours it shares with
+    level k - 1 into level k.
+    """
+    levels = [[0] * len(graph_rows[0]) for _ in range(depth)]
+    for r in graph_rows:
+        for k in range(depth - 1, 0, -1):
+            levels[k] = [hi | (lo & x) for hi, lo, x in zip(levels[k], levels[k - 1], r)]
+        levels[0] = [lo | x for lo, x in zip(levels[0], r)]
+    return levels
+
+
 def _pick_sdr(masks: Sequence[int]) -> tuple[int, ...]:
     """First distinct-index assignment (i1, i2, i3), i_k in masks[k], by graph index."""
     for i1 in iter_bits(masks[0]):
@@ -139,12 +153,7 @@ def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
         return None
     rows = [g.rows for g in s.graphs]
     # u1/u2/u3[v]: vertices joined to v in at least one/two/three graphs
-    u1, u2, u3 = [0] * n, [0] * n, [0] * n
-    for r in rows:
-        for v in range(n):
-            u3[v] |= u2[v] & r[v]
-            u2[v] |= u1[v] & r[v]
-            u1[v] |= r[v]
+    u1, u2, u3 = _multiplicity_levels(rows, 3)
     # only[j][v]: joined to v in G_j and in no other graph
     only = [[r[v] & ~u2[v] for v in range(n)] for r in rows]
     within_rows: dict[tuple[int, int], list[int]] = {}
@@ -238,33 +247,16 @@ def _three_set(s: GraphSystem, z: Iterable[int]) -> tuple[int, int, int]:
 
 
 def nest_reduce(s: GraphSystem) -> GraphSystem:
-    """Rewrite the system into a nested chain G'_1 <= ... <= G'_t.
+    """Rewrite the system into the nested chain G'_1 <= ... <= G'_t.
 
-    Repeatedly replaces the first non-comparable pair (scanning (i, j) with
-    i < j after sorting by edge count) by (intersection, union).  Each edge
-    keeps its multiplicity across the system, so the total edge count is
-    unchanged, and rainbow-freeness survives every replacement.  The sum of
-    squared sizes strictly grows each step, which bounds the loop.
+    The chain keeping every edge's multiplicity across the system is unique:
+    G'_i holds the edges lying in at least t - i + 1 graphs.  It is what
+    repeatedly replacing a non-comparable pair by (intersection, union)
+    converges to, so the total edge count is unchanged and rainbow-freeness
+    survives.
     """
-    graphs = sorted(s.graphs, key=lambda g: (g.edge_count(), g.to_bits()))
-    max_steps = s.t * max_edge_count(s.n) ** 2 + 1
-    for _ in range(max_steps):
-        swapped = False
-        for i in range(len(graphs)):
-            for j in range(i + 1, len(graphs)):
-                a, b = graphs[i], graphs[j]
-                if a.is_subgraph_of(b) or b.is_subgraph_of(a):
-                    continue
-                graphs[i] = a & b
-                graphs[j] = a | b
-                graphs.sort(key=lambda g: (g.edge_count(), g.to_bits()))
-                swapped = True
-                break
-            if swapped:
-                break
-        if not swapped:
-            return GraphSystem(n=s.n, graphs=tuple(graphs))
-    raise RuntimeError("nesting reduction exceeded its potential bound")
+    levels = _multiplicity_levels([g.rows for g in s.graphs], s.t)
+    return GraphSystem(n=s.n, graphs=tuple(Graph._trusted(s.n, r) for r in reversed(levels)))
 
 
 def is_nested(s: GraphSystem) -> bool:

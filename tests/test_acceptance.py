@@ -242,7 +242,7 @@ def test_c08_nesting_suite():
         t = rng.randint(1, 5)
         p = rng.uniform(0.05, 0.6)
         s = GraphSystem(n=n, graphs=tuple(random_graph(rng, n, p) for _ in range(t)))
-        out = nest_reduce(s)  # raises internally if the potential bound is exceeded
+        out = nest_reduce(s)  # the unique nested chain with the same multiplicities
         assert is_nested(out)
         assert out.total_edges() == s.total_edges()
         assert edge_multiplicities(out) == edge_multiplicities(s)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rbt_lab import Graph, system_from_json
+from rbt_lab import Graph, SearchConfig, exhaustive_max_product, system_from_json
 from rbt_lab.cli import main
 
 RAINBOW = '{"n":3,"graphs":[[[0,1]],[[1,2]],[[0,2]]]}'
@@ -139,6 +139,7 @@ def test_search_local_cli(capsys):
     (["--local", "--seed", "1", "--iso-pruning"], "exhaustive search only"),
     (["--exhaustive", "--seed", "3"], "local search only"),
     (["--local", "--seed", "4", "--iters", "2000"], "unrecognized arguments: --iters"),
+    (["--exhaustive", "--restarts", "3"], "--restarts applies to local search only"),
 ])
 def test_search_rejects_flags_the_mode_ignores(tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -147,6 +148,50 @@ def test_search_rejects_flags_the_mode_ignores(tmp_path, monkeypatch, capsys, fl
     assert out == ""
     assert message in err
     assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extremal", "--kind", "two-complete", "--n", "6", "--t", "9"],
+     "--t applies to --kind bipartite-k only"),
+    (["extremal", "--kind", "bipartite-triple", "--n", "6", "--t", "3"],
+     "--t applies to --kind bipartite-k only"),
+    (["ineq-scan", "--which", "31", "--step", "1/3", "--max", "2"],
+     "--step applies to --which 32 only"),
+    (["ineq-scan", "--which", "31", "--max", "2"], "--max applies to --which 32 only"),
+    (["ineq-scan", "--which", "32", "--l-max", "5"], "--l-max applies to --which 31 only"),
+    (["ineq-scan", "--which", "32", "--q-max", "5"], "--q-max applies to --which 31 only"),
+])
+def test_flags_of_another_kind_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv + ["--output", "json"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+# a checkpoint as written before the chunk record was flattened: string-packed
+# per-value tie buckets and no "format" key in the header
+OLD_FORMAT_CHECKPOINT = {
+    "header": {"objective": "product", "n": 4, "t": 3, "iso_pruning": False, "chunk_size": 64,
+               "num_chunks": 1, "seed_value": "64"},
+    "done": {"0": {"best": "64", "ties": {"64": [["30", "30", "30"]]},
+                   "tie_overflow": {"64": False}, "nodes": "1451", "pruned": "2261"}},
+}
+
+
+def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "old.json", json.dumps(OLD_FORMAT_CHECKPOINT))
+    with pytest.raises(ValueError, match="different search"):
+        exhaustive_max_product(4, SearchConfig(checkpoint=path))
+    code, out, err = run(capsys, ["search", "--objective", "product", "--n", "4",
+                                  "--checkpoint", path, "--output", "json"])
+    assert code == 2
+    assert out == ""
+    assert "different search" in err
+    assert json.loads((tmp_path / "old.json").read_text()) == OLD_FORMAT_CHECKPOINT
+    # a fresh file carries the format version that refused the old one
+    fresh = tmp_path / "new.json"
+    exhaustive_max_product(4, SearchConfig(checkpoint=str(fresh)))
+    assert json.loads(fresh.read_text())["header"]["format"] == 2
 
 
 def test_search_checkpoint_and_threads_flags(tmp_path, capsys):

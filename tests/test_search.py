@@ -19,6 +19,7 @@ from rbt_lab import (
     max_triangle_free_edges,
     two_complete_one_empty,
 )
+from rbt_lab import search
 from rbt_lab.search import _random_rbt_free_triple, allowed_last_graph_mask, rbt_free_bits
 
 
@@ -89,6 +90,35 @@ def test_pruned_matches_unpruned_n3():
 
 def test_pruned_matches_unpruned_n4_product():
     assert exhaustive_max_product(4).best_value == brute_force_max("product", 4, 3) == 64
+
+
+def test_exhaustive_t1_is_the_complete_graph():
+    # one graph cannot hold a rainbow triangle: a precomputed record, no search
+    for n in range(1, 6):
+        full = (1 << max_edge_count(n)) - 1
+        report = exhaustive_max_sum(n, 1)
+        assert report.best_value == brute_force_max("sum", n, 1) == max_edge_count(n)
+        assert report.witnesses == [(full,)]
+        assert not report.witness_overflow
+        assert (report.nodes, report.pruned) == (1, 0)
+        assert report.references == {}
+
+
+def test_exhaustive_t2_matches_unpruned():
+    for n in range(2, 5):
+        assert exhaustive_max_sum(n, 2).best_value == brute_force_max("sum", n, 2)
+
+
+def test_witnesses_reset_when_the_best_rises_above_the_seed(monkeypatch):
+    # at n = 2 the t = 3 seed (K2, K2, empty) is below the optimum: without a
+    # triangle, three copies of K2 win, and no tuple of the seed value may
+    # survive, neither inside a chunk nor from a chunk whose best is lower
+    for size in (64, 1):
+        monkeypatch.setattr(search, "_CHUNK_SIZE", size)
+        report = exhaustive_max_sum(2, 3)
+        assert report.references["seed_value"] == 2
+        assert report.best_value == 3
+        assert report.witnesses == [(1, 1, 1)]
 
 
 def test_exhaustive_reference_values():
@@ -234,17 +264,19 @@ def test_budget_enforced(monkeypatch):
         exhaustive_max_sum(3, 3)
 
 
-def test_thread_count_invariance():
-    base = exhaustive_max_sum(4, 3, SearchConfig(chunk_size=8))
-    threaded = exhaustive_max_sum(4, 3, SearchConfig(chunk_size=8, threads=2))
+def test_thread_count_invariance(monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
+    base = exhaustive_max_sum(4, 3, SearchConfig())
+    threaded = exhaustive_max_sum(4, 3, SearchConfig(threads=2))
     assert base.best_value == threaded.best_value
     assert base.witnesses == threaded.witnesses
     assert base.witness_overflow == threaded.witness_overflow
     # at t = 2 the seed value is below the optimum, so a chunk pruning against
     # an incumbent carried over from earlier chunks would count differently
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
     for n in (3, 4):
-        base = exhaustive_max_sum(n, 2, SearchConfig(chunk_size=1))
-        threaded = exhaustive_max_sum(n, 2, SearchConfig(chunk_size=1, threads=2))
+        base = exhaustive_max_sum(n, 2, SearchConfig())
+        threaded = exhaustive_max_sum(n, 2, SearchConfig(threads=2))
         assert (base.best_value, base.witnesses, base.nodes, base.pruned) == (
             threaded.best_value,
             threaded.witnesses,
@@ -253,9 +285,12 @@ def test_thread_count_invariance():
         )
 
 
-def test_chunk_size_invariance_t2():
+def test_chunk_size_invariance_t2(monkeypatch):
     # the t = 2 seed is the optimum 2 * C(n, 2), so no chunk's incumbent rises
-    reports = [exhaustive_max_sum(4, 2, SearchConfig(chunk_size=c)) for c in (1, 4, 64)]
+    reports = []
+    for c in (1, 4, 64):
+        monkeypatch.setattr(search, "_CHUNK_SIZE", c)
+        reports.append(exhaustive_max_sum(4, 2, SearchConfig()))
     assert reports[0].best_value == 12
     for r in reports[1:]:
         assert (r.nodes, r.pruned, r.best_value, r.witnesses) == (
@@ -277,9 +312,10 @@ def test_exhaustive_run_to_run_determinism():
     )
 
 
-def test_checkpoint_resume(tmp_path):
+def test_checkpoint_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
     path = tmp_path / "ckpt.json"
-    cfg = SearchConfig(chunk_size=8, checkpoint=str(path))
+    cfg = SearchConfig(checkpoint=str(path))
     first = exhaustive_max_product(4, cfg)
     assert path.exists()
 
@@ -296,32 +332,29 @@ def test_checkpoint_resume(tmp_path):
 
     # a different setup must refuse the file
     with pytest.raises(ValueError, match="different search"):
-        exhaustive_max_sum(4, 3, SearchConfig(chunk_size=8, checkpoint=str(path)))
+        exhaustive_max_sum(4, 3, SearchConfig(checkpoint=str(path)))
 
 
-def test_checkpoint_resume_n5_iso():
+def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
     # the intended use: resumable runs at the n=5 budget edge
-    import tempfile
-    from pathlib import Path
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
+    path = tmp_path / "n5.json"
+    cfg = SearchConfig(iso_pruning=True, checkpoint=str(path))
+    plain = exhaustive_max_sum(5, 3, SearchConfig(iso_pruning=True))
+    first = exhaustive_max_sum(5, 3, cfg)
+    assert first.best_value == plain.best_value == 20
+    assert first.witnesses == plain.witnesses
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "n5.json"
-        cfg = SearchConfig(iso_pruning=True, chunk_size=8, checkpoint=str(path))
-        plain = exhaustive_max_sum(5, 3, SearchConfig(iso_pruning=True, chunk_size=8))
-        first = exhaustive_max_sum(5, 3, cfg)
-        assert first.best_value == plain.best_value == 20
-        assert first.witnesses == plain.witnesses
-
-        doc = json.loads(path.read_text())
-        done = doc["done"]
-        assert len(done) > 2
-        for key in list(done.keys())[1::2]:
-            del done[key]
-        path.write_text(json.dumps(doc))
-        resumed = exhaustive_max_sum(5, 3, cfg)
-        assert resumed.best_value == first.best_value
-        assert resumed.witnesses == first.witnesses
-        assert resumed.nodes == first.nodes
+    doc = json.loads(path.read_text())
+    done = doc["done"]
+    assert len(done) > 2
+    for key in list(done.keys())[1::2]:
+        del done[key]
+    path.write_text(json.dumps(doc))
+    resumed = exhaustive_max_sum(5, 3, cfg)
+    assert resumed.best_value == first.best_value
+    assert resumed.witnesses == first.witnesses
+    assert resumed.nodes == first.nodes
 
 
 def test_local_search_consistent_with_conjecture_larger_n():
