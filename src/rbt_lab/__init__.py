@@ -52,7 +52,6 @@ from .certify import (
     theory_bound,
 )
 from .search import (
-    SearchConfig,
     SearchReport,
     balanced_bipartite_system,
     bipartite_triple,

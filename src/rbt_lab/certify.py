@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .canonical import CANONICAL_MAX_N, canonical_bits
 from .graph import Graph, max_edge_count
 from .matching import MatchingResult, matching_number
 from .partition import mantel_partition
@@ -71,18 +70,15 @@ def matches_two_complete_one_empty(s: GraphSystem) -> bool:
 
 
 def matches_balanced_bipartite_copies(s: GraphSystem) -> bool:
-    """Equality pattern for t >= 4: identical copies of the balanced complete bipartite graph."""
-    if s.n > CANONICAL_MAX_N:
-        raise ValueError(
-            f"pattern check needs canonical labeling, supported up to n={CANONICAL_MAX_N}"
-        )
+    """Equality pattern for t >= 4: identical copies of the balanced complete bipartite graph.
+
+    By the equality case of Mantel's theorem, a triangle-free graph with
+    floor(n^2/4) edges is K_{floor(n/2), ceil(n/2)}, so no relabeling is needed.
+    """
     first = s.graphs[0]
     if any(g != first for g in s.graphs[1:]):
         return False
-    reference = Graph.complete_bipartite(s.n // 2, s.n - s.n // 2)
-    return canonical_bits(s.n, first.to_bits()) == canonical_bits(
-        s.n, reference.to_bits()
-    )
+    return first.edge_count() == floor_quarter_sq(s.n) and first.is_triangle_free()
 
 
 def certify_sum_t3(s: GraphSystem) -> CertReport:

@@ -184,31 +184,23 @@ def _cmd_certify(args) -> int:
     return _report_exit(report, args.output)
 
 
-def _search_config(args) -> se.SearchConfig:
-    mode = "local" if args.local else "exhaustive"
-    return se.SearchConfig(
-        mode=mode,
-        seed=args.seed,
-        restarts=_mode_flag(args, "restarts", args.local, 8, "local search"),
-        threads=args.threads,
-        iso_pruning=args.iso_pruning,
-        witness_cap=args.witness_cap,
-        checkpoint=args.checkpoint,
-    )
-
-
 def _cmd_search(args) -> int:
     # looked up before searching: it also rejects a product search with t != 3
     bound = cert.theory_bound(args.objective, args.n, args.t)
-    cfg = _search_config(args)
+    seed = _mode_flag(args, "seed", args.local, None, "local search")
+    restarts = _mode_flag(args, "restarts", args.local, 8, "local search")
+    iso_pruning = _mode_flag(args, "iso_pruning", not args.local, False, "exhaustive search")
+    checkpoint = _mode_flag(args, "checkpoint", not args.local, None, "exhaustive search")
+    shared = {"threads": args.threads, "witness_cap": args.witness_cap}
+    exhaustive = {"iso_pruning": iso_pruning, "checkpoint": checkpoint, **shared}
     if args.objective == "sum":
         if args.local:
             raise PreconditionError("local search supports the product objective only")
-        report = se.exhaustive_max_sum(args.n, args.t, cfg)
+        report = se.exhaustive_max_sum(args.n, args.t, **exhaustive)
     elif args.local:
-        report = se.local_search_product(args.n, cfg)
+        report = se.local_search_product(args.n, seed, restarts=restarts, **shared)
     else:
-        report = se.exhaustive_max_product(args.n, cfg)
+        report = se.exhaustive_max_product(args.n, **exhaustive)
     # every reported value is attained by a real system, so exceeding the
     # theory bound flags a violation in local mode too
     exceeded = bound is not None and report.best_value > bound
@@ -347,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None, help="local restarts (default 8)")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--iso-pruning", action="store_true")
+    p.add_argument("--iso-pruning", action="store_true", default=None)
     p.add_argument("--witness-cap", type=int, default=64)
     p.add_argument("--checkpoint", default=None,
                    help="JSON checkpoint for resumable exhaustive runs")

@@ -30,6 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from math import prod
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -48,39 +49,10 @@ _CHUNK_SIZE = 64
 _CHECKPOINT_FORMAT = 2
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs shared by the exhaustive and local searches.
-
-    mode: "exhaustive" or "local".  Local search requires a seed and runs
-    `restarts` restarts; a seed in exhaustive mode, or iso_pruning or a
-    checkpoint in local mode, is rejected rather than ignored.
-    iso_pruning enumerates the first graph up to isomorphism.  The work
-    split is fixed (first graphs in chunks of _CHUNK_SIZE), so reports do
-    not depend on the thread count.
-    """
-
-    mode: str = "exhaustive"
-    seed: int | None = None
-    restarts: int = 8
-    threads: int = 1
-    iso_pruning: bool = False
-    witness_cap: int = 64
-    checkpoint: str | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "local"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.mode == "local" and self.seed is None:
-            raise ValueError("local search requires a seed")
-        if self.mode == "local" and (self.checkpoint is not None or self.iso_pruning):
-            raise ValueError("checkpoint and iso_pruning apply to exhaustive search only")
-        if self.mode == "exhaustive" and self.seed is not None:
-            raise ValueError("a seed applies to local search only")
-        if self.threads < 1 or self.witness_cap < 1:
-            raise ValueError("threads and witness_cap must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+def _require_positive(**options: int) -> None:
+    for name, value in options.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -93,6 +65,8 @@ class SearchReport:
     (rainbow-free) children cut by the optimistic bound.  In local mode
     nodes counts the fill moves examined, 3 * C(n,2) per random restart,
     and pruned counts the moves refused by the forbidden-edge mask.
+    config records the options that shaped the report under the "mode"
+    of the entry point that produced it.
     """
 
     objective: str
@@ -346,8 +320,7 @@ def _seed_value(objective: str, n: int, t: int) -> int:
         if t == 3:
             return two_complete_one_empty(n).total_edges()
         return balanced_bipartite_system(n, t).total_edges()
-    counts = bipartite_triple(n).edge_counts()
-    return counts[0] * counts[1] * counts[2]
+    return prod(bipartite_triple(n).edge_counts())
 
 
 def _map(threads: int, fn, *iterables):
@@ -359,14 +332,52 @@ def _map(threads: int, fn, *iterables):
         yield from pool.map(fn, *iterables)
 
 
+def _value(objective: str, graphs: Sequence[int]) -> int:
+    counts = [g.bit_count() for g in graphs]
+    return sum(counts) if objective == "sum" else prod(counts)
+
+
+def _record_error(header: dict[str, Any], record: Any) -> str | None:
+    """Why `record` cannot be a chunk record of the search `header` describes, or None."""
+    if not isinstance(record, dict) or record.keys() != {"best", "witnesses", "nodes", "pruned"}:
+        return "its keys are not best, witnesses, nodes and pruned"
+    best, witnesses = record["best"], record["witnesses"]
+    if not all(type(v) is int and v >= 0 for v in (best, record["nodes"], record["pruned"])):
+        return "best, nodes and pruned must be non-negative integers"
+    if best < header["seed_value"] or (best > header["seed_value"] and not witnesses):
+        return f"best {best} is below the seed value, or above it without a witness"
+    if not isinstance(witnesses, list) or len(witnesses) > header["witness_cap"] + 1:
+        return "witnesses must be a list of at most witness_cap + 1 systems"
+    n, t, size = header["n"], header["t"], 1 << max_edge_count(header["n"])
+    for w in witnesses:
+        if not (isinstance(w, list) and len(w) == t
+                and all(type(g) is int and 0 <= g < size for g in w)):
+            return f"witness {w!r} is not {t} graphs on {n} vertices"
+        w = tuple(w)
+        if (not rbt_free_bits(n, w) or _canonical_witness(n, w) != w
+                or _value(header["objective"], w) != best):
+            return f"witness {list(w)} is not a canonical rainbow-free system of value {best}"
+    return None
+
+
 def _load_checkpoint(path: str, header: dict[str, Any]) -> dict[str, dict[str, Any]]:
-    """Chunk records stored at `path` by a run with the same header, keyed by chunk id."""
+    """Chunk records stored at `path` by a run with the same header, keyed by chunk id.
+
+    Every record is checked against the header before any is used, so a
+    damaged or forged file is refused with ValueError, never merged.
+    """
     if not Path(path).exists():
         return {}
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("header") != header:
         raise ValueError(f"checkpoint {path} was written by a different search setup")
-    return doc["done"]
+    done, count = doc.get("done"), header["num_chunks"]
+    if not isinstance(done, dict) or not done.keys() <= {str(i) for i in range(count)}:
+        raise ValueError(f"checkpoint {path} must map chunk ids 0..{count - 1} to records")
+    for key, record in done.items():
+        if error := _record_error(header, record):
+            raise ValueError(f"checkpoint {path}, chunk {key}: {error}")
+    return done
 
 
 def _save_checkpoint(path: str, header: dict[str, Any], done: dict[str, Any]) -> None:
@@ -375,13 +386,9 @@ def _save_checkpoint(path: str, header: dict[str, Any], done: dict[str, Any]) ->
     tmp.replace(path)
 
 
-def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> SearchReport:
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if cfg.mode != "exhaustive":
-        raise ValueError("exhaustive search invoked with a non-exhaustive config")
-    if t < 1:
-        raise ValueError("t must be at least 1")
+def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: bool,
+                    witness_cap: int, checkpoint: str | None) -> SearchReport:
+    _require_positive(t=t, threads=threads, witness_cap=witness_cap)
     _check_budget(n, t)
     started = time.perf_counter()
     m = max_edge_count(n)
@@ -392,29 +399,30 @@ def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> Search
         references = {}
     else:
         seed_value = _seed_value(objective, n, t)
-        first = _first_level(n, cfg.iso_pruning)
+        first = _first_level(n, iso_pruning)
         chunks = [first[i : i + _CHUNK_SIZE] for i in range(0, len(first), _CHUNK_SIZE)]
         header = {
             "format": _CHECKPOINT_FORMAT,
             "objective": objective,
             "n": n,
             "t": t,
-            "iso_pruning": cfg.iso_pruning,
+            "iso_pruning": iso_pruning,
+            "witness_cap": witness_cap,
             "chunk_size": _CHUNK_SIZE,
             "num_chunks": len(chunks),
             "seed_value": seed_value,
         }
-        done = _load_checkpoint(cfg.checkpoint, header) if cfg.checkpoint else {}
+        done = _load_checkpoint(checkpoint, header) if checkpoint else {}
         pending = [str(i) for i in range(len(chunks)) if str(i) not in done]
         # every chunk prunes against the seed value alone, so its record does
         # not depend on which chunks ran before it, in this process or another
-        search = partial(_search_chunk, objective, n, t, seed_value, cfg.witness_cap + 1)
-        records = _map(cfg.threads if len(pending) > 1 else 1, search,
+        search = partial(_search_chunk, objective, n, t, seed_value, witness_cap + 1)
+        records = _map(threads if len(pending) > 1 else 1, search,
                        [chunks[int(key)] for key in pending])
         for key, record in zip(pending, records, strict=True):
             done[key] = record
-            if cfg.checkpoint:
-                _save_checkpoint(cfg.checkpoint, header, done)
+            if checkpoint:
+                _save_checkpoint(checkpoint, header, done)
         references = {"seed_value": seed_value}
         if objective == "product":
             references["conjecture_bound"] = theory_bound("product", n, 3)
@@ -427,34 +435,43 @@ def _run_exhaustive(objective: str, n: int, t: int, cfg: SearchConfig) -> Search
         n=n,
         t=t,
         best_value=best,
-        witnesses=witnesses[: cfg.witness_cap],
-        witness_overflow=len(witnesses) > cfg.witness_cap,
+        witnesses=witnesses[:witness_cap],
+        witness_overflow=len(witnesses) > witness_cap,
         nodes=sum(r["nodes"] for r in done.values()),
         pruned=sum(r["pruned"] for r in done.values()),
         wall_time=time.perf_counter() - started,
         exhaustive=True,
         references=references,
         config={
-            "mode": cfg.mode,
-            "iso_pruning": cfg.iso_pruning,
-            "threads": cfg.threads,
+            "mode": "exhaustive",
+            "iso_pruning": iso_pruning,
+            "threads": threads,
             "chunk_size": _CHUNK_SIZE,
         },
     )
 
 
-def exhaustive_max_sum(n: int, t: int, cfg: SearchConfig = SearchConfig()) -> SearchReport:
-    """Exact maximum of the total edge count over rainbow-free t-tuples."""
-    return _run_exhaustive("sum", n, t, cfg)
+def exhaustive_max_sum(n: int, t: int, *, threads: int = 1, iso_pruning: bool = False,
+                       witness_cap: int = 64, checkpoint: str | None = None) -> SearchReport:
+    """Exact maximum of the total edge count over rainbow-free t-tuples.
+
+    threads splits the fixed chunks over processes without changing the
+    report; iso_pruning takes the first graph up to isomorphism; at most
+    witness_cap maximizers are reported; checkpoint names a file of
+    finished chunks that a rerun of the same setup resumes from.
+    """
+    return _run_exhaustive("sum", n, t, threads, iso_pruning, witness_cap, checkpoint)
 
 
-def exhaustive_max_product(n: int, cfg: SearchConfig = SearchConfig()) -> SearchReport:
+def exhaustive_max_product(n: int, *, threads: int = 1, iso_pruning: bool = False,
+                           witness_cap: int = 64, checkpoint: str | None = None) -> SearchReport:
     """Exact maximum of |G1||G2||G3| over rainbow-free triples.
 
-    The report's references carry floor(n^2/4)^3; a best value above it
-    would be a counterexample to the open product conjecture.
+    Takes the options of `exhaustive_max_sum`.  The report's references
+    carry floor(n^2/4)^3; a best value above it would be a counterexample
+    to the open product conjecture.
     """
-    return _run_exhaustive("product", n, 3, cfg)
+    return _run_exhaustive("product", n, 3, threads, iso_pruning, witness_cap, checkpoint)
 
 
 def brute_force_max(objective: str, n: int, t: int) -> int:
@@ -475,20 +492,11 @@ def brute_force_max(objective: str, n: int, t: int) -> int:
     best = 0
     space = range(1 << m)
 
-    def value(graphs: tuple[int, ...]) -> int:
-        counts = [g.bit_count() for g in graphs]
-        if objective == "sum":
-            return sum(counts)
-        prod = 1
-        for c in counts:
-            prod *= c
-        return prod
-
     def rec(prefix: tuple[int, ...]) -> None:
         nonlocal best
         if len(prefix) == t:
             if rbt_free_bits(n, prefix):
-                best = max(best, value(prefix))
+                best = max(best, _value(objective, prefix))
             return
         for g in space:
             rec(prefix + (g,))
@@ -552,25 +560,28 @@ def _local_restart(n: int, seed: int, restart_index: int) -> dict[str, Any]:
     return {"best": a * b * c, "witness": tuple(graphs), "moves": moves, "refused": refused}
 
 
-def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
+def local_search_product(n: int, seed: int, *, restarts: int = 8, threads: int = 1,
+                         witness_cap: int = 64) -> SearchReport:
     """Best product over the bipartite triple and restarts - 1 random maximal fills.
 
     Every fill is rainbow-free and maximal, and the best of them wins;
-    the reported value is a lower bound on the true maximum.
+    the reported value is a lower bound on the true maximum.  The report
+    depends on (n, seed, restarts) and witness_cap only; threads spreads
+    the restarts over processes.
     """
-    if cfg.mode != "local":
-        raise ValueError("local search invoked with a non-local config")
+    if seed is None:
+        raise ValueError("local search requires a seed")
+    _require_positive(restarts=restarts, threads=threads, witness_cap=witness_cap)
     started = time.perf_counter()
-    threads = cfg.threads if cfg.restarts > 1 else 1
-    results = list(_map(threads, partial(_local_restart, n, cfg.seed), range(cfg.restarts)))
+    results = list(_map(threads if restarts > 1 else 1, partial(_local_restart, n, seed),
+                        range(restarts)))
 
     best = max(r["best"] for r in results)
     # canonicalize only the distinct best-valued witnesses
     raw = {tuple(r["witness"]) for r in results if r["best"] == best}
     witnesses = sorted({_canonical_witness(n, w) for w in raw})
-    overflow = len(witnesses) > cfg.witness_cap
-    witnesses = witnesses[: cfg.witness_cap]
-    counts = bipartite_triple(n).edge_counts()
+    overflow = len(witnesses) > witness_cap
+    witnesses = witnesses[:witness_cap]
     return SearchReport(
         objective="product",
         n=n,
@@ -584,12 +595,12 @@ def local_search_product(n: int, cfg: SearchConfig) -> SearchReport:
         exhaustive=False,
         references={
             "conjecture_bound": theory_bound("product", n, 3),
-            "constructor_value": counts[0] * counts[1] * counts[2],
+            "constructor_value": prod(bipartite_triple(n).edge_counts()),
         },
         config={
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "restarts": cfg.restarts,
-            "threads": cfg.threads,
+            "mode": "local",
+            "seed": seed,
+            "restarts": restarts,
+            "threads": threads,
         },
     )

@@ -84,6 +84,24 @@ def test_equality_patterns():
     assert not matches_balanced_bipartite_copies(GraphSystem(n=5, graphs=(K5,) * 4))
 
 
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_balanced_bipartite_pattern_beyond_canonical_range(n):
+    a = n // 2
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    relabeled = Graph.complete_bipartite(a, n - a).relabel(perm)
+    assert matches_balanced_bipartite_copies(GraphSystem(n=n, graphs=(relabeled,) * 4))
+    # trade a cross edge for one inside part {0..a-1}: the edge count stays
+    # floor(n^2/4), and vertices 0, 1 and a + 1 now span a triangle
+    traded = relabeled.without_edge(perm[2], perm[a]).with_edge(perm[0], perm[1])
+    assert traded.edge_count() == n * n // 4
+    assert not traded.is_triangle_free()
+    assert not matches_balanced_bipartite_copies(GraphSystem(n=n, graphs=(traded,) * 4))
+    # triangle-free but unbalanced, so short of floor(n^2/4) edges
+    unbalanced = Graph.complete_bipartite(a - 1, n - a + 1)
+    assert not matches_balanced_bipartite_copies(GraphSystem(n=n, graphs=(unbalanced,) * 4))
+
+
 def test_weighted_examples():
     r = certify_weighted_sum(K23, K23, K23)
     assert r.value == 24 and r.bound == 24 and r.tight

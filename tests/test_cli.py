@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rbt_lab import Graph, SearchConfig, exhaustive_max_product, system_from_json
+from rbt_lab import Graph, exhaustive_max_product, system_from_json
 from rbt_lab.cli import main
 
 RAINBOW = '{"n":3,"graphs":[[[0,1]],[[1,2]],[[0,2]]]}'
@@ -181,7 +181,7 @@ OLD_FORMAT_CHECKPOINT = {
 def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     path = write(tmp_path, "old.json", json.dumps(OLD_FORMAT_CHECKPOINT))
     with pytest.raises(ValueError, match="different search"):
-        exhaustive_max_product(4, SearchConfig(checkpoint=path))
+        exhaustive_max_product(4, checkpoint=path)
     code, out, err = run(capsys, ["search", "--objective", "product", "--n", "4",
                                   "--checkpoint", path, "--output", "json"])
     assert code == 2
@@ -190,8 +190,46 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     assert json.loads((tmp_path / "old.json").read_text()) == OLD_FORMAT_CHECKPOINT
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
-    exhaustive_max_product(4, SearchConfig(checkpoint=str(fresh)))
+    exhaustive_max_product(4, checkpoint=str(fresh))
     assert json.loads(fresh.read_text())["header"]["format"] == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--threads", "0"], "threads must be >= 1"),
+    (["--witness-cap", "0"], "witness_cap must be >= 1"),
+    (["--local", "--seed", "1", "--restarts", "0"], "restarts must be >= 1"),
+    (["--local"], "local search requires a seed"),
+])
+def test_search_range_checks_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, ["search", "--objective", "product", "--n", "4"] + flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def _forge_bound_exceeded(record):
+    record.update(best=10**9, witnesses=[[1, 2, 3]])
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda record: record.pop("nodes"), "keys"),
+    (lambda record: record.update(best="999"), "non-negative integers"),
+    (_forge_bound_exceeded, "of value 1000000000"),
+])
+def test_search_damaged_checkpoint_exits_2(tmp_path, capsys, damage, message):
+    ckpt = tmp_path / "run.json"
+    argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(ckpt),
+            "--output", "json"]
+    assert run(capsys, argv)[0] == 0
+    doc = json.loads(ckpt.read_text())
+    damage(doc["done"]["0"])
+    ckpt.write_text(json.dumps(doc))
+    before = ckpt.read_bytes()
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert ckpt.read_bytes() == before
 
 
 def test_search_checkpoint_and_threads_flags(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from rbt_lab import (
     Graph,
     GraphSystem,
-    SearchConfig,
     balanced_bipartite_system,
     bipartite_triple,
     brute_force_max,
@@ -130,7 +129,7 @@ def test_exhaustive_reference_values():
 
 def test_iso_pruning_same_value():
     plain = exhaustive_max_sum(4, 3)
-    iso = exhaustive_max_sum(4, 3, SearchConfig(iso_pruning=True))
+    iso = exhaustive_max_sum(4, 3, iso_pruning=True)
     assert plain.best_value == iso.best_value
     assert iso.nodes < plain.nodes
 
@@ -266,8 +265,8 @@ def test_budget_enforced(monkeypatch):
 
 def test_thread_count_invariance(monkeypatch):
     monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
-    base = exhaustive_max_sum(4, 3, SearchConfig())
-    threaded = exhaustive_max_sum(4, 3, SearchConfig(threads=2))
+    base = exhaustive_max_sum(4, 3)
+    threaded = exhaustive_max_sum(4, 3, threads=2)
     assert base.best_value == threaded.best_value
     assert base.witnesses == threaded.witnesses
     assert base.witness_overflow == threaded.witness_overflow
@@ -275,8 +274,8 @@ def test_thread_count_invariance(monkeypatch):
     # an incumbent carried over from earlier chunks would count differently
     monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
     for n in (3, 4):
-        base = exhaustive_max_sum(n, 2, SearchConfig())
-        threaded = exhaustive_max_sum(n, 2, SearchConfig(threads=2))
+        base = exhaustive_max_sum(n, 2)
+        threaded = exhaustive_max_sum(n, 2, threads=2)
         assert (base.best_value, base.witnesses, base.nodes, base.pruned) == (
             threaded.best_value,
             threaded.witnesses,
@@ -290,7 +289,7 @@ def test_chunk_size_invariance_t2(monkeypatch):
     reports = []
     for c in (1, 4, 64):
         monkeypatch.setattr(search, "_CHUNK_SIZE", c)
-        reports.append(exhaustive_max_sum(4, 2, SearchConfig()))
+        reports.append(exhaustive_max_sum(4, 2))
     assert reports[0].best_value == 12
     for r in reports[1:]:
         assert (r.nodes, r.pruned, r.best_value, r.witnesses) == (
@@ -302,8 +301,8 @@ def test_chunk_size_invariance_t2(monkeypatch):
 
 
 def test_exhaustive_run_to_run_determinism():
-    a = exhaustive_max_sum(4, 3, SearchConfig(iso_pruning=True))
-    b = exhaustive_max_sum(4, 3, SearchConfig(iso_pruning=True))
+    a = exhaustive_max_sum(4, 3, iso_pruning=True)
+    b = exhaustive_max_sum(4, 3, iso_pruning=True)
     assert (a.best_value, a.witnesses, a.nodes, a.pruned) == (
         b.best_value,
         b.witnesses,
@@ -315,8 +314,7 @@ def test_exhaustive_run_to_run_determinism():
 def test_checkpoint_resume(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
     path = tmp_path / "ckpt.json"
-    cfg = SearchConfig(checkpoint=str(path))
-    first = exhaustive_max_product(4, cfg)
+    first = exhaustive_max_product(4, checkpoint=str(path))
     assert path.exists()
 
     # drop half the chunks and resume; the merged report must be identical
@@ -325,23 +323,93 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     for key in list(done.keys())[::2]:
         del done[key]
     path.write_text(json.dumps(doc))
-    resumed = exhaustive_max_product(4, cfg)
+    resumed = exhaustive_max_product(4, checkpoint=str(path))
     assert resumed.best_value == first.best_value
     assert resumed.witnesses == first.witnesses
     assert resumed.nodes == first.nodes
 
     # a different setup must refuse the file
     with pytest.raises(ValueError, match="different search"):
-        exhaustive_max_sum(4, 3, SearchConfig(checkpoint=str(path)))
+        exhaustive_max_sum(4, 3, checkpoint=str(path))
+
+
+def test_checkpoint_binds_witness_cap(tmp_path):
+    # at (4, 3) a cap-1 checkpoint keeps 2 of the 4 maximizers per chunk, so
+    # resuming it under cap 64 would report 2 witnesses without an overflow
+    path = str(tmp_path / "ckpt.json")
+    fresh = exhaustive_max_sum(4, 3)
+    assert len(fresh.witnesses) == 4 and not fresh.witness_overflow
+    exhaustive_max_sum(4, 3, witness_cap=1, checkpoint=path)
+    with pytest.raises(ValueError, match="different search"):
+        exhaustive_max_sum(4, 3, checkpoint=path)
+    # a resume under the cap that wrote the file repeats the fresh report
+    other = str(tmp_path / "cap64.json")
+    written = exhaustive_max_sum(4, 3, checkpoint=other)
+    resumed = exhaustive_max_sum(4, 3, checkpoint=other)
+    for report in (written, resumed):
+        doc = report.to_json_dict()
+        del doc["wall_time"]
+        expected = fresh.to_json_dict()
+        del expected["wall_time"]
+        assert doc == expected
+
+
+def _drop_nodes(record):
+    del record["nodes"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_nodes, "keys"),
+    (lambda r: r.update(extra=1), "keys"),
+    (lambda r: r.update(best="999"), "non-negative integers"),
+    (lambda r: r.update(nodes=True), "non-negative integers"),
+    (lambda r: r.update(pruned=-1), "non-negative integers"),
+    (lambda r: r.update(best=63, witnesses=[]), "below the seed value"),
+    (lambda r: r.update(best=65, witnesses=[]), "without a witness"),
+    (lambda r: r.update(witnesses="[[30, 30, 30]]"), "a list"),
+    (lambda r: r.update(witnesses=[[30, 30, 30]] * 66), "at most witness_cap \\+ 1"),
+    (lambda r: r.update(witnesses=[[30, 30]]), "not 3 graphs"),
+    (lambda r: r.update(witnesses=[[30, 30, 64]]), "not 3 graphs"),
+    (lambda r: r.update(witnesses=[[30, 30, True]]), "not 3 graphs"),
+    # each witness below fails one check only: three copies of K_4 (a forged
+    # counterexample to the product bound), K_{2,2} relabeled out of
+    # canonical form, and the true maximizer under a raised best
+    (lambda r: r.update(best=216, witnesses=[[63, 63, 63]]), "canonical rainbow-free"),
+    (lambda r: r.update(witnesses=[[45, 45, 45]]), "canonical rainbow-free"),
+    (lambda r: r.update(best=65), "of value 65"),
+])
+def test_checkpoint_records_are_checked(tmp_path, damage, message):
+    path = tmp_path / "ckpt.json"
+    exhaustive_max_product(4, checkpoint=str(path))
+    doc = json.loads(path.read_text())
+    assert doc["done"]["0"]["witnesses"] == [[30, 30, 30]]
+    damage(doc["done"]["0"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        exhaustive_max_product(4, checkpoint=str(path))
+
+
+def test_checkpoint_chunk_ids_are_checked(tmp_path):
+    path = tmp_path / "ckpt.json"
+    exhaustive_max_product(4, checkpoint=str(path))
+    doc = json.loads(path.read_text())
+    for key in ("1", "00", "-0"):
+        doc["done"] = {key: doc["done"].pop(next(iter(doc["done"])))}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="must map chunk ids 0..0"):
+            exhaustive_max_product(4, checkpoint=str(path))
+    doc["done"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must map chunk ids"):
+        exhaustive_max_product(4, checkpoint=str(path))
 
 
 def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
     # the intended use: resumable runs at the n=5 budget edge
     monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
     path = tmp_path / "n5.json"
-    cfg = SearchConfig(iso_pruning=True, checkpoint=str(path))
-    plain = exhaustive_max_sum(5, 3, SearchConfig(iso_pruning=True))
-    first = exhaustive_max_sum(5, 3, cfg)
+    plain = exhaustive_max_sum(5, 3, iso_pruning=True)
+    first = exhaustive_max_sum(5, 3, iso_pruning=True, checkpoint=str(path))
     assert first.best_value == plain.best_value == 20
     assert first.witnesses == plain.witnesses
 
@@ -351,7 +419,7 @@ def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
     for key in list(done.keys())[1::2]:
         del done[key]
     path.write_text(json.dumps(doc))
-    resumed = exhaustive_max_sum(5, 3, cfg)
+    resumed = exhaustive_max_sum(5, 3, iso_pruning=True, checkpoint=str(path))
     assert resumed.best_value == first.best_value
     assert resumed.witnesses == first.witnesses
     assert resumed.nodes == first.nodes
@@ -361,8 +429,7 @@ def test_local_search_consistent_with_conjecture_larger_n():
     # a failure here would mean a local search restart beat floor(n^2/4)^3, i.e. a
     # counterexample to the open product bound; record the witness if so
     for n in (12, 16, 20):
-        cfg = SearchConfig(mode="local", seed=2026, restarts=3)
-        report = local_search_product(n, cfg)
+        report = local_search_product(n, 2026, restarts=3)
         bound = (n * n // 4) ** 3
         assert report.best_value >= report.references["constructor_value"]
         assert report.best_value <= bound, (
@@ -371,30 +438,25 @@ def test_local_search_consistent_with_conjecture_larger_n():
 
 
 def test_local_search_matches_exhaustive_n4():
-    cfg = SearchConfig(mode="local", seed=11, restarts=3)
-    report = local_search_product(4, cfg)
+    report = local_search_product(4, 11, restarts=3)
     assert report.best_value == 64
     assert not report.exhaustive
 
 
 def test_local_search_seeded_bound_n10():
-    cfg = SearchConfig(mode="local", seed=5)
-    report = local_search_product(10, cfg)
+    report = local_search_product(10, 5)
     assert report.best_value >= 25**3
     assert report.references["constructor_value"] == 25**3
 
 
 def test_local_search_deterministic():
-    cfg = SearchConfig(mode="local", seed=99, restarts=4)
-    a = local_search_product(6, cfg)
-    b = local_search_product(6, cfg)
+    a = local_search_product(6, 99, restarts=4)
+    b = local_search_product(6, 99, restarts=4)
     assert a.best_value == b.best_value
     assert a.witnesses == b.witnesses
     assert a.nodes == b.nodes
 
-    threaded = local_search_product(
-        6, SearchConfig(mode="local", seed=99, restarts=4, threads=2)
-    )
+    threaded = local_search_product(6, 99, restarts=4, threads=2)
     assert threaded.best_value == a.best_value
     assert threaded.witnesses == a.witnesses
 
@@ -403,7 +465,7 @@ def test_local_search_counts_fill_moves():
     # nodes: moves examined, 3 * C(n,2) per random restart (restart 0 makes
     # none); pruned: the moves the forbidden mask refused
     n, seed, restarts = 7, 21, 4
-    report = local_search_product(n, SearchConfig(mode="local", seed=seed, restarts=restarts))
+    report = local_search_product(n, seed, restarts=restarts)
     moves = 3 * max_edge_count(n)
     taken = sum(
         sum(g.bit_count() for g in _random_rbt_free_triple(n, random.Random((seed << 20) ^ r)))
@@ -415,8 +477,7 @@ def test_local_search_counts_fill_moves():
 
 
 def test_local_search_witnesses_are_free():
-    cfg = SearchConfig(mode="local", seed=21, restarts=3)
-    report = local_search_product(7, cfg)
+    report = local_search_product(7, 21, restarts=3)
     for witness in report.witness_systems():
         assert is_rbt_free(witness)
         assert system_value("product", witness) == report.best_value
@@ -424,9 +485,19 @@ def test_local_search_witnesses_are_free():
 
 def test_local_search_requires_seed():
     with pytest.raises(ValueError, match="seed"):
-        SearchConfig(mode="local")
-    with pytest.raises(ValueError, match="non-local"):
-        local_search_product(4, SearchConfig())
+        local_search_product(4, None)
+
+
+def test_search_options_follow_the_entry_point():
+    # an option of the other mode is not a parameter, so it cannot be ignored
+    with pytest.raises(TypeError, match="restarts"):
+        exhaustive_max_sum(4, 3, restarts=3)
+    with pytest.raises(TypeError, match="seed"):
+        exhaustive_max_product(3, seed=1)
+    with pytest.raises(TypeError, match="iso_pruning"):
+        local_search_product(4, 1, iso_pruning=True)
+    with pytest.raises(TypeError, match="checkpoint"):
+        local_search_product(4, 1, checkpoint="run.json")
 
 
 def test_report_json_schema():
@@ -440,7 +511,7 @@ def test_report_json_schema():
 
 
 def test_witness_cap_and_overflow():
-    report = exhaustive_max_sum(3, 3, SearchConfig(witness_cap=1))
+    report = exhaustive_max_sum(3, 3, witness_cap=1)
     assert len(report.witnesses) == 1
     full = exhaustive_max_sum(3, 3)
     if len(full.witnesses) > 1:
