@@ -55,11 +55,9 @@ from .search import (
     SearchReport,
     balanced_bipartite_system,
     bipartite_triple,
-    brute_force_max,
     exhaustive_max_product,
     exhaustive_max_sum,
     local_search_product,
-    max_triangle_free_edges,
     two_complete_one_empty,
 )
 

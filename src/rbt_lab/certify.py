@@ -145,7 +145,7 @@ def certify_product_nested(b: Graph, c: Graph, d: Graph) -> CertReport:
         )
     _triple(b, c, d, "product-nested")
     value = b.edge_count() * c.edge_count() * d.edge_count()
-    bound = floor_quarter_sq(b.n) ** 3
+    bound = theory_bound("product", b.n, 3)
     witness = {"edge_counts": [b.edge_count(), c.edge_count(), d.edge_count()]}
     return make_report("product-nested", value, bound, witness)
 

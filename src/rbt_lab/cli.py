@@ -259,8 +259,11 @@ def _cmd_ineq_scan(args) -> int:
     lpq = args.which == "31"
     l_max = _mode_flag(args, "l_max", lpq, 30, "--which 31")
     q_max = _mode_flag(args, "q_max", lpq, 60, "--which 31")
-    step = Fraction(_mode_flag(args, "step", not lpq, "1/100", "--which 32"))
-    max_value = Fraction(_mode_flag(args, "max", not lpq, "10", "--which 32"))
+    try:
+        step = Fraction(_mode_flag(args, "step", not lpq, "1/100", "--which 32"))
+        max_value = Fraction(_mode_flag(args, "max", not lpq, "10", "--which 32"))
+    except ZeroDivisionError:
+        raise PreconditionError("--step and --max need a non-zero denominator") from None
     if lpq:
         violations = list(cert.scan_lpq_inequality(l_max, q_max))
         doc: dict[str, Any] = {

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import prod
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .certify import theory_bound
@@ -42,7 +42,6 @@ from .systems import GraphSystem
 BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
 DEFAULT_BUDGET_BITS = 32
 
-_OBJECTIVES = ("sum", "product")
 # first graphs per exhaustive work unit, the unit of parallelism and of checkpointing
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record changes, so older files are refused
@@ -59,14 +58,15 @@ def _require_positive(**options: int) -> None:
 class SearchReport:
     """Search outcome: best objective value, maximizing systems, and counters.
 
-    witnesses hold each graph as its colex bit integer; canonical forms are
-    used when n is small enough to canonicalize (n <= 8).  In exhaustive
+    `_report` merges the records of all search units into it.  witnesses
+    hold each graph as its colex bit integer; canonical forms are used
+    when n is small enough to canonicalize (n <= 8).  In exhaustive
     mode nodes counts expanded partial tuples and pruned counts admissible
     (rainbow-free) children cut by the optimistic bound.  In local mode
     nodes counts the fill moves examined, 3 * C(n,2) per random restart,
     and pruned counts the moves refused by the forbidden-edge mask.
     config records the options that shaped the report under the "mode"
-    of the entry point that produced it.
+    of the entry point that produced it, which `exhaustive` reads.
     """
 
     objective: str
@@ -78,9 +78,12 @@ class SearchReport:
     nodes: int
     pruned: int
     wall_time: float
-    exhaustive: bool
     references: dict[str, int] = field(default_factory=dict)
     config: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.config["mode"] == "exhaustive"
 
     def witness_systems(self) -> list[GraphSystem]:
         return [
@@ -89,15 +92,12 @@ class SearchReport:
         ]
 
     def to_json_dict(self) -> dict[str, Any]:
-        nbytes = (max_edge_count(self.n) + 7) // 8
         return {
             "objective": self.objective,
             "n": self.n,
             "t": self.t,
             "best_value": str(self.best_value),
-            "witnesses": [
-                [b.to_bytes(nbytes, "little").hex() for b in w] for w in self.witnesses
-            ],
+            "witnesses": [[g.to_hex() for g in s.graphs] for s in self.witness_systems()],
             "witness_overflow": self.witness_overflow,
             "nodes": str(self.nodes),
             "pruned": str(self.pruned),
@@ -158,21 +158,6 @@ def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
         forbidden |= _cross(through, union, g)
         union |= g
     return True
-
-
-def allowed_last_graph_mask(n: int, prefix: Sequence[int]) -> int:
-    """Edges admissible in one more graph appended to a rainbow-free prefix.
-
-    An edge e is excluded exactly when some triangle through e has its other
-    two edges assignable to two distinct prefix graphs; any subset of the
-    returned mask keeps the extended system rainbow-free.
-    """
-    through = _through_pairs(n)
-    union = forbidden = 0
-    for g in prefix:
-        forbidden |= _cross(through, union, g)
-        union |= g
-    return ((1 << max_edge_count(n)) - 1) & ~forbidden
 
 
 # -- extremal constructors ---------------------------------------------------------
@@ -323,13 +308,13 @@ def _seed_value(objective: str, n: int, t: int) -> int:
     return prod(bipartite_triple(n).edge_counts())
 
 
-def _map(threads: int, fn, *iterables):
-    """map(fn, *iterables), in a pool of `threads` processes when threads > 1; in order."""
-    if threads == 1:
-        yield from map(fn, *iterables)
+def _map(threads: int, fn, items: Sequence):
+    """map(fn, items) in order; in a pool of `threads` processes only for two or more items."""
+    if threads == 1 or len(items) < 2:
+        yield from map(fn, items)
         return
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, *iterables)
+        yield from pool.map(fn, items)
 
 
 def _value(objective: str, graphs: Sequence[int]) -> int:
@@ -364,11 +349,15 @@ def _load_checkpoint(path: str, header: dict[str, Any]) -> dict[str, dict[str, A
     """Chunk records stored at `path` by a run with the same header, keyed by chunk id.
 
     Every record is checked against the header before any is used, so a
-    damaged or forged file is refused with ValueError, never merged.
+    damaged or forged file, or a path that cannot be read, is refused with
+    ValueError, never merged.
     """
-    if not Path(path).exists():
+    try:
+        doc = json.loads(Path(path).read_text())
+    except FileNotFoundError:
         return {}
-    doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot use checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("header") != header:
         raise ValueError(f"checkpoint {path} was written by a different search setup")
     done, count = doc.get("done"), header["num_chunks"]
@@ -382,8 +371,32 @@ def _load_checkpoint(path: str, header: dict[str, Any]) -> dict[str, dict[str, A
 
 def _save_checkpoint(path: str, header: dict[str, Any], done: dict[str, Any]) -> None:
     tmp = Path(path).with_suffix(".tmp")
-    tmp.write_text(json.dumps({"header": header, "done": done}))
-    tmp.replace(path)
+    try:
+        tmp.write_text(json.dumps({"header": header, "done": done}))
+        tmp.replace(path)
+    except OSError as exc:
+        raise ValueError(f"cannot use checkpoint {path}: {exc}") from None
+
+
+def _report(objective: str, n: int, t: int, records: Collection[dict[str, Any]],
+            witness_cap: int, started: float, references: dict[str, int],
+            config: dict[str, Any]) -> SearchReport:
+    """The one merge of search records, each already holding canonical witnesses."""
+    best = max(r["best"] for r in records)
+    witnesses = sorted({tuple(w) for r in records if r["best"] == best for w in r["witnesses"]})
+    return SearchReport(
+        objective=objective,
+        n=n,
+        t=t,
+        best_value=best,
+        witnesses=witnesses[:witness_cap],
+        witness_overflow=len(witnesses) > witness_cap,
+        nodes=sum(r["nodes"] for r in records),
+        pruned=sum(r["pruned"] for r in records),
+        wall_time=time.perf_counter() - started,
+        references=references,
+        config=config,
+    )
 
 
 def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: bool,
@@ -413,12 +426,14 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
             "seed_value": seed_value,
         }
         done = _load_checkpoint(checkpoint, header) if checkpoint else {}
+        if checkpoint:
+            # saved before any chunk runs, so an unusable path fails first
+            _save_checkpoint(checkpoint, header, done)
         pending = [str(i) for i in range(len(chunks)) if str(i) not in done]
         # every chunk prunes against the seed value alone, so its record does
         # not depend on which chunks ran before it, in this process or another
         search = partial(_search_chunk, objective, n, t, seed_value, witness_cap + 1)
-        records = _map(threads if len(pending) > 1 else 1, search,
-                       [chunks[int(key)] for key in pending])
+        records = _map(threads, search, [chunks[int(key)] for key in pending])
         for key, record in zip(pending, records, strict=True):
             done[key] = record
             if checkpoint:
@@ -426,29 +441,9 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
         references = {"seed_value": seed_value}
         if objective == "product":
             references["conjecture_bound"] = theory_bound("product", n, 3)
-
-    best = max(r["best"] for r in done.values())
-    tops = [r for r in done.values() if r["best"] == best]
-    witnesses = sorted({tuple(w) for r in tops for w in r["witnesses"]})
-    return SearchReport(
-        objective=objective,
-        n=n,
-        t=t,
-        best_value=best,
-        witnesses=witnesses[:witness_cap],
-        witness_overflow=len(witnesses) > witness_cap,
-        nodes=sum(r["nodes"] for r in done.values()),
-        pruned=sum(r["pruned"] for r in done.values()),
-        wall_time=time.perf_counter() - started,
-        exhaustive=True,
-        references=references,
-        config={
-            "mode": "exhaustive",
-            "iso_pruning": iso_pruning,
-            "threads": threads,
-            "chunk_size": _CHUNK_SIZE,
-        },
-    )
+    config = {"mode": "exhaustive", "iso_pruning": iso_pruning, "threads": threads,
+              "chunk_size": _CHUNK_SIZE}
+    return _report(objective, n, t, done.values(), witness_cap, started, references, config)
 
 
 def exhaustive_max_sum(n: int, t: int, *, threads: int = 1, iso_pruning: bool = False,
@@ -472,50 +467,6 @@ def exhaustive_max_product(n: int, *, threads: int = 1, iso_pruning: bool = Fals
     to the open product conjecture.
     """
     return _run_exhaustive("product", n, 3, threads, iso_pruning, witness_cap, checkpoint)
-
-
-def brute_force_max(objective: str, n: int, t: int) -> int:
-    """Reference maximum by unpruned enumeration of every ordered tuple.
-
-    Deliberately structure-free: no branch-and-bound, no isomorphism
-    reduction, no last-slot closure.  Only for cross-validating the real
-    search at tiny sizes.
-    """
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective == "product" and t != 3:
-        raise ValueError("product objective is defined for t = 3")
-    bits = max_edge_count(n) * t
-    if bits > 18:
-        raise ValueError("brute-force reference limited to 2^18 tuples")
-    m = max_edge_count(n)
-    best = 0
-    space = range(1 << m)
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        nonlocal best
-        if len(prefix) == t:
-            if rbt_free_bits(n, prefix):
-                best = max(best, _value(objective, prefix))
-            return
-        for g in space:
-            rec(prefix + (g,))
-
-    rec(())
-    return best
-
-
-def max_triangle_free_edges(n: int) -> int:
-    """Maximum edges of a triangle-free graph on n vertices, by full enumeration."""
-    if not 1 <= n <= 6:
-        raise ValueError("full graph enumeration supported for n <= 6")
-    through = _through_pairs(n)
-    best = 0
-    for g in range(1 << max_edge_count(n)):
-        # g holds a triangle iff one of its edges closes one with two others
-        if g.bit_count() > best and not g & _cross(through, g, g):
-            best = g.bit_count()
-    return best
 
 
 # -- local search --------------------------------------------------------------------
@@ -547,17 +498,22 @@ def _random_rbt_free_triple(n: int, rng: random.Random) -> list[int]:
 
 
 def _local_restart(n: int, seed: int, restart_index: int) -> dict[str, Any]:
-    """Restart 0 is the bipartite triple, any other a fill seeded by (seed, restart_index)."""
+    """Restart 0 is the bipartite triple, any other a fill seeded by (seed, restart_index).
+
+    Returns the chunk record.  Its witness is canonicalized here only when
+    its product reaches restart 0's, since a lower one is never the best.
+    """
     if restart_index == 0:
-        graphs = [g.to_bits() for g in bipartite_triple(n).graphs]
+        graphs = tuple(g.to_bits() for g in bipartite_triple(n).graphs)
         moves = refused = 0
     else:
-        graphs = _random_rbt_free_triple(n, random.Random((seed << 20) ^ restart_index))
+        graphs = tuple(_random_rbt_free_triple(n, random.Random((seed << 20) ^ restart_index)))
         moves = 3 * max_edge_count(n)
         # every move not taken was refused by the mask
         refused = moves - sum(g.bit_count() for g in graphs)
-    a, b, c = (g.bit_count() for g in graphs)
-    return {"best": a * b * c, "witness": tuple(graphs), "moves": moves, "refused": refused}
+    best = _value("product", graphs)
+    witnesses = [_canonical_witness(n, graphs)] if best >= _seed_value("product", n, 3) else []
+    return {"best": best, "witnesses": witnesses, "nodes": moves, "pruned": refused}
 
 
 def local_search_product(n: int, seed: int, *, restarts: int = 8, threads: int = 1,
@@ -573,34 +529,10 @@ def local_search_product(n: int, seed: int, *, restarts: int = 8, threads: int =
         raise ValueError("local search requires a seed")
     _require_positive(restarts=restarts, threads=threads, witness_cap=witness_cap)
     started = time.perf_counter()
-    results = list(_map(threads if restarts > 1 else 1, partial(_local_restart, n, seed),
-                        range(restarts)))
-
-    best = max(r["best"] for r in results)
-    # canonicalize only the distinct best-valued witnesses
-    raw = {tuple(r["witness"]) for r in results if r["best"] == best}
-    witnesses = sorted({_canonical_witness(n, w) for w in raw})
-    overflow = len(witnesses) > witness_cap
-    witnesses = witnesses[:witness_cap]
-    return SearchReport(
-        objective="product",
-        n=n,
-        t=3,
-        best_value=best,
-        witnesses=witnesses,
-        witness_overflow=overflow,
-        nodes=sum(r["moves"] for r in results),
-        pruned=sum(r["refused"] for r in results),
-        wall_time=time.perf_counter() - started,
-        exhaustive=False,
-        references={
-            "conjecture_bound": theory_bound("product", n, 3),
-            "constructor_value": prod(bipartite_triple(n).edge_counts()),
-        },
-        config={
-            "mode": "local",
-            "seed": seed,
-            "restarts": restarts,
-            "threads": threads,
-        },
-    )
+    records = list(_map(threads, partial(_local_restart, n, seed), range(restarts)))
+    references = {
+        "conjecture_bound": theory_bound("product", n, 3),
+        "constructor_value": _seed_value("product", n, 3),
+    }
+    config = {"mode": "local", "seed": seed, "restarts": restarts, "threads": threads}
+    return _report("product", n, 3, records, witness_cap, started, references, config)

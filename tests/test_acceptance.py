@@ -29,13 +29,14 @@ from rbt_lab import (
     mantel_partition,
     matching_number,
     max_edge_count,
-    max_triangle_free_edges,
     maximum_matching,
     scan_alpha_beta_inequality,
     scan_lpq_inequality,
     two_complete_one_empty,
     verify_partition,
 )
+
+from test_search import max_triangle_free_edges
 
 
 def report(num: int, label: str, detail: str, elapsed: float, limit: float) -> None:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rbt_lab import Graph, exhaustive_max_product, system_from_json
+from rbt_lab import Graph, exhaustive_max_product, search, system_from_json
 from rbt_lab.cli import main
 
 RAINBOW = '{"n":3,"graphs":[[[0,1]],[[1,2]],[[0,2]]]}'
@@ -232,6 +232,23 @@ def test_search_damaged_checkpoint_exits_2(tmp_path, capsys, damage, message):
     assert ckpt.read_bytes() == before
 
 
+def test_search_unusable_checkpoint_path_exits_2(tmp_path, monkeypatch, capsys):
+    # a directory cannot be read, and a file in a missing directory cannot be
+    # written; both are refused before any chunk is searched
+    monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
+    directory = tmp_path / "ckdir"
+    directory.mkdir()
+    for path in (directory, tmp_path / "missing" / "ck.json"):
+        with pytest.raises(ValueError, match="cannot use checkpoint"):
+            exhaustive_max_product(4, checkpoint=str(path))
+        code, out, err = run(capsys, ["search", "--objective", "product", "--n", "4",
+                                      "--checkpoint", str(path), "--output", "json"])
+        assert code == 2
+        assert out == ""
+        assert "cannot use checkpoint" in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_search_checkpoint_and_threads_flags(tmp_path, capsys):
     ckpt = tmp_path / "run.json"
     argv = ["search", "--objective", "product", "--n", "4", "--exhaustive",
@@ -356,3 +373,9 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    # a zero denominator is bad input, not a violation found by the scan
+    for flag in ("--step", "--max"):
+        code, out, err = run(capsys, ["ineq-scan", "--which", "32", flag, "1/0"])
+        assert code == 2
+        assert out == ""
+        assert "non-zero denominator" in err

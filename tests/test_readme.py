@@ -1,0 +1,42 @@
+"""Every `rbt-lab` command in README's `sh` blocks runs with its documented exit code."""
+
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from rbt_lab.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.startswith("rbt-lab") or "| rbt-lab" in line]
+
+
+COMMANDS = readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    shown = {shlex.split(line.split("| ")[-1])[1] for line in COMMANDS}
+    assert shown == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_exit_code(line, monkeypatch, capsys):
+    stdin = ""
+    if " | " in line:
+        echo, line = line.split(" | ", 1)
+        stdin = shlex.split(echo)[1]
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    argv = shlex.split(line)[1:]
+    # the README's check-rbt example is a rainbow triangle, reported with exit 1
+    expected = 1 if argv[0] == "check-rbt" else 0
+    assert main(argv) == expected
+    out = capsys.readouterr().out
+    assert out

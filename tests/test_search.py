@@ -9,17 +9,21 @@ from rbt_lab import (
     GraphSystem,
     balanced_bipartite_system,
     bipartite_triple,
-    brute_force_max,
     exhaustive_max_product,
     exhaustive_max_sum,
     is_rbt_free,
     local_search_product,
     max_edge_count,
-    max_triangle_free_edges,
     two_complete_one_empty,
 )
 from rbt_lab import search
-from rbt_lab.search import _random_rbt_free_triple, allowed_last_graph_mask, rbt_free_bits
+from rbt_lab.search import (
+    _cross,
+    _random_rbt_free_triple,
+    _through_pairs,
+    _value,
+    rbt_free_bits,
+)
 
 
 # -- per-triangle Hall check, the reference for the search's rainbow kernel ----------
@@ -68,6 +72,68 @@ def reference_allowed_mask(n, prefix):
             if pair_assignable(masks[k - 1], masks[k - 2]):
                 allowed &= ~(1 << tri[k])
     return allowed
+
+
+# -- oracles built on the kernel: unpruned enumeration and the last-slot mask ---------
+
+
+def allowed_last_graph_mask(n, prefix):
+    """Edges admissible in one more graph appended to a rainbow-free prefix.
+
+    An edge e is excluded exactly when some triangle through e has its other
+    two edges assignable to two distinct prefix graphs; any subset of the
+    returned mask keeps the extended system rainbow-free.
+    """
+    through = _through_pairs(n)
+    union = forbidden = 0
+    for g in prefix:
+        forbidden |= _cross(through, union, g)
+        union |= g
+    return ((1 << max_edge_count(n)) - 1) & ~forbidden
+
+
+def brute_force_max(objective, n, t):
+    """Reference maximum by unpruned enumeration of every ordered tuple.
+
+    Deliberately structure-free: no branch-and-bound, no isomorphism
+    reduction, no last-slot closure.  Only for cross-validating the real
+    search at tiny sizes.
+    """
+    if objective not in ("sum", "product"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if objective == "product" and t != 3:
+        raise ValueError("product objective is defined for t = 3")
+    bits = max_edge_count(n) * t
+    if bits > 18:
+        raise ValueError("brute-force reference limited to 2^18 tuples")
+    m = max_edge_count(n)
+    best = 0
+    space = range(1 << m)
+
+    def rec(prefix):
+        nonlocal best
+        if len(prefix) == t:
+            if rbt_free_bits(n, prefix):
+                best = max(best, _value(objective, prefix))
+            return
+        for g in space:
+            rec(prefix + (g,))
+
+    rec(())
+    return best
+
+
+def max_triangle_free_edges(n):
+    """Maximum edges of a triangle-free graph on n vertices, by full enumeration."""
+    if not 1 <= n <= 6:
+        raise ValueError("full graph enumeration supported for n <= 6")
+    through = _through_pairs(n)
+    best = 0
+    for g in range(1 << max_edge_count(n)):
+        # g holds a triangle iff one of its edges closes one with two others
+        if g.bit_count() > best and not g & _cross(through, g, g):
+            best = g.bit_count()
+    return best
 
 
 def system_value(objective: str, s: GraphSystem) -> int:
@@ -459,6 +525,20 @@ def test_local_search_deterministic():
     threaded = local_search_product(6, 99, restarts=4, threads=2)
     assert threaded.best_value == a.best_value
     assert threaded.witnesses == a.witnesses
+
+
+@pytest.mark.parametrize("n, seed, raw", [(4, 0, 45), (5, 1, 627)])
+def test_local_fill_tying_the_constructor_reports_canonical_witnesses(n, seed, raw):
+    # restart 3 ties the bipartite triple with a relabeled copy of it, so the
+    # report rests on each restart canonicalizing its own witness
+    fill = tuple(_random_rbt_free_triple(n, random.Random((seed << 20) ^ 3)))
+    expected = exhaustive_max_product(n).witnesses
+    assert fill == (raw,) * 3 and fill not in expected
+    assert search._local_restart(n, seed, 3)["witnesses"] == expected
+    # restart 1 stays below the constructor, so it lists no witness
+    assert search._local_restart(n, seed, 1)["witnesses"] == []
+    for threads in (1, 2):
+        assert local_search_product(n, seed, restarts=4, threads=threads).witnesses == expected
 
 
 def test_local_search_counts_fill_moves():
