@@ -36,7 +36,7 @@ from typing import Any, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .certify import theory_bound
-from .graph import Graph, max_edge_count
+from .graph import Graph, edge_at, max_edge_count
 from .systems import GraphSystem
 
 BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
@@ -59,8 +59,8 @@ class SearchReport:
     """Search outcome: best objective value, maximizing systems, and counters.
 
     `_report` merges the records of all search units into it.  witnesses
-    hold each graph as its colex bit integer; canonical forms are used
-    when n is small enough to canonicalize (n <= 8).  In exhaustive
+    hold each graph as its colex bit integer, in canonical form up to
+    n = CANONICAL_MAX_N = 8 and raw above it.  In exhaustive
     mode nodes counts expanded partial tuples and pruned counts admissible
     (rainbow-free) children cut by the optimistic bound.  In local mode
     nodes counts the fill moves examined, 3 * C(n,2) per random restart,
@@ -204,6 +204,9 @@ def _first_level(n: int, iso_pruning: bool) -> list[int]:
     m = max_edge_count(n)
     if not iso_pruning:
         return list(range(1 << m))
+    if n > CANONICAL_MAX_N:
+        # refused before any work: the walk would cover all 2^m graphs
+        raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")
     return sorted({canonical_bits(n, g) for g in range(1 << m)})
 
 
@@ -475,25 +478,31 @@ def exhaustive_max_product(n: int, *, threads: int = 1, iso_pruning: bool = Fals
 def _random_rbt_free_triple(n: int, rng: random.Random) -> list[int]:
     """Random maximal fill: walk all (graph, edge) moves in shuffled order.
 
-    forbidden[i] holds the edges that would close a triangle whose other two
-    edges lie in the two other graphs, so a move is taken iff its edge is
-    outside that mask.  Each move is visited once, so every refused edge
-    stays refused and the result is maximal.
+    adj[i][v] is v's neighbour row in G_i.  forb[i][v] holds vertices w such
+    that the edge vw would close a triangle whose other two edges lie in the
+    two other graphs; each forbidden edge is recorded at one or both of its
+    ends, so a move is refused iff either end records it.  Each move is
+    visited once, so every refused edge stays refused and the result is
+    maximal.
     """
     m = max_edge_count(n)
-    through = _through_pairs(n)
+    ends = [edge_at(e) for e in range(m)]
     graphs = [0, 0, 0]
-    forbidden = [0, 0, 0]
+    adj = [[0] * n for _ in range(3)]
+    forb = [[0] * n for _ in range(3)]
     moves = [(i, e) for i in range(3) for e in range(m)]
     rng.shuffle(moves)
     for i, e in moves:
-        if forbidden[i] >> e & 1:
+        a, b = ends[e]
+        if forb[i][a] >> b & 1 or forb[i][b] >> a & 1:
             continue
         graphs[i] |= 1 << e
-        # a new rainbow triangle puts e in G_i and its other edges in G_j, G_k
-        j, k = (i + 1) % 3, (i + 2) % 3
-        forbidden[j] |= _cross(through, graphs[k], 1 << e)
-        forbidden[k] |= _cross(through, graphs[j], 1 << e)
+        adj[i][a] |= 1 << b
+        adj[i][b] |= 1 << a
+        # a new rainbow triangle abc puts ab in G_i and ac, bc in G_j, G_k
+        for j, k in ((i + 1) % 3, (i + 2) % 3), ((i + 2) % 3, (i + 1) % 3):
+            forb[j][b] |= adj[k][a]
+            forb[j][a] |= adj[k][b]
     return graphs
 
 

@@ -1,0 +1,105 @@
+import random
+from functools import lru_cache
+from itertools import permutations
+
+import pytest
+
+from rbt_lab import Graph, bipartite_triple, max_edge_count
+from rbt_lab.canonical import canonical_bits, canonical_system_bits
+from rbt_lab.graph import edge_at, iter_bits
+
+
+# -- permutation scan, the reference for the pruned labeling search ------------------
+
+
+@lru_cache(maxsize=None)
+def edge_index_maps(n):
+    """For every vertex permutation, the induced colex edge-index permutation."""
+    maps = []
+    for perm in permutations(range(n)):
+        table = []
+        for i in range(max_edge_count(n)):
+            u, v = edge_at(i)
+            pu, pv = sorted((perm[u], perm[v]))
+            table.append(pv * (pv - 1) // 2 + pu)
+        maps.append(table)
+    return maps
+
+
+def reference_canonical(n, graphs):
+    """Least tuple of colex images over all n! relabelings, by full scan."""
+    positions = [list(iter_bits(g)) for g in graphs]
+    best = tuple(graphs)
+    for table in edge_index_maps(n):
+        img = []
+        for pos in positions:
+            out = 0
+            for i in pos:
+                out |= 1 << table[i]
+            img.append(out)
+        img = tuple(img)
+        if img < best:
+            best = img
+    return best
+
+
+def bits_of(n, edges):
+    return Graph.from_edges(n, edges).to_bits()
+
+
+def relabel(n, graphs, perm):
+    return tuple(Graph.from_bits(n, g).relabel(perm).to_bits() for g in graphs)
+
+
+CUBE = [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ (1 << i)]
+STRUCTURED_8 = {
+    "K44 triple": tuple(g.to_bits() for g in bipartite_triple(8).graphs),
+    "K8": ((1 << 28) - 1,),
+    "empty": (0,),
+    "3-cube": (bits_of(8, CUBE),),
+    "C8": (Graph.cycle(8).to_bits(),),
+    "perfect matching": (bits_of(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),),
+    "2K4": (bits_of(8, [(a, b) for part in (range(4), range(4, 8))
+                        for a in part for b in part if a < b]),),
+    "cube, C8, matching": (bits_of(8, CUBE), Graph.cycle(8).to_bits(),
+                           bits_of(8, [(0, 7), (1, 6), (2, 5), (3, 4)])),
+}
+
+
+def test_every_graph_up_to_n5_matches_the_scan():
+    for n in range(1, 6):
+        for g in range(1 << max_edge_count(n)):
+            assert canonical_bits(n, g) == reference_canonical(n, (g,))[0]
+
+
+@pytest.mark.parametrize("n, count", [(5, 40), (6, 12), (7, 6)])
+def test_seeded_graphs_and_triples_match_the_scan(n, count):
+    rng = random.Random(n)
+    m = max_edge_count(n)
+    for _ in range(count):
+        g = rng.getrandbits(m)
+        assert canonical_bits(n, g) == reference_canonical(n, (g,))[0]
+        # dense, sparse and mixed triples
+        triple = (rng.getrandbits(m) | rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m),
+                  rng.getrandbits(m))
+        assert canonical_system_bits(n, triple) == reference_canonical(n, triple)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_8))
+def test_structured_systems_at_n8_match_the_scan(name):
+    graphs = STRUCTURED_8[name]
+    assert canonical_system_bits(8, graphs) == reference_canonical(8, graphs)
+
+
+def test_canonical_form_is_invariant_under_relabeling_n8():
+    rng = random.Random(8)
+    systems = list(STRUCTURED_8.values())
+    systems += [tuple(rng.getrandbits(28) for _ in range(3)) for _ in range(10)]
+    for graphs in systems:
+        form = canonical_system_bits(8, graphs)
+        assert form <= graphs
+        assert canonical_system_bits(8, form) == form
+        for _ in range(5):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            assert canonical_system_bits(8, relabel(8, graphs, perm)) == form

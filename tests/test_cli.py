@@ -207,6 +207,20 @@ def test_search_range_checks_exit_2(capsys, flags, message):
     assert message in err
 
 
+def test_search_iso_pruning_beyond_canonical_range_exits_2(monkeypatch, capsys):
+    # under a raised budget, n = 9 would otherwise start canonicalizing 2^36 graphs
+    monkeypatch.setenv("RBT_LAB_BUDGET", "200")
+    monkeypatch.setattr(search, "canonical_bits", lambda *args: pytest.fail("canonicalized"))
+    monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
+    with pytest.raises(ValueError, match="canonicalization supported up to n=8"):
+        exhaustive_max_product(9, iso_pruning=True)
+    code, out, err = run(capsys, ["search", "--objective", "product", "--n", "9",
+                                  "--iso-pruning", "--output", "json"])
+    assert code == 2
+    assert out == ""
+    assert "canonicalization supported up to n=8" in err
+
+
 def _forge_bound_exceeded(record):
     record.update(best=10**9, witnesses=[[1, 2, 3]])
 
