@@ -9,7 +9,10 @@ graph can be appended without creating a rainbow triangle iff it avoids
 that mask, so only admissible children are ever generated, as submasks of
 its complement.  The final slot is never enumerated: every subset of the
 complement is admissible, so the maximizing last graph is the complement
-itself.
+itself.  A choice of the last free graph therefore fixes its tuple's
+value, and a node whose children are that graph scores all 2^k of them at
+once, as 2^k-bit vectors holding one bit per choice, and visits only the
+choices that reach the best value found so far.
 
 Parallel runs split the first-graph range into fixed-size chunks, each
 pruned against the same seed value, whose results merge deterministically;
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import prod
 from pathlib import Path
-from typing import Any, Collection, Sequence
+from typing import Any, Collection, Iterator, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .certify import theory_bound
@@ -44,8 +47,9 @@ DEFAULT_BUDGET_BITS = 32
 
 # first graphs per exhaustive work unit, the unit of parallelism and of checkpointing
 _CHUNK_SIZE = 64
-# bumped whenever the stored chunk record changes, so older files are refused
-_CHECKPOINT_FORMAT = 2
+# bumped whenever the stored chunk record or the meaning of its counters
+# changes, so older files are refused
+_CHECKPOINT_FORMAT = 3
 
 
 def _require_positive(**options: int) -> None:
@@ -62,7 +66,10 @@ class SearchReport:
     hold each graph as its colex bit integer, in canonical form up to
     n = CANONICAL_MAX_N = 8 and raw above it.  In exhaustive
     mode nodes counts expanded partial tuples and pruned counts admissible
-    (rainbow-free) children cut by the optimistic bound.  In local mode
+    (rainbow-free) children cut by the optimistic bound.  At the last free
+    graph that bound is the child's exact value, so there a tuple of t - 1
+    graphs is a node only when its value reaches the running best, and
+    pruned counts the children whose value is below it.  In local mode
     nodes counts the fill moves examined, 3 * C(n,2) per random restart,
     and pruned counts the moves refused by the forbidden-edge mask.
     config records the options that shaped the report under the "mode"
@@ -160,6 +167,70 @@ def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
     return True
 
 
+# -- bit vectors over the 2^k choices of one graph ---------------------------------
+#
+# A choice is a compact index i < 2^k whose bit j selects the j-th of k
+# edges; a vector is an int holding one bit per choice, bit i for choice i.
+
+
+def _bit_positions(x: int) -> Iterator[int]:
+    """Positions of the set bits of x >= 0, ascending."""
+    digits = bin(x)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+def _submask_indicator(k: int, allowed: int) -> int:
+    """Vector of the choices i < 2^k with no bit outside `allowed`."""
+    vector = 1
+    for j in _bit_positions(allowed):
+        vector |= vector << (1 << j)
+    return vector
+
+
+@lru_cache(maxsize=32)
+def _clear_masks(k: int) -> tuple[int, ...]:
+    """Per j < k, the vector of the choices i < 2^k with bit j clear."""
+    return tuple(_submask_indicator(k, ((1 << k) - 1) ^ 1 << j) for j in range(k))
+
+
+@lru_cache(maxsize=32)
+def _popcount_layers(k: int) -> tuple[int, ...]:
+    """Per c = 0..k, the vector of the choices i < 2^k with c bits set."""
+    layers = [1]
+    for j in range(k):
+        layers = [low | high << (1 << j) for low, high in zip(layers + [0], [0] + layers)]
+    return tuple(layers)
+
+
+def _add_vector(planes: list[int], vector: int) -> None:
+    """Add a 0/1 vector to the bit-sliced counter `planes`, least significant plane first."""
+    for b, plane in enumerate(planes):
+        if not vector:
+            return
+        planes[b], vector = plane ^ vector, plane & vector
+    if vector:
+        planes.append(vector)
+
+
+def _at_least(planes: list[int], threshold: int, ones: int) -> int:
+    """Vector of the choices whose counter is >= threshold; `ones` holds every choice."""
+    if threshold <= 0:
+        return ones
+    if threshold >> len(planes):
+        return 0
+    greater, equal = 0, ones
+    for b in reversed(range(len(planes))):
+        if threshold >> b & 1:
+            equal &= planes[b]
+        else:
+            greater |= equal & planes[b]
+            equal &= ~planes[b]
+    return greater | equal
+
+
 # -- extremal constructors ---------------------------------------------------------
 
 
@@ -192,7 +263,9 @@ def _check_budget(n: int, t: int) -> None:
         budget = int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    bits = max_edge_count(n) * t
+    # the last graph is read off the mask, so the search scores one tuple
+    # per choice of the first t - 1 graphs
+    bits = max_edge_count(n) * (t - 1)
     if bits > budget:
         raise ValueError(
             f"search space is 2^{bits} tuples which exceeds the 2^{budget} budget; "
@@ -228,13 +301,20 @@ def _search_chunk(
 
     Each node carries the union of its prefix and the prefix's forbidden
     mask (see `_cross`), so its admissible children are exactly the
-    submasks of the complement of that mask; they are walked in ascending
-    order.  Returns the chunk record: the chunk-local best value, the
-    sorted tuples attaining it, and node/prune counters.  Only the current
-    best is tracked, so the witness set resets whenever it rises; it keeps
-    at most tie_cap tuples, and the caller passes one more than it reports,
-    so a full set is how it sees an overflow.  Pruning is strict, so tuples
-    tying the incumbent are always visited.
+    submasks of the complement `avail` of that mask.  Later graphs only
+    lose edges, so a child g leaves room for at most the edges of `avail`
+    outside `cross[g]` in every later graph; that bound prunes the walk
+    above the last free graph, where children are walked in ascending
+    order.  At the last free graph the bound is the child's exact value,
+    so `score_last_free` scores all its choices at once and visits only
+    those that reach the running best, in the same order.
+
+    Returns the chunk record: the chunk-local best value, the sorted
+    tuples attaining it, and node/prune counters.  Only the current best
+    is tracked, so the witness set resets whenever it rises; it keeps at
+    most tie_cap tuples, and the caller passes one more than it reports,
+    so a full set is how it sees an overflow.  Pruning is strict, so
+    tuples tying the incumbent are always visited.
     """
     m = max_edge_count(n)
     full = (1 << m) - 1
@@ -245,23 +325,30 @@ def _search_chunk(
     nodes = 0
     pruned = 0
 
+    def record(graphs: list[int], value: int) -> None:
+        nonlocal best, witnesses
+        if value > best:
+            best, witnesses = value, set()
+        if len(witnesses) < tie_cap:
+            witnesses.add(_canonical_witness(n, tuple(graphs)))
+
     def extend(prefix: list[int], part: int, union: int, forbidden: int) -> None:
-        nonlocal best, witnesses, nodes, pruned
+        nonlocal nodes, pruned
         nodes += 1
-        k = len(prefix)
         avail = full & ~forbidden
-        if k == t - 1:
+        remaining = t - len(prefix)
+        if remaining == 1:
             count = avail.bit_count()
             value = part + count if is_sum else part * count
-            if value < best:
-                return
-            if value > best:
-                best, witnesses = value, set()
-            if len(witnesses) < tie_cap:
-                witnesses.add(_canonical_witness(n, tuple(prefix) + (avail,)))
+            if value >= best:
+                record(prefix + [avail], value)
             return
-        remaining = t - k
-        rows = [_cross(through, union, 1 << e) for e in range(m)]
+        if remaining == 2:
+            visited = score_last_free(prefix, part, union, avail)
+            nodes += visited
+            pruned += (1 << avail.bit_count()) - visited
+            return
+        rows = {1 << e: _cross(through, union, 1 << e) for e in _bit_positions(avail)}
         # cross[g] = edges closing a triangle with one edge in g, one in union;
         # each submask extends one visited earlier by its lowest edge
         cross = {0: 0}
@@ -269,9 +356,11 @@ def _search_chunk(
         while True:
             gc = g.bit_count()
             cand = part + gc if is_sum else part * gc
-            optimistic = (
-                cand + (remaining - 1) * m if is_sum else cand * m ** (remaining - 1)
-            )
+            room = (avail & ~cross[g]).bit_count()
+            if is_sum:
+                optimistic = cand + (remaining - 1) * room
+            else:
+                optimistic = cand * room ** (remaining - 1)
             if optimistic < best:
                 pruned += 1
             else:
@@ -282,7 +371,68 @@ def _search_chunk(
             if not g:
                 break
             low = g & -g
-            cross[g] = cross[g ^ low] | rows[low.bit_length() - 1]
+            cross[g] = cross[g ^ low] | rows[low]
+
+    def score_last_free(prefix: list[int], part: int, union: int, avail: int) -> int:
+        """Record every choice g of the next-to-last graph that reaches the best.
+
+        The last graph is then `avail & ~cross[g]`, so g's value is exact.
+        Choice i < 2^k (bit j selects the j-th of the k edges of avail)
+        keeps edge x iff i avoids the positions whose rows hold x; the
+        room of every i is summed in a bit-sliced counter, compared per
+        popcount layer with what the objective needs, and the hits are
+        visited in ascending order against the running best.  Returns the
+        number of choices recorded.
+        """
+        edges = [1 << e for e in _bit_positions(avail)]
+        k = len(edges)
+        rows = [_cross(through, union, bit) & avail for bit in edges]
+        ones = (1 << (1 << k)) - 1
+        planes: list[int] = []
+        clear = _clear_masks(k)
+        for bit in edges:
+            vector = ones
+            for j, row in enumerate(rows):
+                if row & bit:
+                    vector &= clear[j]
+            _add_vector(planes, vector)
+        layers = _popcount_layers(k)
+
+        def reaching_best() -> int:
+            hits = 0
+            for c, layer in enumerate(layers):
+                if is_sum:
+                    need = best - part - c
+                elif part * c:
+                    need = -(-best // (part * c))
+                elif best > 0:
+                    continue
+                else:
+                    need = 0
+                hits |= layer & _at_least(planes, need, ones)
+            return hits
+
+        visited = 0
+        digits = bin(reaching_best())[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            g = cross = 0
+            for j in _bit_positions(i):
+                g |= edges[j]
+                cross |= rows[j]
+            last = avail & ~cross
+            count = g.bit_count()
+            room = last.bit_count()
+            value = part + count + room if is_sum else part * count * room
+            if value >= best:
+                visited += 1
+                rises = value > best
+                record(prefix + [g, last], value)
+                if rises:
+                    # fewer choices reach the new best
+                    digits = bin(reaching_best())[:1:-1]
+            i = digits.find("1", i + 1)
+        return visited
 
     for g1 in first_graphs:
         cand = g1.bit_count()

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from rbt_lab import Graph, exhaustive_max_product, search, system_from_json
+from rbt_lab import Graph, bipartite_triple, exhaustive_max_product, search, system_from_json
+from rbt_lab.canonical import canonical_system_bits
 from rbt_lab.cli import main
 
 RAINBOW = '{"n":3,"graphs":[[[0,1]],[[1,2]],[[0,2]]]}'
@@ -191,7 +192,26 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
     exhaustive_max_product(4, checkpoint=str(fresh))
-    assert json.loads(fresh.read_text())["header"]["format"] == 2
+    assert json.loads(fresh.read_text())["header"]["format"] == 3
+
+
+def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
+    # format 2 stored the same record shape, but its nodes and pruned were
+    # counted by the walk before the exact last-slot bound, so a resume
+    # would mix two kinds of counts
+    path = tmp_path / "run.json"
+    argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(path),
+            "--output", "json"]
+    assert run(capsys, argv)[0] == 0
+    doc = json.loads(path.read_text())
+    doc["header"]["format"] = 2
+    path.write_text(json.dumps(doc))
+    before = path.read_bytes()
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "different search" in err
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -296,9 +316,31 @@ def test_search_theory_bound_only_where_a_theorem_applies(capsys):
 
 
 def test_search_budget_error(capsys):
-    code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "6", "--t", "3"])
+    code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "7", "--t", "3"])
     assert code == 2
     assert "budget" in err
+
+
+def test_search_n6_reaches_the_theory_values(capsys):
+    # expected values from the sum theorem, n(n-1) attained by (K6, K6, empty)
+    # in any order, and from the bipartite constructor for the product
+    full, empty = Graph.complete(6).to_hex(), Graph.empty(6).to_hex()
+    code, out, _ = run(capsys, ["search", "--objective", "sum", "--n", "6", "--t", "3",
+                                "--iso-pruning", "--output", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["best_value"] == "30"
+    assert sorted(doc["witnesses"]) == sorted([[empty, full, full], [full, empty, full],
+                                               [full, full, empty]])
+    assert not doc["witness_overflow"]
+    code, out, _ = run(capsys, ["search", "--objective", "product", "--n", "6",
+                                "--iso-pruning", "--output", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["best_value"] == "729" == str(9**3)
+    triple = canonical_system_bits(6, tuple(g.to_bits() for g in bipartite_triple(6).graphs))
+    assert doc["witnesses"] == [[Graph.from_bits(6, g).to_hex() for g in triple]]
+    assert doc["bound_exceeded"] is False
 
 
 def test_extremal_kinds(capsys):

@@ -17,9 +17,19 @@ from rbt_lab import (
     two_complete_one_empty,
 )
 from rbt_lab import search
+from rbt_lab.canonical import canonical_system_bits
 from rbt_lab.search import (
+    _add_vector,
+    _at_least,
+    _bit_positions,
+    _clear_masks,
     _cross,
+    _first_level,
+    _popcount_layers,
     _random_rbt_free_triple,
+    _search_chunk,
+    _seed_value,
+    _submask_indicator,
     _through_pairs,
     _value,
     rbt_free_bits,
@@ -136,6 +146,59 @@ def max_triangle_free_edges(n):
     return best
 
 
+def reference_search_chunk(objective, n, t, incumbent, tie_cap, first_graphs):
+    """The per-submask walk with the loose bound, the oracle for `search._search_chunk`.
+
+    Every admissible child is walked in ascending order and cut only when
+    even m edges in each later graph could not reach the running best; the
+    last graph is read off the forbidden mask.  Returns best and witnesses
+    of the chunk record.
+    """
+    m = max_edge_count(n)
+    full = (1 << m) - 1
+    through = _through_pairs(n)
+    is_sum = objective == "sum"
+    best = incumbent
+    witnesses = set()
+
+    def extend(prefix, part, union, forbidden):
+        nonlocal best, witnesses
+        avail = full & ~forbidden
+        if len(prefix) == t - 1:
+            count = avail.bit_count()
+            value = part + count if is_sum else part * count
+            if value < best:
+                return
+            if value > best:
+                best, witnesses = value, set()
+            if len(witnesses) < tie_cap:
+                witnesses.add(canonical_system_bits(n, tuple(prefix) + (avail,)))
+            return
+        remaining = t - len(prefix)
+        rows = [_cross(through, union, 1 << e) for e in range(m)]
+        cross = {0: 0}
+        g = 0
+        while True:
+            gc = g.bit_count()
+            cand = part + gc if is_sum else part * gc
+            optimistic = cand + (remaining - 1) * m if is_sum else cand * m ** (remaining - 1)
+            if optimistic >= best:
+                prefix.append(g)
+                extend(prefix, cand, union | g, forbidden | cross[g])
+                prefix.pop()
+            g = (g - avail) & avail
+            if not g:
+                break
+            low = g & -g
+            cross[g] = cross[g ^ low] | rows[low.bit_length() - 1]
+
+    for g1 in first_graphs:
+        cand = g1.bit_count()
+        if (cand + (t - 1) * m if is_sum else cand * m ** (t - 1)) >= best:
+            extend([g1], cand, g1, 0)
+    return best, sorted(witnesses)
+
+
 def system_value(objective: str, s: GraphSystem) -> int:
     counts = s.edge_counts()
     if objective == "sum":
@@ -244,10 +307,90 @@ def test_rainbow_kernel_matches_per_triangle_reference():
 def test_exhaustive_n5_pinned():
     report = exhaustive_max_sum(5, 3)
     assert report.best_value == 20
-    assert report.nodes == 617_690
     full = (1 << 10) - 1
     assert report.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
     assert not report.witness_overflow
+    # counters, not results: 1,024 first graphs expanded plus the three
+    # maximizers; every other choice of G2 is below the seed value 20
+    assert (report.nodes, report.pruned) == (1_027, 1_048_573)
+    product = exhaustive_max_product(5)
+    assert (product.nodes, product.pruned) == (978, 991_278)
+    wide = exhaustive_max_sum(4, 5)
+    assert (wide.nodes, wide.pruned) == (214, 13_066)
+
+
+# the sizes the old 2^(C(n,2)*t) budget admitted, where the reference walk
+# stays within a second
+ORACLE_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(2, 7)
+                 if max_edge_count(n) * t <= 32] + [("product", n, 3) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("objective, n, t", ORACLE_SETUPS)
+@pytest.mark.parametrize("iso_pruning", [False, True])
+def test_search_chunk_matches_the_reference_walk(objective, n, t, iso_pruning):
+    first = _first_level(n, iso_pruning)
+    incumbent = _seed_value(objective, n, t)
+    for tie_cap in (2, 3, 65):
+        record = _search_chunk(objective, n, t, incumbent, tie_cap, first)
+        assert (record["best"], record["witnesses"]) == reference_search_chunk(
+            objective, n, t, incumbent, tie_cap, first)
+
+
+@pytest.mark.parametrize("objective", ["sum", "product"])
+def test_search_chunk_matches_the_reference_walk_n6(objective):
+    # from incumbent 0 the best rises inside the chunk, so the order in
+    # which ties are kept and dropped is checked too
+    classes = random.Random(6).sample(_first_level(6, True), 8)
+    for chunk in (sorted(classes[:4]), sorted(classes[4:])):
+        for tie_cap in (2, 3, 65):
+            record = _search_chunk(objective, 6, 3, 0, tie_cap, chunk)
+            assert (record["best"], record["witnesses"]) == reference_search_chunk(
+                objective, 6, 3, 0, tie_cap, chunk)
+
+
+@pytest.mark.parametrize("objective, tie_cap, index", [("sum", 2, 0), ("product", 3, 1),
+                                                       ("sum", 65, 2)])
+def test_search_chunk_matches_the_reference_walk_n7(objective, tie_cap, index):
+    # one reference walk over the 2^21 choices of G2 takes about 2 s
+    g1 = [random.Random(7).randrange(1 << 21) for _ in range(3)][index]
+    record = _search_chunk(objective, 7, 3, 0, tie_cap, [g1])
+    assert (record["best"], record["witnesses"]) == reference_search_chunk(
+        objective, 7, 3, 0, tie_cap, [g1])
+
+
+def test_bit_positions():
+    rng = random.Random(9)
+    for x in [0, 1, 6, 1 << 70] + [rng.getrandbits(300) for _ in range(20)]:
+        assert list(_bit_positions(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def test_bit_vectors_match_enumeration():
+    for k in range(9):
+        choices = range(1 << k)
+        layers = _popcount_layers(k)
+        assert len(layers) == k + 1
+        for c, layer in enumerate(layers):
+            assert layer == sum(1 << i for i in choices if i.bit_count() == c)
+        for j, clear in enumerate(_clear_masks(k)):
+            assert clear == sum(1 << i for i in choices if not i >> j & 1)
+        for allowed in choices:
+            assert _submask_indicator(k, allowed) == sum(
+                1 << i for i in choices if not i & ~allowed)
+
+
+def test_bit_sliced_counter_matches_enumeration():
+    rng = random.Random(8)
+    for k in range(9):
+        ones = (1 << (1 << k)) - 1
+        for _ in range(6):
+            vectors = [rng.getrandbits(1 << k) for _ in range(rng.randint(0, 12))]
+            planes = []
+            for vector in vectors:
+                _add_vector(planes, vector)
+            counts = [sum(v >> i & 1 for v in vectors) for i in range(1 << k)]
+            for threshold in range(-1, len(vectors) + 3):
+                assert _at_least(planes, threshold, ones) == sum(
+                    1 << i for i, count in enumerate(counts) if count >= threshold)
 
 
 def test_allowed_last_mask_is_exact():
@@ -317,12 +460,18 @@ def test_mantel_maximum_small():
 
 
 def test_budget_enforced(monkeypatch):
+    # the budget counts the scored tuples, 2^(C(n,2) * (t - 1)): the last
+    # graph is read off the forbidden mask
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
+        with pytest.raises(ValueError, match="2\\^42 tuples"):
+            exhaustive_max_sum(7, 3)
+        with pytest.raises(ValueError, match="2\\^40 tuples"):
+            exhaustive_max_sum(5, 5)
+    monkeypatch.setenv("RBT_LAB_BUDGET", "17")
     with pytest.raises(ValueError, match="budget"):
-        exhaustive_max_sum(6, 3)
-    monkeypatch.setenv("RBT_LAB_BUDGET", "20")
-    with pytest.raises(ValueError, match="budget"):
-        exhaustive_max_sum(4, 4)  # 24 bits > 20
-    monkeypatch.setenv("RBT_LAB_BUDGET", "24")
+        exhaustive_max_sum(4, 4)  # 18 bits > 17
+    monkeypatch.setenv("RBT_LAB_BUDGET", "18")
     assert exhaustive_max_sum(4, 4).best_value == 16
     monkeypatch.setenv("RBT_LAB_BUDGET", "bogus")
     with pytest.raises(ValueError):
