@@ -274,13 +274,34 @@ def _check_budget(n: int, t: int) -> None:
 
 
 def _first_level(n: int, iso_pruning: bool) -> list[int]:
-    m = max_edge_count(n)
+    """The first graphs the search walks, in ascending order.
+
+    Without iso-pruning that is every graph on n vertices.  With it, it is
+    the sorted canonical forms of the isomorphism classes, built one
+    vertex at a time (Read, "Every one a winner", 1978): every graph on q
+    vertices is a class on q - 1 vertices, up to relabeling, plus a vertex
+    q - 1 with some neighbourhood s, whose edges (u, q - 1) take the top
+    q - 1 colex positions.  So canonicalizing each extension
+    h | s << C(q-1, 2) of each class h and deduplicating gives the classes
+    on q vertices.  At n = 7 that is 11,290 canonicalizations instead of
+    2^21.  A canonicity test on the extensions ("keep e iff it is its own
+    form") would lose classes: min-colex forms are not hereditary, and
+    deleting the top vertex of a canonical graph leaves a non-canonical
+    graph for 3 of the 11 classes at n = 4, 11 of 34 at n = 5, 83 of 156
+    at n = 6 and 679 of 1,044 at n = 7.
+    """
     if not iso_pruning:
-        return list(range(1 << m))
+        return list(range(1 << max_edge_count(n)))
     if n > CANONICAL_MAX_N:
         # refused before any work: the walk would cover all 2^m graphs
         raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")
-    return sorted({canonical_bits(n, g) for g in range(1 << m)})
+    classes = [0]
+    for q in range(2, n + 1):
+        top = max_edge_count(q - 1)
+        classes = sorted(
+            {canonical_bits(q, h | s << top) for h in classes for s in range(1 << (q - 1))}
+        )
+    return classes
 
 
 def _canonical_witness(n: int, graphs: tuple[int, ...]) -> tuple[int, ...]:

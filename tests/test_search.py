@@ -17,7 +17,7 @@ from rbt_lab import (
     two_complete_one_empty,
 )
 from rbt_lab import search
-from rbt_lab.canonical import canonical_system_bits
+from rbt_lab.canonical import canonical_bits, canonical_system_bits
 from rbt_lab.search import (
     _add_vector,
     _at_least,
@@ -146,6 +146,11 @@ def max_triangle_free_edges(n):
     return best
 
 
+def reference_first_level(n):
+    """Every graph on n vertices canonicalized, the oracle for `_first_level(n, True)`."""
+    return sorted({canonical_bits(n, g) for g in range(1 << max_edge_count(n))})
+
+
 def reference_search_chunk(objective, n, t, incumbent, tie_cap, first_graphs):
     """The per-submask walk with the loose bound, the oracle for `search._search_chunk`.
 
@@ -254,6 +259,17 @@ def test_exhaustive_reference_values():
     assert exhaustive_max_sum(4, 4).best_value == 16
     assert exhaustive_max_product(2).best_value == 1
     assert exhaustive_max_sum(2, 4).best_value == 4  # t*floor(4/4), every pair free
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_level_matches_the_reference(n):
+    assert _first_level(n, True) == reference_first_level(n)
+
+
+def test_first_level_counts_the_graph_classes():
+    # OEIS A000088; the n = 7 level takes about 2 s
+    counts = [len(_first_level(n, True)) for n in range(1, 8)]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_iso_pruning_same_value():
@@ -562,11 +578,13 @@ def test_checkpoint_binds_witness_cap(tmp_path):
     written = exhaustive_max_sum(4, 3, checkpoint=other)
     resumed = exhaustive_max_sum(4, 3, checkpoint=other)
     for report in (written, resumed):
-        doc = report.to_json_dict()
-        del doc["wall_time"]
-        expected = fresh.to_json_dict()
-        del expected["wall_time"]
-        assert doc == expected
+        assert without_wall_time(report) == without_wall_time(fresh)
+
+
+def without_wall_time(report):
+    doc = report.to_json_dict()
+    del doc["wall_time"]
+    return doc
 
 
 def _drop_nodes(record):
@@ -638,6 +656,21 @@ def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
     assert resumed.best_value == first.best_value
     assert resumed.witnesses == first.witnesses
     assert resumed.nodes == first.nodes
+
+
+def test_checkpoint_resume_n6_iso(tmp_path):
+    # n = 6 in its default chunks: 156 classes, three chunks
+    path = tmp_path / "n6.json"
+    first = exhaustive_max_sum(6, 3, iso_pruning=True, checkpoint=str(path))
+    assert first.best_value == 30
+    doc = json.loads(path.read_text())
+    done = doc["done"]
+    assert len(done) == 3
+    for key in list(done.keys())[::2]:
+        del done[key]
+    path.write_text(json.dumps(doc))
+    resumed = exhaustive_max_sum(6, 3, iso_pruning=True, checkpoint=str(path))
+    assert without_wall_time(resumed) == without_wall_time(first)
 
 
 def test_local_search_consistent_with_conjecture_larger_n():
