@@ -9,10 +9,11 @@ graph can be appended without creating a rainbow triangle iff it avoids
 that mask, so only admissible children are ever generated, as submasks of
 its complement.  The final slot is never enumerated: every subset of the
 complement is admissible, so the maximizing last graph is the complement
-itself.  A choice of the last free graph therefore fixes its tuple's
-value, and a node whose children are that graph scores all 2^k of them at
-once, as 2^k-bit vectors holding one bit per choice, and visits only the
-choices that reach the best value found so far.
+itself.  The last two graphs are then a pair of edge sets with no
+conflicting edges across, and every maximizer is a closed pair of that
+symmetric relation: neither graph can gain an edge.  A node whose
+children are the last free graph lists only those pairs, by Close-by-One,
+and cuts every branch that cannot reach the best value found so far.
 
 Parallel runs split the first-graph range into fixed-size chunks, each
 pruned against the same seed value, whose results merge deterministically;
@@ -49,7 +50,7 @@ DEFAULT_BUDGET_BITS = 32
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record or the meaning of its counters
 # changes, so older files are refused
-_CHECKPOINT_FORMAT = 3
+_CHECKPOINT_FORMAT = 4
 
 
 def _require_positive(**options: int) -> None:
@@ -66,10 +67,9 @@ class SearchReport:
     hold each graph as its colex bit integer, in canonical form up to
     n = CANONICAL_MAX_N = 8 and raw above it.  In exhaustive
     mode nodes counts expanded partial tuples and pruned counts admissible
-    (rainbow-free) children cut by the optimistic bound.  At the last free
-    graph that bound is the child's exact value, so there a tuple of t - 1
-    graphs is a node only when its value reaches the running best, and
-    pruned counts the children whose value is below it.  In local mode
+    (rainbow-free) children cut by the optimistic bound.  At the last two
+    graphs nodes counts the closed pairs visited and pruned the
+    Close-by-One branches cut by the bound.  In local mode
     nodes counts the fill moves examined, 3 * C(n,2) per random restart,
     and pruned counts the moves refused by the forbidden-edge mask.
     config records the options that shaped the report under the "mode"
@@ -167,12 +167,6 @@ def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
     return True
 
 
-# -- bit vectors over the 2^k choices of one graph ---------------------------------
-#
-# A choice is a compact index i < 2^k whose bit j selects the j-th of k
-# edges; a vector is an int holding one bit per choice, bit i for choice i.
-
-
 def _bit_positions(x: int) -> Iterator[int]:
     """Positions of the set bits of x >= 0, ascending."""
     digits = bin(x)[:1:-1]
@@ -180,55 +174,6 @@ def _bit_positions(x: int) -> Iterator[int]:
     while i >= 0:
         yield i
         i = digits.find("1", i + 1)
-
-
-def _submask_indicator(k: int, allowed: int) -> int:
-    """Vector of the choices i < 2^k with no bit outside `allowed`."""
-    vector = 1
-    for j in _bit_positions(allowed):
-        vector |= vector << (1 << j)
-    return vector
-
-
-@lru_cache(maxsize=32)
-def _clear_masks(k: int) -> tuple[int, ...]:
-    """Per j < k, the vector of the choices i < 2^k with bit j clear."""
-    return tuple(_submask_indicator(k, ((1 << k) - 1) ^ 1 << j) for j in range(k))
-
-
-@lru_cache(maxsize=32)
-def _popcount_layers(k: int) -> tuple[int, ...]:
-    """Per c = 0..k, the vector of the choices i < 2^k with c bits set."""
-    layers = [1]
-    for j in range(k):
-        layers = [low | high << (1 << j) for low, high in zip(layers + [0], [0] + layers)]
-    return tuple(layers)
-
-
-def _add_vector(planes: list[int], vector: int) -> None:
-    """Add a 0/1 vector to the bit-sliced counter `planes`, least significant plane first."""
-    for b, plane in enumerate(planes):
-        if not vector:
-            return
-        planes[b], vector = plane ^ vector, plane & vector
-    if vector:
-        planes.append(vector)
-
-
-def _at_least(planes: list[int], threshold: int, ones: int) -> int:
-    """Vector of the choices whose counter is >= threshold; `ones` holds every choice."""
-    if threshold <= 0:
-        return ones
-    if threshold >> len(planes):
-        return 0
-    greater, equal = 0, ones
-    for b in reversed(range(len(planes))):
-        if threshold >> b & 1:
-            equal &= planes[b]
-        else:
-            greater |= equal & planes[b]
-            equal &= ~planes[b]
-    return greater | equal
 
 
 # -- extremal constructors ---------------------------------------------------------
@@ -263,8 +208,9 @@ def _check_budget(n: int, t: int) -> None:
         budget = int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    # the last graph is read off the mask, so the search scores one tuple
-    # per choice of the first t - 1 graphs
+    # one tuple per choice of the first t - 1 graphs, the last being read
+    # off the mask; the closed-pair search visits far fewer, so this caps
+    # the size of the space, not the cost
     bits = max_edge_count(n) * (t - 1)
     if bits > budget:
         raise ValueError(
@@ -325,10 +271,9 @@ def _search_chunk(
     submasks of the complement `avail` of that mask.  Later graphs only
     lose edges, so a child g leaves room for at most the edges of `avail`
     outside `cross[g]` in every later graph; that bound prunes the walk
-    above the last free graph, where children are walked in ascending
-    order.  At the last free graph the bound is the child's exact value,
-    so `score_last_free` scores all its choices at once and visits only
-    those that reach the running best, in the same order.
+    above the last two graphs, where children are walked in ascending
+    order.  The last two graphs are listed as closed pairs by
+    `close_pairs`, which records its hits in the same order.
 
     Returns the chunk record: the chunk-local best value, the sorted
     tuples attaining it, and node/prune counters.  Only the current best
@@ -364,12 +309,11 @@ def _search_chunk(
             if value >= best:
                 record(prefix + [avail], value)
             return
+        # edges outside avail are forbidden already, so rows can drop them
+        rows = {1 << e: _cross(through, union, 1 << e) & avail for e in _bit_positions(avail)}
         if remaining == 2:
-            visited = score_last_free(prefix, part, union, avail)
-            nodes += visited
-            pruned += (1 << avail.bit_count()) - visited
+            close_pairs(prefix, part, avail, rows)
             return
-        rows = {1 << e: _cross(through, union, 1 << e) for e in _bit_positions(avail)}
         # cross[g] = edges closing a triangle with one edge in g, one in union;
         # each submask extends one visited earlier by its lowest edge
         cross = {0: 0}
@@ -394,66 +338,62 @@ def _search_chunk(
             low = g & -g
             cross[g] = cross[g ^ low] | rows[low]
 
-    def score_last_free(prefix: list[int], part: int, union: int, avail: int) -> int:
-        """Record every choice g of the next-to-last graph that reaches the best.
+    def close_pairs(prefix: list[int], part: int, avail: int, rows: dict[int, int]) -> None:
+        """Record the closed pairs (g, h) of the last two graphs that reach the best.
 
-        The last graph is then `avail & ~cross[g]`, so g's value is exact.
-        Choice i < 2^k (bit j selects the j-th of the k edges of avail)
-        keeps edge x iff i avoids the positions whose rows hold x; the
-        room of every i is summed in a bit-sliced counter, compared per
-        popcount layer with what the objective needs, and the hits are
-        visited in ascending order against the running best.  Returns the
-        number of choices recorded.
+        Edge x of g and edge y of h conflict iff x is in rows[y], a
+        symmetric relation, and every tuple of the best value is a closed
+        pair: each of g and h is every edge of avail that conflicts with
+        nothing in the other, or one could gain an edge.  Close-by-One
+        (Kuznetsov 1993) visits each closed pair once; down its tree g
+        only grows and h only shrinks, which bounds a branch before its
+        closure.  Hits are recorded in ascending g, the order of a walk
+        over every choice of g.
         """
-        edges = [1 << e for e in _bit_positions(avail)]
-        k = len(edges)
-        rows = [_cross(through, union, bit) & avail for bit in edges]
-        ones = (1 << (1 << k)) - 1
-        planes: list[int] = []
-        clear = _clear_masks(k)
-        for bit in edges:
-            vector = ones
-            for j, row in enumerate(rows):
-                if row & bit:
-                    vector &= clear[j]
-            _add_vector(planes, vector)
-        layers = _popcount_layers(k)
+        nonlocal nodes, pruned
 
-        def reaching_best() -> int:
-            hits = 0
-            for c, layer in enumerate(layers):
-                if is_sum:
-                    need = best - part - c
-                elif part * c:
-                    need = -(-best // (part * c))
-                elif best > 0:
+        def derive(h: int) -> int:
+            cross = 0
+            while h:
+                low = h & -h
+                cross |= rows[low]
+                h ^= low
+            return avail & ~cross
+
+        hits: list[tuple[int, int, int]] = []
+        bar = best
+
+        def visit(g: int, h: int, above: int) -> None:
+            nonlocal nodes, pruned, bar
+            nodes += 1
+            gc, hc = g.bit_count(), h.bit_count()
+            value = part + gc + hc if is_sum else part * gc * hc
+            if value >= bar:
+                bar = value
+                hits.append((g, h, value))
+            free = avail & ~g & -above
+            while free:
+                bit = free & -free
+                free ^= bit
+                # g gains at most this edge and every free one above it, h only loses
+                reach = gc + 1 + free.bit_count()
+                if (part + reach + hc if is_sum else part * reach * hc) < bar:
+                    # so this branch and every later one, with fewer edges above, is cut
+                    pruned += 1 + free.bit_count()
+                    break
+                nh = h & ~rows[bit]
+                if (part + reach + nh.bit_count() if is_sum
+                        else part * reach * nh.bit_count()) < bar:
+                    pruned += 1
                     continue
-                else:
-                    need = 0
-                hits |= layer & _at_least(planes, need, ones)
-            return hits
+                ng = derive(nh)
+                if not (ng ^ g) & (bit - 1):
+                    visit(ng, nh, bit << 1)
 
-        visited = 0
-        digits = bin(reaching_best())[:1:-1]
-        i = digits.find("1")
-        while i >= 0:
-            g = cross = 0
-            for j in _bit_positions(i):
-                g |= edges[j]
-                cross |= rows[j]
-            last = avail & ~cross
-            count = g.bit_count()
-            room = last.bit_count()
-            value = part + count + room if is_sum else part * count * room
+        visit(derive(avail), avail, 1)
+        for g, h, value in sorted(hits):
             if value >= best:
-                visited += 1
-                rises = value > best
-                record(prefix + [g, last], value)
-                if rises:
-                    # fewer choices reach the new best
-                    digits = bin(reaching_best())[:1:-1]
-            i = digits.find("1", i + 1)
-        return visited
+                record(prefix + [g, h], value)
 
     for g1 in first_graphs:
         cand = g1.bit_count()

@@ -192,26 +192,27 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
     exhaustive_max_product(4, checkpoint=str(fresh))
-    assert json.loads(fresh.read_text())["header"]["format"] == 3
+    assert json.loads(fresh.read_text())["header"]["format"] == 4
 
 
 def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
-    # format 2 stored the same record shape, but its nodes and pruned were
-    # counted by the walk before the exact last-slot bound, so a resume
-    # would mix two kinds of counts
+    # formats 2 and 3 stored the same record shape, but their nodes and
+    # pruned were counted by the walk before the exact last-slot bound and
+    # by the bit-vector scoring of the last free graph, so a resume would
+    # mix two kinds of counts
     path = tmp_path / "run.json"
     argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(path),
             "--output", "json"]
     assert run(capsys, argv)[0] == 0
-    doc = json.loads(path.read_text())
-    doc["header"]["format"] = 2
-    path.write_text(json.dumps(doc))
-    before = path.read_bytes()
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert "different search" in err
-    assert path.read_bytes() == before
+    fresh = json.loads(path.read_text())
+    for old_format in (2, 3):
+        path.write_text(json.dumps({**fresh, "header": {**fresh["header"], "format": old_format}}))
+        before = path.read_bytes()
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "different search" in err
+        assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -19,17 +19,12 @@ from rbt_lab import (
 from rbt_lab import search
 from rbt_lab.canonical import canonical_bits, canonical_system_bits
 from rbt_lab.search import (
-    _add_vector,
-    _at_least,
     _bit_positions,
-    _clear_masks,
     _cross,
     _first_level,
-    _popcount_layers,
     _random_rbt_free_triple,
     _search_chunk,
     _seed_value,
-    _submask_indicator,
     _through_pairs,
     _value,
     rbt_free_bits,
@@ -326,13 +321,29 @@ def test_exhaustive_n5_pinned():
     full = (1 << 10) - 1
     assert report.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
     assert not report.witness_overflow
-    # counters, not results: 1,024 first graphs expanded plus the three
-    # maximizers; every other choice of G2 is below the seed value 20
-    assert (report.nodes, report.pruned) == (1_027, 1_048_573)
+    # counters, not results: 1,024 first graphs expanded plus the closed
+    # (G2, G3) pairs visited; pruned counts the Close-by-One branches cut
+    assert (report.nodes, report.pruned) == (6_210, 35_725)
     product = exhaustive_max_product(5)
-    assert (product.nodes, product.pruned) == (978, 991_278)
+    assert (product.nodes, product.pruned) == (7_849, 42_613)
     wide = exhaustive_max_sum(4, 5)
-    assert (wide.nodes, wide.pruned) == (214, 13_066)
+    assert (wide.nodes, wide.pruned) == (214, 13_021)
+
+
+def test_exhaustive_n7_pinned(monkeypatch):
+    # exact t = 3 at n = 7, most of it the first level: the product meets the
+    # conjectured floor(49/4)^3 only at the K_{3,4} triple, and the sum meets
+    # n(n-1) only at (K7, K7, empty) in its three orders
+    monkeypatch.setenv("RBT_LAB_BUDGET", "42")
+    product = exhaustive_max_product(7, iso_pruning=True)
+    assert product.best_value == product.references["conjecture_bound"] == 1_728
+    triple = tuple(g.to_bits() for g in bipartite_triple(7).graphs)
+    assert product.witnesses == [canonical_system_bits(7, triple)]
+    full = (1 << 21) - 1
+    total = exhaustive_max_sum(7, 3, iso_pruning=True)
+    assert total.best_value == 42
+    assert total.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
+    assert not product.witness_overflow and not total.witness_overflow
 
 
 # the sizes the old 2^(C(n,2)*t) budget admitted, where the reference walk
@@ -344,12 +355,14 @@ ORACLE_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(2, 7)
 @pytest.mark.parametrize("objective, n, t", ORACLE_SETUPS)
 @pytest.mark.parametrize("iso_pruning", [False, True])
 def test_search_chunk_matches_the_reference_walk(objective, n, t, iso_pruning):
+    # from incumbent 0 the best rises inside a node, so the order in which
+    # its ties are recorded is checked too
     first = _first_level(n, iso_pruning)
-    incumbent = _seed_value(objective, n, t)
-    for tie_cap in (2, 3, 65):
-        record = _search_chunk(objective, n, t, incumbent, tie_cap, first)
-        assert (record["best"], record["witnesses"]) == reference_search_chunk(
-            objective, n, t, incumbent, tie_cap, first)
+    for incumbent in (_seed_value(objective, n, t), 0):
+        for tie_cap in (1, 2, 3, 65):
+            record = _search_chunk(objective, n, t, incumbent, tie_cap, first)
+            assert (record["best"], record["witnesses"]) == reference_search_chunk(
+                objective, n, t, incumbent, tie_cap, first)
 
 
 @pytest.mark.parametrize("objective", ["sum", "product"])
@@ -378,35 +391,6 @@ def test_bit_positions():
     rng = random.Random(9)
     for x in [0, 1, 6, 1 << 70] + [rng.getrandbits(300) for _ in range(20)]:
         assert list(_bit_positions(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
-
-
-def test_bit_vectors_match_enumeration():
-    for k in range(9):
-        choices = range(1 << k)
-        layers = _popcount_layers(k)
-        assert len(layers) == k + 1
-        for c, layer in enumerate(layers):
-            assert layer == sum(1 << i for i in choices if i.bit_count() == c)
-        for j, clear in enumerate(_clear_masks(k)):
-            assert clear == sum(1 << i for i in choices if not i >> j & 1)
-        for allowed in choices:
-            assert _submask_indicator(k, allowed) == sum(
-                1 << i for i in choices if not i & ~allowed)
-
-
-def test_bit_sliced_counter_matches_enumeration():
-    rng = random.Random(8)
-    for k in range(9):
-        ones = (1 << (1 << k)) - 1
-        for _ in range(6):
-            vectors = [rng.getrandbits(1 << k) for _ in range(rng.randint(0, 12))]
-            planes = []
-            for vector in vectors:
-                _add_vector(planes, vector)
-            counts = [sum(v >> i & 1 for v in vectors) for i in range(1 << k)]
-            for threshold in range(-1, len(vectors) + 3):
-                assert _at_least(planes, threshold, ones) == sum(
-                    1 << i for i, count in enumerate(counts) if count >= threshold)
 
 
 def test_allowed_last_mask_is_exact():
@@ -476,8 +460,8 @@ def test_mantel_maximum_small():
 
 
 def test_budget_enforced(monkeypatch):
-    # the budget counts the scored tuples, 2^(C(n,2) * (t - 1)): the last
-    # graph is read off the forbidden mask
+    # the budget counts the choices of the first t - 1 graphs,
+    # 2^(C(n,2) * (t - 1)): the last graph is read off the forbidden mask
     with monkeypatch.context() as patch:
         patch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
         with pytest.raises(ValueError, match="2\\^42 tuples"):
