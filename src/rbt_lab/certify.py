@@ -9,10 +9,11 @@ violated bound instead of raising.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import Graph, max_edge_count
 from .matching import MatchingResult, matching_number
@@ -317,21 +318,43 @@ def alpha_beta_inequality_holds(alpha: Fraction, beta: Fraction) -> bool:
     return lhs <= rhs
 
 
+def _run_above(f: Callable[[int], int], hi: int, bar: int) -> range:
+    """The k in 0..hi with f(k) > bar, for a row f that rises to one peak.
+
+    A strictly concave f has strictly falling steps f(k+1) - f(k), a positive
+    strictly log-concave f strictly falling ratios f(k+1) / f(k): either way
+    f(k) < f(k+1) holds below some peak and nowhere from it on, so the k above
+    any bar form one run around the peak, found in O(log hi) exact calls of f.
+    """
+    peak = bisect_left(range(hi), True, key=lambda k: f(k) >= f(k + 1))
+    if f(peak) <= bar:
+        return range(0)
+    first = bisect_left(range(peak), True, key=lambda k: f(k) > bar)
+    end = bisect_left(range(peak, hi + 1), True, key=lambda k: f(k) <= bar)
+    return range(first, peak + end)
+
+
 def scan_lpq_inequality(
     ell_max: int = 30, q_max: int = 60
 ) -> Iterator[tuple[int, int, int]]:
     """Yield every violating (l, p, q) with 1 <= l <= ell_max, 0 <= p <= q <= q_max.
 
     Both parities of q are covered.  An empty iterator means the inequality
-    held everywhere on the grid.
+    held everywhere on the grid.  Violators come in (l, q, p) order.  Each
+    row (l, q) is decided at its peak (see `_run_above`): with D = 2l^2 +
+    2lq + q^2 the scaled left side (l^2 + lp)(D - p^2)^2 of
+    `lpq_inequality_sides` is strictly log-concave in p, a positive linear
+    factor times the square of D - p^2, which is strictly concave and
+    positive since D > q^2 >= p^2.
     """
     if ell_max < 1 or q_max < 0:
         raise PreconditionError("empty scan range")
     for ell in range(1, ell_max + 1):
         for q in range(q_max + 1):
-            for p in range(q + 1):
-                if not lpq_inequality_holds(ell, p, q):
-                    yield (ell, p, q)
+            d = 2 * ell * ell + 2 * ell * q + q * q
+            rhs = 4 * ((2 * ell + q) ** 2 // 4) ** 3
+            row = _run_above(lambda p: (ell * ell + ell * p) * (d - p * p) ** 2, q, rhs)
+            yield from ((ell, p, q) for p in row)
 
 
 def scan_alpha_beta_inequality(
@@ -343,7 +366,10 @@ def scan_alpha_beta_inequality(
     and grid numerators a, b the inequality is equivalent to
     (v+a)(v^2+2bv+2b^2-2a^2) <= (v+b)^3.  Point queries through
     alpha_beta_inequality_holds agree by construction (same rational
-    inequality, multiplied by v^3).
+    inequality, multiplied by v^3).  Violators come in (beta, alpha) order.
+    Each row b is decided at its peak (see `_run_above`): with B = v^2 + 2bv
+    + 2b^2 the left side f(a) = (v+a)(B - 2a^2) has f'' = -12a - 4v < 0, so
+    it is strictly concave in a and in the grid index a/u.
     """
     step = Fraction(step)
     max_value = Fraction(max_value)
@@ -355,9 +381,6 @@ def scan_alpha_beta_inequality(
     u, v = step.numerator, step.denominator
     for kb in range(int(count) + 1):
         b = kb * u
-        rhs = (v + b) ** 3
         b_terms = v * v + 2 * b * v + 2 * b * b
-        for ka in range(kb + 1):
-            a = ka * u
-            if (v + a) * (b_terms - 2 * a * a) > rhs:
-                yield (Fraction(a, v), Fraction(b, v))
+        row = _run_above(lambda ka: (v + ka * u) * (b_terms - 2 * (ka * u) ** 2), kb, (v + b) ** 3)
+        yield from ((Fraction(ka * u, v), Fraction(b, v)) for ka in row)

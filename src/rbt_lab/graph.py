@@ -130,17 +130,15 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         _check_vertex_count(n)
         rows = [0] * n
-        seen = set()
         for pair in edges:
             u, v = pair
-            e = edge(u, v)
-            if e.v >= n:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                edge(u, v)  # raises the loop or negative-label error first
                 raise ValueError(f"edge {tuple(pair)} has vertex >= n={n}")
-            if e in seen:
+            if rows[u] >> v & 1:
                 raise ValueError(f"duplicate edge {tuple(pair)}")
-            seen.add(e)
-            rows[e.u] |= 1 << e.v
-            rows[e.v] |= 1 << e.u
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         return cls._trusted(n, rows)
 
     @classmethod
@@ -175,11 +173,16 @@ class Graph:
         m = max_edge_count(n)
         if bits < 0 or bits >> m:
             raise ValueError(f"edge bits out of range for n={n}")
+        # row v's lower part is the colex slice of edges (0, v)..(v-1, v)
         rows = [0] * n
-        for i in iter_bits(bits):
-            u, v = edge_at(i)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        for v in range(1, n):
+            below = bits >> (v * (v - 1) // 2) & ((1 << v) - 1)
+            rows[v] |= below
+            bit = 1 << v
+            while below:
+                low = below & -below
+                rows[low.bit_length() - 1] |= bit
+                below ^= low
         return cls._trusted(n, rows)
 
     @classmethod
@@ -190,6 +193,8 @@ class Graph:
             raw = bytes.fromhex(text)
         except ValueError as exc:
             raise ValueError(f"invalid hex graph {text!r}: {exc}") from None
+        if len(text) != 2 * len(raw):  # bytes.fromhex skips whitespace
+            raise ValueError(f"invalid hex graph {text!r}: whitespace is not allowed")
         if len(raw) != nbytes:
             raise ValueError(
                 f"hex graph {text!r} has {len(raw)} bytes, expected {nbytes} for n={n}"

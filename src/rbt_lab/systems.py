@@ -4,9 +4,11 @@ A rainbow triangle picks its three edges from three distinct graphs of the
 system: the three per-edge membership masks must admit a system of distinct
 representatives.  Detection never lists triangles.  Per vertex it keeps
 bitmask rows of the neighbours joined only through one graph, or only
-through one pair of graphs; for each union edge ab those rows give, in a few
-word operations, every c whose triangle abc fails Hall's condition.  The
-first rainbow triangle in (b, a, c) order is the lowest remaining bit.
+through one pair of graphs.  The neighbours a < b of each b are split into
+membership classes, and each class fixes which rows rule out c, so a few
+word operations per edge ab give every c whose triangle abc fails Hall's
+condition.  The first rainbow triangle in (b, a, c) order is the lowest
+remaining bit of the least a over all classes.
 """
 
 from __future__ import annotations
@@ -159,44 +161,69 @@ def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
     within_rows: dict[tuple[int, int], list[int]] = {}
 
     def within(j: int, k: int) -> list[int]:
-        """Per vertex v: the vertices joined to v only through G_j or G_k."""
-        key = (j, k) if j < k else (k, j)
-        w = within_rows.get(key)
-        if w is None:
+        """Per vertex v: the vertices joined to v only through G_j or G_k, j < k."""
+        if (j, k) not in within_rows:
             oj, ok, rj, rk = only[j], only[k], rows[j], rows[k]
-            w = [oj[v] | ok[v] | (rj[v] & rk[v] & ~u3[v]) for v in range(n)]
-            within_rows[key] = w
-        return w
+            within_rows[j, k] = [oj[v] | ok[v] | (rj[v] & rk[v] & ~u3[v]) for v in range(n)]
+        return within_rows[j, k]
 
-    # For a triangle a < b < c with membership masks M_ab, M_ac, M_bc, Hall's
-    # condition fails exactly when M_ac = M_bc = {j}, when M_ab = {j} equals
-    # M_ac or M_bc, or when all three lie inside one pair {j, k}.
+    def recipe(m: int, b: int) -> list[tuple[list[int], int]]:
+        """(x, x[b]) pairs: with M_ab = m, OR x[a] & x[b] holds every c failing Hall.
+
+        Hall's condition fails exactly when M_ac = M_bc = {j}, when M_ab = {j}
+        is M_ac or M_bc, or when all three masks lie in one pair {j, k}; and
+        only[i] lies in within(i, k).  So M_ab = {j} needs only[j][a] (x[b] =
+        -1; the caller's `fixed` is only[j][b]) and within(j, k), k != j;
+        M_ab = {j, k} needs within(j, k) and only[i], i outside; else every only[i].
+        """
+        rest = m & (m - 1)
+        if not rest:
+            j = m.bit_length() - 1
+            xs = [within(min(j, k), max(j, k)) for k in range(t) if k != j]
+            return [(only[j], -1)] + [(x, x[b]) for x in xs if x[b]]
+        xs = only
+        if not rest & (rest - 1):
+            j, k = (m & -m).bit_length() - 1, m.bit_length() - 1
+            xs = [within(j, k)] + [o for i, o in enumerate(only) if not m >> i & 1]
+        return [(x, x[b]) for x in xs if x[b]]
+
     for b in range(1, n):
         above = u1[b] & ~((1 << (b + 1)) - 1)
         if not above:
             continue
-        for a in iter_bits(u1[b] & ((1 << b) - 1)):
-            cand = u1[a] & above
-            if not cand:
-                continue
-            m_ab = s.edge_membership(a, b)
-            bad = 0
-            for o in only:
-                bad |= o[a] & o[b]
-            rest = m_ab & (m_ab - 1)
-            if not rest:
-                j = m_ab.bit_length() - 1
-                bad |= only[j][a] | only[j][b]
-                for k in range(t):
-                    if k != j:
-                        w = within(j, k)
-                        bad |= w[a] & w[b]
-            elif not rest & (rest - 1):
-                w = within(m_ab.bit_length() - 1, (m_ab & -m_ab).bit_length() - 1)
-                bad |= w[a] & w[b]
-            free = cand & ~bad
-            if free:
-                return _witness(s, Triangle(a, b, (free & -free).bit_length() - 1))
+        # split the neighbours a < b into classes of equal membership mask M_ab
+        below = u1[b] & ((1 << b) - 1)
+        classes = {0: below}
+        for i, r in enumerate(rows):
+            rb = r[b] & below
+            if rb:
+                split = {}
+                for m, members in classes.items():
+                    split[m | 1 << i], split[m] = members & rb, members & ~rb
+                classes = {m: members for m, members in split.items() if members}
+        # the least a of all classes, then its least c; by least member first
+        best = c = n
+        for m, members in sorted(classes.items(), key=lambda mc: mc[1] & -mc[1]):
+            fixed = 0 if m & (m - 1) else only[m.bit_length() - 1][b]
+            terms = None
+            while members:
+                low = members & -members
+                a = low.bit_length() - 1
+                members ^= low
+                if a > best:
+                    break
+                free = u1[a] & above & ~fixed
+                if not free:
+                    continue
+                if terms is None:
+                    terms = recipe(m, b)
+                for x, xb in terms:
+                    free &= ~(x[a] & xb)
+                if free:
+                    best, c = a, (free & -free).bit_length() - 1
+                    break
+        if best < n:
+            return _witness(s, Triangle(best, b, c))
     return None
 
 
@@ -297,17 +324,12 @@ def system_from_json_dict(doc: Any) -> GraphSystem:
         for gi, edge_list in enumerate(entries):
             if not isinstance(edge_list, list):
                 raise ValueError(f"graph {gi}: edge list expected")
-            pairs = []
             for ei, pair in enumerate(edge_list):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-                ):
+                # `type(x) is int` rejects bools and floats
+                if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
                     raise ValueError(f"graph {gi}, edge {ei}: expected [u, v]")
-                pairs.append((pair[0], pair[1]))
             try:
-                graphs.append(Graph.from_edges(n, pairs))
+                graphs.append(Graph.from_edges(n, edge_list))
             except ValueError as exc:
                 raise ValueError(f"graph {gi}: {exc}") from None
         return GraphSystem(n=n, graphs=tuple(graphs))

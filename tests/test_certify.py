@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,6 +27,7 @@ from rbt_lab import (
     scan_alpha_beta_inequality,
     scan_lpq_inequality,
 )
+from rbt_lab.certify import _run_above
 from rbt_lab.reports import PreconditionError, RainbowFoundError
 
 K5 = Graph.complete(5)
@@ -263,6 +265,78 @@ def test_scan_alpha_beta_agrees_with_pointwise():
         for a in grid:
             if a <= b:
                 assert alpha_beta_inequality_holds(a, b)
+
+
+def reference_scan_lpq(ell_max: int, q_max: int) -> list[tuple[int, int, int]]:
+    """Every grid point through the point query, in (l, q, p) order."""
+    return [
+        (ell, p, q)
+        for ell in range(1, ell_max + 1)
+        for q in range(q_max + 1)
+        for p in range(q + 1)
+        if not lpq_inequality_holds(ell, p, q)
+    ]
+
+
+def reference_scan_alpha_beta(step: Fraction, max_value: Fraction) -> list:
+    """Every grid point of the denominator-cleared comparison, in (beta, alpha) order."""
+    u, v = step.numerator, step.denominator
+    out = []
+    for kb in range(int(max_value / step) + 1):
+        b = kb * u
+        rhs = (v + b) ** 3
+        b_terms = v * v + 2 * b * v + 2 * b * b
+        for ka in range(kb + 1):
+            a = ka * u
+            if (v + a) * (b_terms - 2 * a * a) > rhs:
+                out.append((Fraction(a, v), Fraction(b, v)))
+    return out
+
+
+@pytest.mark.parametrize("ell_max, q_max", [(1, 0), (5, 10), (12, 40), (30, 60), (40, 7)])
+def test_scan_lpq_matches_reference(ell_max, q_max):
+    assert list(scan_lpq_inequality(ell_max, q_max)) == reference_scan_lpq(ell_max, q_max)
+
+
+@pytest.mark.parametrize(
+    "step, top",
+    [("1/100", "10"), ("1/10", "2"), ("3/7", "30"), ("2", "40"), ("1/3", "0"), ("1/1000", "1")],
+)
+def test_scan_alpha_beta_matches_reference(step, top):
+    step, top = Fraction(step), Fraction(top)
+    assert list(scan_alpha_beta_inequality(step, top)) == reference_scan_alpha_beta(step, top)
+
+
+def test_run_above_matches_brute_force():
+    # the real grids have no violators, so the run search is exercised on
+    # strictly concave and strictly log-concave integer rows with bars that
+    # cut through them
+    rng = random.Random(3132)
+    for _ in range(3000):
+        hi = rng.randint(0, 40)
+        if rng.random() < 0.5:
+            c0, c1, c2 = rng.randint(-50, 50), rng.randint(-200, 200), rng.randint(1, 9)
+
+            def f(k, c0=c0, c1=c1, c2=c2):
+                return c0 + c1 * k - c2 * k * k
+        else:
+            x, y, e = rng.randint(1, 30), rng.randint(0, 9), rng.randint(1, 3)
+
+            def f(k, x=x, y=y, e=e, hi=hi):
+                return comb(hi, k) * (x + y * k) ** e
+        values = [f(k) for k in range(hi + 1)]
+        for bar in (rng.choice(values) - rng.randint(0, 1), max(values), min(values) - 1):
+            assert list(_run_above(f, hi, bar)) == [k for k, y in enumerate(values) if y > bar]
+
+
+def test_run_above_plateau_peak():
+    # -(2k - 5)^2 peaks at k = 2 and k = 3 alike
+    def f(k):
+        return -((2 * k - 5) ** 2)
+
+    assert list(_run_above(f, 6, -2)) == [2, 3]
+    assert list(_run_above(f, 6, -1)) == []
+    assert list(_run_above(f, 6, -10)) == [1, 2, 3, 4]
 
 
 def test_scan_alpha_beta_degenerate():

@@ -88,6 +88,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         "{broken",
         '{"n":70,"hex":["00"]}',
         '{"n":3,"graphs":[[[0,1],[0,1]]]}',
+        '{"n":3,"hex":["03 ","00","00"]}',
+        '{"n":6,"hex":["03 04","0000","0000"]}',
     ):
         path = write(tmp_path, "bad.json", text)
         code, _, err = run(capsys, ["check-rbt", "-i", path])

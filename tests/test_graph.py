@@ -200,6 +200,50 @@ def test_hex_rejects_bad_input():
         Graph.from_hex(3, "0304")  # wrong byte count
     with pytest.raises(ValueError):
         Graph.from_hex(3, "ff")  # bits beyond C(3,2)
+    # exactly 2 * nbytes hex digits: whitespace is never skipped
+    for n, text in ((3, " 03"), (3, "03\n"), (3, "0 3"), (6, "03 04"), (6, "\t0304")):
+        with pytest.raises(ValueError, match="invalid hex graph"):
+            Graph.from_hex(n, text)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 0)], "loop edge (0, 0) not allowed"),
+        ([(-1, -1)], "loop edge (-1, -1) not allowed"),
+        ([(-1, 2)], "negative vertex label in (-1, 2)"),
+        ([(5, -1)], "negative vertex label in (5, -1)"),
+        ([(0, 3)], "edge (0, 3) has vertex >= n=3"),
+        ([(3, 0)], "edge (3, 0) has vertex >= n=3"),
+        ([(0, 1), (0, 1)], "duplicate edge (0, 1)"),
+        ([(0, 1), (1, 0)], "duplicate edge (1, 0)"),
+        ([(1, 0), (0, 1)], "duplicate edge (0, 1)"),
+        ([[1, 2], [2, 1]], "duplicate edge (2, 1)"),
+    ],
+)
+def test_from_edges_error_messages(pairs, message):
+    with pytest.raises(ValueError) as info:
+        Graph.from_edges(3, pairs)
+    assert str(info.value) == message
+
+
+def reference_from_bits(n: int, bits: int) -> Graph:
+    """One edge_at call per set bit."""
+    rows = [0] * n
+    for i in iter_bits(bits):
+        u, v = edge_at(i)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
+def test_from_bits_matches_per_edge_reference():
+    rng = random.Random(64)
+    for n in range(1, 65):
+        m = max_edge_count(n)
+        for bits in (0, (1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m)):
+            assert Graph.from_bits(n, bits) == reference_from_bits(n, bits)
+            assert Graph.from_bits(n, bits).to_bits() == bits
 
 
 def test_bits_round_trip_random():

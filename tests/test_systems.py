@@ -185,22 +185,60 @@ def test_witness_matches_reference_dense():
     # K_n + M + M is rainbow-free with every triangle of K_n in the union;
     # one extra edge in the third graph makes only late triangles rainbow
     rng = random.Random(31)
-    n = 32
-    kn = Graph.complete(n)
-    for _ in range(3):
-        order = list(range(n))
-        rng.shuffle(order)
-        pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
-        m = Graph.from_edges(n, pairs)
-        assert find_rainbow_triangle(GraphSystem.of(kn, m, m)) is None
-        assert reference_witness(GraphSystem.of(kn, m, m)) is None
-        for u, v in ((n - 1, n - 2), (n - 1, n - 3), (0, 1)):
-            if m.has_edge(u, v):
-                continue
-            s = GraphSystem.of(kn, m, m.with_edge(u, v))
-            w = find_rainbow_triangle(s)
-            assert w is not None and w == reference_witness(s)
+    for n, rounds in ((32, 3), (64, 1)):
+        kn = Graph.complete(n)
+        for _ in range(rounds):
+            order = list(range(n))
+            rng.shuffle(order)
+            pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
+            m = Graph.from_edges(n, pairs)
+            assert find_rainbow_triangle(GraphSystem.of(kn, m, m)) is None
+            assert reference_witness(GraphSystem.of(kn, m, m)) is None
+            for u, v in ((n - 1, n - 2), (n - 1, n - 3), (0, 1)):
+                if m.has_edge(u, v):
+                    continue
+                s = GraphSystem.of(kn, m, m.with_edge(u, v))
+                w = find_rainbow_triangle(s)
+                assert w is not None and w == reference_witness(s)
+                assert w.is_valid_for(s)
+
+
+def thinned_copies(rng: random.Random, n: int, t: int) -> GraphSystem:
+    """Each graph keeps each edge of one sparse base graph with its own odds.
+
+    The edges then fall into many membership classes of every size.
+    """
+    m = max_edge_count(n)
+    density = rng.uniform(0.02, 0.15)
+    base = [i for i in range(m) if rng.random() < density]
+    graphs = []
+    for _ in range(t):
+        keep = rng.uniform(0.3, 1.0)
+        graphs.append(Graph.from_bits(n, sum(1 << i for i in base if rng.random() < keep)))
+    return GraphSystem(n=n, graphs=tuple(graphs))
+
+
+def test_witness_matches_reference_up_to_n64():
+    # singleton, pair and larger membership masks each take their own
+    # rule-out recipe in the kernel; all of them occur here in quantity
+    rng = random.Random(6464)
+    found = free = 0
+    mask_sizes = [0, 0, 0, 0]
+    for k in range(300):
+        n = rng.randint(11, 64)
+        t = rng.randint(3, 8)
+        s = thinned_copies(rng, n, t) if k % 3 else near_copies(rng, n, t)
+        w = find_rainbow_triangle(s)
+        assert w == reference_witness(s)
+        if w is None:
+            free += 1
+        else:
+            found += 1
             assert w.is_valid_for(s)
+        for e in s.union().edges():
+            mask_sizes[min(3, s.edge_membership(e.u, e.v).bit_count())] += 1
+    assert found > 50 and free > 50
+    assert min(mask_sizes[1:]) > 1000
 
 
 def test_witness_indices_strictly_increasing():
@@ -316,6 +354,30 @@ def test_json_parse_examples():
     assert s.graphs[0] == Graph.from_edges(3, [(0, 1), (0, 2)])
     assert s.graphs[1] == Graph.from_edges(3, [(1, 2)])
     assert s.graphs[2] == Graph.empty(3)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"n":3,"graphs":[[[0,0]]]}', "graph 0: loop edge (0, 0) not allowed"),
+        ('{"n":3,"graphs":[[[0,1],[-1,2]]]}', "graph 0: negative vertex label in (-1, 2)"),
+        ('{"n":3,"graphs":[[],[[0,3]]]}', "graph 1: edge (0, 3) has vertex >= n=3"),
+        ('{"n":3,"graphs":[[[0,1],[1,0]]]}', "graph 0: duplicate edge (1, 0)"),
+        ('{"n":3,"graphs":[[[1,2],[1,2]]]}', "graph 0: duplicate edge (1, 2)"),
+        ('{"n":3,"graphs":[[[true,1]]]}', "graph 0, edge 0: expected [u, v]"),
+        ('{"n":3,"graphs":[[[0,1],[1,false]]]}', "graph 0, edge 1: expected [u, v]"),
+        ('{"n":3,"graphs":[[[0,1.0]]]}', "graph 0, edge 0: expected [u, v]"),
+        ('{"n":3,"graphs":[[[0,1],[0,1,2]]]}', "graph 0, edge 1: expected [u, v]"),
+        ('{"n":3,"graphs":[[[0,1],[1]]]}', "graph 0, edge 1: expected [u, v]"),
+        ('{"n":3,"graphs":[[[0,1],"ab"]]}', "graph 0, edge 1: expected [u, v]"),
+        ('{"n":3,"graphs":[[[0,1]],5]}', "graph 1: edge list expected"),
+        ('{"n":3,"hex":["03"," 04"]}', "graph 1: invalid hex graph ' 04'"),
+    ],
+)
+def test_json_parse_error_messages(doc, message):
+    with pytest.raises(ValueError) as info:
+        system_from_json(doc)
+    assert str(info.value).startswith(message)
 
 
 def test_json_parse_rejects_bad_input():
