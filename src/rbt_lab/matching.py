@@ -56,21 +56,13 @@ def maximum_matching(g: Graph) -> MatchingResult:
     rows = g.rows
     match = [-1] * n
     # greedy seed in colex order cuts the number of augmentation phases
-    for e in _colex_edges(g):
-        if match[e.u] == -1 and match[e.v] == -1:
-            match[e.u] = e.v
-            match[e.v] = e.u
+    for u, v in greedy_maximal_matching(g).edges:
+        match[u] = v
+        match[v] = u
     for root in range(n):
         if match[root] == -1:
             _augment_from(rows, n, match, root)
     return _matching_from_pairs(match)
-
-
-def _colex_edges(g: Graph):
-    for v in range(g.n):
-        below = g.rows[v] & ((1 << v) - 1)
-        for u in iter_bits(below):
-            yield Edge(u, v)
 
 
 def _augment_from(rows: tuple[int, ...], n: int, match: list[int], root: int) -> bool:
@@ -147,12 +139,11 @@ def greedy_maximal_matching(g: Graph) -> MatchingResult:
     """Maximal (not necessarily maximum) matching, scanning edges in colex order."""
     taken = 0
     edges = []
-    for e in _colex_edges(g):
+    for e in g.edges():
         pair = (1 << e.u) | (1 << e.v)
         if not taken & pair:
             taken |= pair
             edges.append(e)
-    edges.sort(key=lambda e: e.index)
     return MatchingResult(edges=tuple(edges), size=len(edges), matched_set=taken)
 
 

@@ -21,8 +21,9 @@ reports therefore do not depend on the thread count, on the order in which
 chunks run, or on which chunks a checkpoint resume replays.
 
 Local search for the product objective takes the balanced bipartite
-triple plus seeded random maximal fills, built on the same kernel, and
-keeps the best; it does not climb from them.
+triple plus seeded random maximal fills and keeps the best; it does not
+climb from them.  The fills do not use `_cross`: they keep each graph's
+adjacency rows and a forbidden row per vertex, updated per added edge.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import prod
 from pathlib import Path
-from typing import Any, Collection, Iterator, Sequence
+from typing import Any, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .certify import theory_bound
-from .graph import Graph, edge_at, max_edge_count
+from .graph import Graph, iter_bits, max_edge_count
 from .systems import GraphSystem
 
 BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
@@ -167,15 +168,6 @@ def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
     return True
 
 
-def _bit_positions(x: int) -> Iterator[int]:
-    """Positions of the set bits of x >= 0, ascending."""
-    digits = bin(x)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
-
-
 # -- extremal constructors ---------------------------------------------------------
 
 
@@ -238,9 +230,6 @@ def _first_level(n: int, iso_pruning: bool) -> list[int]:
     """
     if not iso_pruning:
         return list(range(1 << max_edge_count(n)))
-    if n > CANONICAL_MAX_N:
-        # refused before any work: the walk would cover all 2^m graphs
-        raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")
     classes = [0]
     for q in range(2, n + 1):
         top = max_edge_count(q - 1)
@@ -310,7 +299,7 @@ def _search_chunk(
                 record(prefix + [avail], value)
             return
         # edges outside avail are forbidden already, so rows can drop them
-        rows = {1 << e: _cross(through, union, 1 << e) & avail for e in _bit_positions(avail)}
+        rows = {1 << e: _cross(through, union, 1 << e) & avail for e in iter_bits(avail)}
         if remaining == 2:
             close_pairs(prefix, part, avail, rows)
             return
@@ -517,44 +506,49 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
                     witness_cap: int, checkpoint: str | None) -> SearchReport:
     _require_positive(t=t, threads=threads, witness_cap=witness_cap)
     _check_budget(n, t)
+    if iso_pruning and n > CANONICAL_MAX_N:
+        # refused before any work: the first level would cover all 2^m graphs
+        raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")
     started = time.perf_counter()
-    m = max_edge_count(n)
+    seed_value = _seed_value(objective, n, t)
     if t == 1:
         # no rainbow constraint is possible; the complete graph, its own
-        # canonical form, is the unique maximizer
-        done = {"0": {"best": m, "witnesses": [((1 << m) - 1,)], "nodes": 1, "pruned": 0}}
+        # canonical form, is the unique maximizer, one chunk of one node
+        chunks = [[(1 << max_edge_count(n)) - 1]]
         references = {}
+
+        def search(chunk: list[int]) -> dict[str, Any]:
+            return {"best": seed_value, "witnesses": [chunk], "nodes": 1, "pruned": 0}
     else:
-        seed_value = _seed_value(objective, n, t)
         first = _first_level(n, iso_pruning)
         chunks = [first[i : i + _CHUNK_SIZE] for i in range(0, len(first), _CHUNK_SIZE)]
-        header = {
-            "format": _CHECKPOINT_FORMAT,
-            "objective": objective,
-            "n": n,
-            "t": t,
-            "iso_pruning": iso_pruning,
-            "witness_cap": witness_cap,
-            "chunk_size": _CHUNK_SIZE,
-            "num_chunks": len(chunks),
-            "seed_value": seed_value,
-        }
-        done = _load_checkpoint(checkpoint, header) if checkpoint else {}
-        if checkpoint:
-            # saved before any chunk runs, so an unusable path fails first
-            _save_checkpoint(checkpoint, header, done)
-        pending = [str(i) for i in range(len(chunks)) if str(i) not in done]
         # every chunk prunes against the seed value alone, so its record does
         # not depend on which chunks ran before it, in this process or another
         search = partial(_search_chunk, objective, n, t, seed_value, witness_cap + 1)
-        records = _map(threads, search, [chunks[int(key)] for key in pending])
-        for key, record in zip(pending, records, strict=True):
-            done[key] = record
-            if checkpoint:
-                _save_checkpoint(checkpoint, header, done)
         references = {"seed_value": seed_value}
         if objective == "product":
             references["conjecture_bound"] = theory_bound("product", n, 3)
+    header = {
+        "format": _CHECKPOINT_FORMAT,
+        "objective": objective,
+        "n": n,
+        "t": t,
+        "iso_pruning": iso_pruning,
+        "witness_cap": witness_cap,
+        "chunk_size": _CHUNK_SIZE,
+        "num_chunks": len(chunks),
+        "seed_value": seed_value,
+    }
+    done = _load_checkpoint(checkpoint, header) if checkpoint else {}
+    if checkpoint:
+        # saved before any chunk runs, so an unusable path fails first
+        _save_checkpoint(checkpoint, header, done)
+    pending = [str(i) for i in range(len(chunks)) if str(i) not in done]
+    records = _map(threads, search, [chunks[int(key)] for key in pending])
+    for key, record in zip(pending, records, strict=True):
+        done[key] = record
+        if checkpoint:
+            _save_checkpoint(checkpoint, header, done)
     config = {"mode": "exhaustive", "iso_pruning": iso_pruning, "threads": threads,
               "chunk_size": _CHUNK_SIZE}
     return _report(objective, n, t, done.values(), witness_cap, started, references, config)
@@ -594,27 +588,23 @@ def _random_rbt_free_triple(n: int, rng: random.Random) -> list[int]:
     two other graphs; each forbidden edge is recorded at one or both of its
     ends, so a move is refused iff either end records it.  Each move is
     visited once, so every refused edge stays refused and the result is
-    maximal.
+    maximal.  The moves are listed in colex edge order, which fixes the
+    fill each seed gives.
     """
-    m = max_edge_count(n)
-    ends = [edge_at(e) for e in range(m)]
-    graphs = [0, 0, 0]
     adj = [[0] * n for _ in range(3)]
     forb = [[0] * n for _ in range(3)]
-    moves = [(i, e) for i in range(3) for e in range(m)]
+    moves = [(i, a, b) for i in range(3) for b in range(n) for a in range(b)]
     rng.shuffle(moves)
-    for i, e in moves:
-        a, b = ends[e]
+    for i, a, b in moves:
         if forb[i][a] >> b & 1 or forb[i][b] >> a & 1:
             continue
-        graphs[i] |= 1 << e
         adj[i][a] |= 1 << b
         adj[i][b] |= 1 << a
         # a new rainbow triangle abc puts ab in G_i and ac, bc in G_j, G_k
         for j, k in ((i + 1) % 3, (i + 2) % 3), ((i + 2) % 3, (i + 1) % 3):
             forb[j][b] |= adj[k][a]
             forb[j][a] |= adj[k][b]
-    return graphs
+    return [Graph._trusted(n, rows).to_bits() for rows in adj]
 
 
 def _local_restart(n: int, seed: int, restart_index: int) -> dict[str, Any]:

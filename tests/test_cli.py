@@ -244,6 +244,35 @@ def test_search_iso_pruning_beyond_canonical_range_exits_2(monkeypatch, capsys):
     assert "canonicalization supported up to n=8" in err
 
 
+def test_search_t1_takes_the_checks_of_every_search(tmp_path, capsys):
+    code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "1",
+                                  "--iso-pruning", "--output", "json"])
+    assert code == 2
+    assert out == ""
+    assert "canonicalization supported up to n=8" in err
+    missing = tmp_path / "missing" / "ck.json"
+    code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "4", "--t", "1",
+                                  "--checkpoint", str(missing), "--output", "json"])
+    assert code == 2
+    assert out == ""
+    assert "cannot use checkpoint" in err
+    # a usable checkpoint is written, and resuming from it gives the same report
+    ckpt = tmp_path / "run.json"
+    argv = ["search", "--objective", "sum", "--n", "4", "--t", "1", "--checkpoint", str(ckpt),
+            "--output", "json"]
+    docs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        doc.pop("wall_time")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert (docs[0]["best_value"], docs[0]["witnesses"]) == ("6", [["3f"]])
+    assert (docs[0]["nodes"], docs[0]["pruned"], docs[0]["references"]) == ("1", "0", {})
+    assert json.loads(ckpt.read_text())["done"]["0"]["witnesses"] == [[63]]
+
+
 def _forge_bound_exceeded(record):
     record.update(best=10**9, witnesses=[[1, 2, 3]])
 

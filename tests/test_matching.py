@@ -147,6 +147,14 @@ def test_greedy_is_maximal_and_deterministic():
         assert res == greedy_maximal_matching(g)
 
 
+def test_greedy_edges_come_in_colex_order():
+    rng = random.Random(11)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        indices = [e.index for e in greedy_maximal_matching(g).edges]
+        assert indices == sorted(indices)
+
+
 def test_nearly_matchable_examples():
     assert is_nearly_matchable(Graph.complete(4))
     assert not is_nearly_matchable(Graph.empty(4))

@@ -19,7 +19,6 @@ from rbt_lab import (
 from rbt_lab import search
 from rbt_lab.canonical import canonical_bits, canonical_system_bits
 from rbt_lab.search import (
-    _bit_positions,
     _cross,
     _first_level,
     _random_rbt_free_triple,
@@ -387,12 +386,6 @@ def test_search_chunk_matches_the_reference_walk_n7(objective, tie_cap, index):
         objective, 7, 3, 0, tie_cap, [g1])
 
 
-def test_bit_positions():
-    rng = random.Random(9)
-    for x in [0, 1, 6, 1 << 70] + [rng.getrandbits(300) for _ in range(20)]:
-        assert list(_bit_positions(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
-
-
 def test_allowed_last_mask_is_exact():
     rng = random.Random(72)
     for _ in range(200):
@@ -720,6 +713,17 @@ def test_local_search_counts_fill_moves():
     assert report.nodes == moves * (restarts - 1)
     assert report.pruned == report.nodes - taken
     assert "iterations" not in report.config
+
+
+@pytest.mark.parametrize("n, seed, pruned", [(48, 0, 18929), (48, 1, 18891),
+                                             (64, 0, 34813), (64, 1, 34762)])
+def test_local_search_pinned_at_the_benchmark_sizes(n, seed, pruned):
+    # pruned is the refused moves summed over seven fills, so it pins their
+    # total edge count; no fill beats the bipartite triple at these sizes
+    report = local_search_product(n, seed, restarts=8)
+    assert report.best_value == (n * n // 4) ** 3
+    assert report.nodes == 7 * 3 * max_edge_count(n)
+    assert report.pruned == pruned
 
 
 def test_local_search_witnesses_are_free():
