@@ -386,6 +386,13 @@ def test_search_chunk_matches_the_reference_walk_n7(objective, tie_cap, index):
         objective, 7, 3, 0, tie_cap, [g1])
 
 
+def test_bit_positions():
+    # the search walks C(n,2)-bit edge masks, wider than any adjacency row
+    rng = random.Random(9)
+    for x in [0, 1, 6, 1 << 70] + [rng.getrandbits(300) for _ in range(20)]:
+        assert list(search.iter_bits(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+
 def test_allowed_last_mask_is_exact():
     rng = random.Random(72)
     for _ in range(200):
