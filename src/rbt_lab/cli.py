@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any
 
 from . import certify as cert
@@ -297,7 +298,9 @@ def _cmd_ineq_scan(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="rbt-lab",
         description="analyze rainbow-triangle-free systems of graphs",

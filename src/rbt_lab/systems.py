@@ -1,14 +1,11 @@
 """Systems of graphs on a shared vertex set and rainbow-triangle machinery.
 
 A rainbow triangle picks its three edges from three distinct graphs of the
-system: the three per-edge membership masks must admit a system of distinct
-representatives.  Detection never lists triangles.  Per vertex it keeps
-bitmask rows of the neighbours joined only through one graph, or only
-through one pair of graphs.  The neighbours a < b of each b are split into
-membership classes, and each class fixes which rows rule out c, so a few
-word operations per edge ab give every c whose triangle abc fails Hall's
-condition.  The first rainbow triangle in (b, a, c) order is the lowest
-remaining bit of the least a over all classes.
+system.  Detection never lists triangles: with ab in G_i, the vertices c
+completing a rainbow triangle are, over every j != i, those joined to a in
+G_j and to b in a graph other than G_i and G_j, one word operation per
+graph G_j for each pair (a, b).  The first rainbow triangle in (b, a, c)
+order takes the least such a over every i with ab in G_i, then its least c.
 """
 
 from __future__ import annotations
@@ -154,76 +151,45 @@ def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
     if t < 3 or sum(1 for g in s.graphs if any(g.rows)) < 3:
         return None
     rows = [g.rows for g in s.graphs]
-    # u1/u2/u3[v]: vertices joined to v in at least one/two/three graphs
-    u1, u2, u3 = _multiplicity_levels(rows, 3)
-    # only[j][v]: joined to v in G_j and in no other graph
-    only = [[r[v] & ~u2[v] for v in range(n)] for r in rows]
-    within_rows: dict[tuple[int, int], list[int]] = {}
-
-    def within(j: int, k: int) -> list[int]:
-        """Per vertex v: the vertices joined to v only through G_j or G_k, j < k."""
-        if (j, k) not in within_rows:
-            oj, ok, rj, rk = only[j], only[k], rows[j], rows[k]
-            within_rows[j, k] = [oj[v] | ok[v] | (rj[v] & rk[v] & ~u3[v]) for v in range(n)]
-        return within_rows[j, k]
-
-    def recipe(m: int, b: int) -> list[tuple[list[int], int]]:
-        """(x, x[b]) pairs: with M_ab = m, OR x[a] & x[b] holds every c failing Hall.
-
-        Hall's condition fails exactly when M_ac = M_bc = {j}, when M_ab = {j}
-        is M_ac or M_bc, or when all three masks lie in one pair {j, k}; and
-        only[i] lies in within(i, k).  So M_ab = {j} needs only[j][a] (x[b] =
-        -1; the caller's `fixed` is only[j][b]) and within(j, k), k != j;
-        M_ab = {j, k} needs within(j, k) and only[i], i outside; else every only[i].
-        """
-        rest = m & (m - 1)
-        if not rest:
-            j = m.bit_length() - 1
-            xs = [within(min(j, k), max(j, k)) for k in range(t) if k != j]
-            return [(only[j], -1)] + [(x, x[b]) for x in xs if x[b]]
-        xs = only
-        if not rest & (rest - 1):
-            j, k = (m & -m).bit_length() - 1, m.bit_length() - 1
-            xs = [within(j, k)] + [o for i, o in enumerate(only) if not m >> i & 1]
-        return [(x, x[b]) for x in xs if x[b]]
-
     for b in range(1, n):
-        above = u1[b] & ~((1 << (b + 1)) - 1)
-        if not above:
+        # above[k]: b's neighbours c > b in G_k; m1, m2, m3: the c joined to
+        # b in at least 1, 2, 3 graphs
+        above = [r[b] >> (b + 1) << (b + 1) for r in rows]
+        m1 = m2 = m3 = 0
+        for x in above:
+            m3 |= m2 & x
+            m2 |= m1 & x
+            m1 |= x
+        if not m1:
             continue
-        # split the neighbours a < b into classes of equal membership mask M_ab
-        below = u1[b] & ((1 << b) - 1)
-        classes = {0: below}
+        # best: the least a with a rainbow c so far (b while none); hits: its c
+        best, hits = b, 0
         for i, r in enumerate(rows):
-            rb = r[b] & below
-            if rb:
-                split = {}
-                for m, members in classes.items():
-                    split[m | 1 << i], split[m] = members & rb, members & ~rb
-                classes = {m: members for m, members in split.items() if members}
-        # the least a of all classes, then its least c; by least member first
-        best = c = n
-        for m, members in sorted(classes.items(), key=lambda mc: mc[1] & -mc[1]):
-            fixed = 0 if m & (m - 1) else only[m.bit_length() - 1][b]
-            terms = None
-            while members:
-                low = members & -members
-                a = low.bit_length() - 1
-                members ^= low
+            below = r[b] & ((1 << b) - 1)
+            if not below or (below & -below).bit_length() - 1 > best:
+                continue
+            # with ab in G_i, c is rainbow iff ac in some G_j, j != i, and bc
+            # in a third graph: the terms (rows[j], X_ij) of b's neighbours
+            # above b in a graph other than G_i and G_j
+            xi = above[i]
+            terms = []
+            for j, xj in enumerate(above):
+                if j != i and (x := m3 | (m2 & ~(xi & xj)) | (m1 & ~m2 & ~(xi | xj))):
+                    terms.append((rows[j], x))
+            for a in iter_bits(below):
                 if a > best:
                     break
-                free = u1[a] & above & ~fixed
-                if not free:
-                    continue
-                if terms is None:
-                    terms = recipe(m, b)
-                for x, xb in terms:
-                    free &= ~(x[a] & xb)
-                if free:
-                    best, c = a, (free & -free).bit_length() - 1
+                rainbow = 0
+                for rj, x in terms:
+                    rainbow |= rj[a] & x
+                if rainbow:
+                    if a < best:
+                        best, hits = a, rainbow
+                    else:
+                        hits |= rainbow
                     break
-        if best < n:
-            return _witness(s, Triangle(best, b, c))
+        if hits:
+            return _witness(s, Triangle(best, b, (hits & -hits).bit_length() - 1))
     return None
 
 

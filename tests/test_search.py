@@ -294,7 +294,7 @@ def test_rainbow_bits_matches_system_level():
         m = max_edge_count(n)
         bits = [rng.randrange(1 << m) for _ in range(t)]
         s = GraphSystem(n=n, graphs=tuple(Graph.from_bits(n, b) for b in bits))
-        assert rbt_free_bits(n, bits) == is_rbt_free(s)
+        assert rbt_free_bits(n, bits) == is_rbt_free(s) == reference_rbt_free(n, bits)
 
 
 def test_rainbow_kernel_matches_per_triangle_reference():
@@ -485,8 +485,8 @@ def test_thread_count_invariance(monkeypatch):
     assert base.best_value == threaded.best_value
     assert base.witnesses == threaded.witnesses
     assert base.witness_overflow == threaded.witness_overflow
-    # at t = 2 the seed value is below the optimum, so a chunk pruning against
-    # an incumbent carried over from earlier chunks would count differently
+    # one first graph per chunk at t = 2: the seed is the optimum t * C(n, 2),
+    # which every chunk prunes against, so the counters match too
     monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
     for n in (3, 4):
         base = exhaustive_max_sum(n, 2)
@@ -500,7 +500,7 @@ def test_thread_count_invariance(monkeypatch):
 
 
 def test_chunk_size_invariance_t2(monkeypatch):
-    # the t = 2 seed is the optimum 2 * C(n, 2), so no chunk's incumbent rises
+    # the t = 2 seed is the optimum t * C(n, 2), so no chunk's incumbent rises
     reports = []
     for c in (1, 4, 64):
         monkeypatch.setattr(search, "_CHUNK_SIZE", c)

@@ -182,25 +182,26 @@ def test_witness_matches_per_triangle_reference():
 
 
 def test_witness_matches_reference_dense():
-    # K_n + M + M is rainbow-free with every triangle of K_n in the union;
-    # one extra edge in the third graph makes only late triangles rainbow
+    # K_n + (t - 1) M and t copies of the balanced complete bipartite graph
+    # are rainbow-free for every t; one extra edge in the last graph makes
+    # only the triangles through it rainbow, late ones for an edge at the top
     rng = random.Random(31)
     for n, rounds in ((32, 3), (64, 1)):
-        kn = Graph.complete(n)
+        kn, bip = Graph.complete(n), Graph.complete_bipartite(n // 2, n - n // 2)
         for _ in range(rounds):
             order = list(range(n))
             rng.shuffle(order)
-            pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
-            m = Graph.from_edges(n, pairs)
-            assert find_rainbow_triangle(GraphSystem.of(kn, m, m)) is None
-            assert reference_witness(GraphSystem.of(kn, m, m)) is None
-            for u, v in ((n - 1, n - 2), (n - 1, n - 3), (0, 1)):
-                if m.has_edge(u, v):
-                    continue
-                s = GraphSystem.of(kn, m, m.with_edge(u, v))
-                w = find_rainbow_triangle(s)
-                assert w is not None and w == reference_witness(s)
-                assert w.is_valid_for(s)
+            m = Graph.from_edges(n, [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)])
+            extra = [e for e in ((n - 1, n - 2), (n - 1, n - 3), (0, 1)) if not m.has_edge(*e)]
+            for t in range(3, 9):
+                for graphs in ([kn] + [m] * (t - 1), [bip] * t):
+                    assert find_rainbow_triangle(GraphSystem.of(*graphs)) is None
+                    assert reference_witness(GraphSystem.of(*graphs)) is None
+                    for u, v in extra:
+                        s = GraphSystem.of(*graphs[:-1], graphs[-1].with_edge(u, v))
+                        w = find_rainbow_triangle(s)
+                        assert w is not None and w == reference_witness(s)
+                        assert w.is_valid_for(s)
 
 
 def thinned_copies(rng: random.Random, n: int, t: int) -> GraphSystem:
@@ -219,8 +220,8 @@ def thinned_copies(rng: random.Random, n: int, t: int) -> GraphSystem:
 
 
 def test_witness_matches_reference_up_to_n64():
-    # singleton, pair and larger membership masks each take their own
-    # rule-out recipe in the kernel; all of them occur here in quantity
+    # edges held by one graph, by two, and by three or more all occur here in
+    # quantity, so the kernel meets every shape of membership mask
     rng = random.Random(6464)
     found = free = 0
     mask_sizes = [0, 0, 0, 0]
