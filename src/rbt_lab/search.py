@@ -41,7 +41,7 @@ from typing import Any, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .certify import theory_bound
-from .graph import Graph, iter_bits, max_edge_count
+from .graph import Graph, _check_vertex_count, iter_bits, max_edge_count
 from .systems import GraphSystem
 
 BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
@@ -51,7 +51,7 @@ DEFAULT_BUDGET_BITS = 32
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record or the meaning of its counters
 # changes, so older files are refused
-_CHECKPOINT_FORMAT = 4
+_CHECKPOINT_FORMAT = 5
 
 
 def _require_positive(**options: int) -> None:
@@ -66,13 +66,15 @@ class SearchReport:
 
     `_report` merges the records of all search units into it.  witnesses
     hold each graph as its colex bit integer, in canonical form up to
-    n = CANONICAL_MAX_N = 8 and raw above it.  In exhaustive
-    mode nodes counts expanded partial tuples and pruned counts admissible
+    n = CANONICAL_MAX_N = 8 and raw above it.  In exhaustive mode nodes
+    counts expanded partial tuples and pruned counts admissible
     (rainbow-free) children cut by the optimistic bound.  At the last two
     graphs nodes counts the closed pairs visited and pruned the
-    Close-by-One branches cut by the bound.  In local mode
-    nodes counts the fill moves examined, 3 * C(n,2) per random restart,
-    and pruned counts the moves refused by the forbidden-edge mask.
+    Close-by-One branches cut by the bound.  For t <= 2 the answer, t
+    copies of K_n, is written down: one node, none pruned, no references.
+    In local mode nodes counts the fill moves examined, 3 * C(n,2) per
+    random restart, and pruned counts the moves refused by the
+    forbidden-edge mask.
     config records the options that shaped the report under the "mode"
     of the entry point that produced it, which `exhaustive` reads.
     """
@@ -173,15 +175,12 @@ def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
 
 def two_complete_one_empty(n: int) -> GraphSystem:
     """Triple attaining the sum bound n(n-1): two complete graphs and an empty one."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return GraphSystem.of(Graph.complete(n), Graph.complete(n), Graph.empty(n))
 
 
 def balanced_bipartite_system(n: int, t: int) -> GraphSystem:
     """t copies of the balanced complete bipartite graph; sum is t*floor(n^2/4)."""
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
+    _require_positive(t=t)
     g = Graph.complete_bipartite(n // 2, n - n // 2)
     return GraphSystem(n=n, graphs=(g,) * t)
 
@@ -202,7 +201,8 @@ def _check_budget(n: int, t: int) -> None:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
     # one tuple per choice of the first t - 1 graphs, the last being read
     # off the mask; the closed-pair search visits far fewer, so this caps
-    # the size of the space, not the cost
+    # the size of the space, not the cost.  It applies to t <= 2 as well,
+    # whose answer is written down, so every t refuses the same sizes
     bits = max_edge_count(n) * (t - 1)
     if bits > budget:
         raise ValueError(
@@ -211,7 +211,7 @@ def _check_budget(n: int, t: int) -> None:
         )
 
 
-def _first_level(n: int, iso_pruning: bool) -> list[int]:
+def _first_level(n: int, iso_pruning: bool) -> Sequence[int]:
     """The first graphs the search walks, in ascending order.
 
     Without iso-pruning that is every graph on n vertices.  With it, it is
@@ -229,7 +229,7 @@ def _first_level(n: int, iso_pruning: bool) -> list[int]:
     at n = 6 and 679 of 1,044 at n = 7.
     """
     if not iso_pruning:
-        return list(range(1 << max_edge_count(n)))
+        return range(1 << max_edge_count(n))
     classes = [0]
     for q in range(2, n + 1):
         top = max_edge_count(q - 1)
@@ -253,7 +253,7 @@ def _search_chunk(
     tie_cap: int,
     first_graphs: Sequence[int],
 ) -> dict[str, Any]:
-    """Enumerate all rainbow-free tuples whose first graph lies in `first_graphs`.
+    """Enumerate all rainbow-free t-tuples, t >= 3, whose first graph lies in `first_graphs`.
 
     Each node carries the union of its prefix and the prefix's forbidden
     mask (see `_cross`), so its admissible children are exactly the
@@ -292,12 +292,6 @@ def _search_chunk(
         nodes += 1
         avail = full & ~forbidden
         remaining = t - len(prefix)
-        if remaining == 1:
-            count = avail.bit_count()
-            value = part + count if is_sum else part * count
-            if value >= best:
-                record(prefix + [avail], value)
-            return
         # edges outside avail are forbidden already, so rows can drop them
         rows = {1 << e: _cross(through, union, 1 << e) & avail for e in iter_bits(avail)}
         if remaining == 2:
@@ -412,11 +406,11 @@ def _seed_value(objective: str, n: int, t: int) -> int:
 
 
 def _map(threads: int, fn, items: Sequence):
-    """map(fn, items) in order; in a pool of `threads` processes only for two or more items."""
+    """map(fn, items) in order; in a pool of at most one process per item, for two or more."""
     if threads == 1 or len(items) < 2:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         yield from pool.map(fn, items)
 
 
@@ -505,16 +499,17 @@ def _report(objective: str, n: int, t: int, records: Collection[dict[str, Any]],
 def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: bool,
                     witness_cap: int, checkpoint: str | None) -> SearchReport:
     _require_positive(t=t, threads=threads, witness_cap=witness_cap)
+    _check_vertex_count(n)
     _check_budget(n, t)
     if iso_pruning and n > CANONICAL_MAX_N:
         # refused before any work: the first level would cover all 2^m graphs
         raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")
     started = time.perf_counter()
     seed_value = _seed_value(objective, n, t)
-    if t == 1:
-        # no rainbow constraint is possible; the complete graph, its own
-        # canonical form, is the unique maximizer, one chunk of one node
-        chunks = [[(1 << max_edge_count(n)) - 1]]
+    if t < 3:
+        # a rainbow triangle needs three graphs, so t copies of K_n, their
+        # own canonical form, are the unique maximizer: one chunk of one node
+        chunks = [[(1 << max_edge_count(n)) - 1] * t]
         references = {}
 
         def search(chunk: list[int]) -> dict[str, Any]:
@@ -638,6 +633,7 @@ def local_search_product(n: int, seed: int, *, restarts: int = 8, threads: int =
     if seed is None:
         raise ValueError("local search requires a seed")
     _require_positive(restarts=restarts, threads=threads, witness_cap=witness_cap)
+    _check_vertex_count(n)
     started = time.perf_counter()
     records = list(_map(threads, partial(_local_restart, n, seed), range(restarts)))
     references = {

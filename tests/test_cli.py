@@ -194,20 +194,20 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
     exhaustive_max_product(4, checkpoint=str(fresh))
-    assert json.loads(fresh.read_text())["header"]["format"] == 4
+    assert json.loads(fresh.read_text())["header"]["format"] == 5
 
 
 def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
-    # formats 2 and 3 stored the same record shape, but their nodes and
-    # pruned were counted by the walk before the exact last-slot bound and
-    # by the bit-vector scoring of the last free graph, so a resume would
-    # mix two kinds of counts
+    # formats 2 to 4 stored the same record shape, but their nodes and
+    # pruned were counted by the walk before the exact last-slot bound, by
+    # the bit-vector scoring of the last free graph, and (format 4, t = 2)
+    # over every first graph, so a resume would mix two kinds of counts
     path = tmp_path / "run.json"
     argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(path),
             "--output", "json"]
     assert run(capsys, argv)[0] == 0
     fresh = json.loads(path.read_text())
-    for old_format in (2, 3):
+    for old_format in (2, 3, 4):
         path.write_text(json.dumps({**fresh, "header": {**fresh["header"], "format": old_format}}))
         before = path.read_bytes()
         code, out, err = run(capsys, argv)
@@ -271,6 +271,23 @@ def test_search_t1_takes_the_checks_of_every_search(tmp_path, capsys):
     assert (docs[0]["best_value"], docs[0]["witnesses"]) == ("6", [["3f"]])
     assert (docs[0]["nodes"], docs[0]["pruned"], docs[0]["references"]) == ("1", "0", {})
     assert json.loads(ckpt.read_text())["done"]["0"]["witnesses"] == [[63]]
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "65"])
+@pytest.mark.parametrize("flags", [["--objective", "sum", "--t", "1"],
+                                   ["--objective", "sum", "--t", "2"],
+                                   ["--objective", "sum", "--t", "3"],
+                                   ["--objective", "product"],
+                                   ["--objective", "product", "--local", "--seed", "1"]])
+def test_search_vertex_count_exits_2_with_one_message(tmp_path, capsys, n, flags):
+    ckpt = tmp_path / "run.json"
+    extra = [] if "--local" in flags else ["--checkpoint", str(ckpt)]
+    code, out, err = run(capsys, ["search", "--n", n] + flags + extra + ["--output", "json"])
+    assert code == 2
+    assert out == ""
+    assert f"vertex count must be in 1..64, got {n}" in err
+    # no checkpoint file is left behind
+    assert not ckpt.exists()
 
 
 def _forge_bound_exceeded(record):

@@ -236,6 +236,43 @@ def test_exhaustive_t2_matches_unpruned():
         assert exhaustive_max_sum(n, 2).best_value == brute_force_max("sum", n, 2)
 
 
+@pytest.mark.parametrize("iso_pruning", [False, True])
+def test_exhaustive_t2_is_two_complete_graphs_n8(monkeypatch, iso_pruning):
+    # written down like t = 1: no first level is built, no chunk is searched
+    monkeypatch.setattr(search, "_first_level", lambda *args: pytest.fail("first level built"))
+    monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
+    report = exhaustive_max_sum(8, 2, iso_pruning=iso_pruning)
+    full = (1 << 28) - 1
+    assert report.best_value == 56
+    assert report.witnesses == [(full, full)]
+    assert not report.witness_overflow
+    assert (report.nodes, report.pruned, report.references) == (1, 0, {})
+
+
+@pytest.mark.parametrize("call", [
+    lambda n, **kw: exhaustive_max_sum(n, 1, **kw),
+    lambda n, **kw: exhaustive_max_sum(n, 2, **kw),
+    lambda n, **kw: exhaustive_max_sum(n, 3, **kw),
+    lambda n, **kw: exhaustive_max_product(n, **kw),
+])
+@pytest.mark.parametrize("n", [0, -1, 65])
+def test_exhaustive_checks_the_vertex_count_first(tmp_path, monkeypatch, call, n):
+    # refused before the seed, the budget, the first level or the checkpoint
+    for name in ("_seed_value", "_check_budget", "_first_level", "_save_checkpoint"):
+        monkeypatch.setattr(search, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    path = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match=f"vertex count must be in 1..64, got {n}"):
+        call(n, checkpoint=str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n", [0, 65])
+def test_local_search_checks_the_vertex_count_first(monkeypatch, n):
+    monkeypatch.setattr(search, "_local_restart", lambda *args: pytest.fail("restart run"))
+    with pytest.raises(ValueError, match=f"vertex count must be in 1..64, got {n}"):
+        local_search_product(n, 1)
+
+
 def test_witnesses_reset_when_the_best_rises_above_the_seed(monkeypatch):
     # at n = 2 the t = 3 seed (K2, K2, empty) is below the optimum: without a
     # triangle, three copies of K2 win, and no tuple of the seed value may
@@ -359,9 +396,14 @@ def test_search_chunk_matches_the_reference_walk(objective, n, t, iso_pruning):
     first = _first_level(n, iso_pruning)
     for incumbent in (_seed_value(objective, n, t), 0):
         for tie_cap in (1, 2, 3, 65):
+            expected = reference_search_chunk(objective, n, t, incumbent, tie_cap, first)
+            if t < 3:
+                # t <= 2 is written down, not walked: the walk must find that record
+                report = exhaustive_max_sum(n, t, iso_pruning=iso_pruning, witness_cap=tie_cap)
+                assert (report.best_value, report.witnesses) == expected
+                continue
             record = _search_chunk(objective, n, t, incumbent, tie_cap, first)
-            assert (record["best"], record["witnesses"]) == reference_search_chunk(
-                objective, n, t, incumbent, tie_cap, first)
+            assert (record["best"], record["witnesses"]) == expected
 
 
 @pytest.mark.parametrize("objective", ["sum", "product"])
@@ -478,41 +520,70 @@ def test_budget_enforced(monkeypatch):
         exhaustive_max_sum(3, 3)
 
 
+# setups whose seed is the optimum, so no chunk's incumbent rises and the
+# counters, not only the results, are the same however the work is split
+SEEDED_AT_THE_OPTIMUM = [(exhaustive_max_sum, (4, 3)), (exhaustive_max_sum, (4, 4)),
+                         (exhaustive_max_product, (4,))]
+
+
+def counted(report):
+    return (report.best_value, report.witnesses, report.witness_overflow,
+            report.nodes, report.pruned)
+
+
 def test_thread_count_invariance(monkeypatch):
-    monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
-    base = exhaustive_max_sum(4, 3)
-    threaded = exhaustive_max_sum(4, 3, threads=2)
-    assert base.best_value == threaded.best_value
-    assert base.witnesses == threaded.witnesses
-    assert base.witness_overflow == threaded.witness_overflow
-    # one first graph per chunk at t = 2: the seed is the optimum t * C(n, 2),
-    # which every chunk prunes against, so the counters match too
     monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
-    for n in (3, 4):
-        base = exhaustive_max_sum(n, 2)
-        threaded = exhaustive_max_sum(n, 2, threads=2)
-        assert (base.best_value, base.witnesses, base.nodes, base.pruned) == (
-            threaded.best_value,
-            threaded.witnesses,
-            threaded.nodes,
-            threaded.pruned,
-        )
+    for entry, args in SEEDED_AT_THE_OPTIMUM:
+        for iso_pruning in (False, True):
+            base = entry(*args, iso_pruning=iso_pruning)
+            threaded = entry(*args, iso_pruning=iso_pruning, threads=2)
+            assert counted(base) == counted(threaded)
+            assert threaded.config["threads"] == 2
 
 
 def test_chunk_size_invariance_t2(monkeypatch):
-    # the t = 2 seed is the optimum t * C(n, 2), so no chunk's incumbent rises
-    reports = []
-    for c in (1, 4, 64):
-        monkeypatch.setattr(search, "_CHUNK_SIZE", c)
-        reports.append(exhaustive_max_sum(4, 2))
-    assert reports[0].best_value == 12
-    for r in reports[1:]:
-        assert (r.nodes, r.pruned, r.best_value, r.witnesses) == (
-            reports[0].nodes,
-            reports[0].pruned,
-            reports[0].best_value,
-            reports[0].witnesses,
-        )
+    # t = 2 is one written-down chunk whatever the chunk size; the t >= 3
+    # setups seeded at their optimum keep their counters too
+    for entry, args in [(exhaustive_max_sum, (4, 2))] + SEEDED_AT_THE_OPTIMUM:
+        for iso_pruning in (False, True):
+            reports = []
+            for c in (1, 4, 64):
+                monkeypatch.setattr(search, "_CHUNK_SIZE", c)
+                reports.append(counted(entry(*args, iso_pruning=iso_pruning)))
+            assert reports[0] == reports[1] == reports[2]
+
+
+class InProcessPool:
+    """ProcessPoolExecutor stand-in that records max_workers and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_sized_by_the_work(monkeypatch):
+    # asking for more threads than there are restarts or chunks starts one
+    # process per item, not one per thread
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    local = local_search_product(6, 1, threads=5000)
+    assert local.config["threads"] == 5000
+    assert counted(local) == counted(local_search_product(6, 1))
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 16)
+    exhaustive = exhaustive_max_product(4, threads=5000)
+    assert exhaustive.config["threads"] == 5000
+    assert counted(exhaustive) == counted(exhaustive_max_product(4))
+    assert InProcessPool.sizes == [8, 4]
 
 
 def test_exhaustive_run_to_run_determinism():

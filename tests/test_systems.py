@@ -186,14 +186,14 @@ def test_witness_matches_reference_dense():
     # are rainbow-free for every t; one extra edge in the last graph makes
     # only the triangles through it rainbow, late ones for an edge at the top
     rng = random.Random(31)
-    for n, rounds in ((32, 3), (64, 1)):
+    for n, rounds, copies in ((32, 3, [*range(3, 9), 16, 32]), (64, 1, range(3, 9))):
         kn, bip = Graph.complete(n), Graph.complete_bipartite(n // 2, n - n // 2)
         for _ in range(rounds):
             order = list(range(n))
             rng.shuffle(order)
             m = Graph.from_edges(n, [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)])
             extra = [e for e in ((n - 1, n - 2), (n - 1, n - 3), (0, 1)) if not m.has_edge(*e)]
-            for t in range(3, 9):
+            for t in copies:
                 for graphs in ([kn] + [m] * (t - 1), [bip] * t):
                     assert find_rainbow_triangle(GraphSystem.of(*graphs)) is None
                     assert reference_witness(GraphSystem.of(*graphs)) is None
