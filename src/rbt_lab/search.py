@@ -1,19 +1,23 @@
 """Exhaustive and heuristic maximization over rainbow-triangle-free systems.
 
 Graphs are C(n,2)-bit integers in colex order, so a system is a tuple of
-ints and the whole search runs on machine words.  Exhaustive search
-enumerates ordered tuples level by level with branch-and-bound.  Each
-node carries its prefix's forbidden-edge mask: the edges that would close
-a triangle whose other two edges lie in two distinct prefix graphs.  A
-graph can be appended without creating a rainbow triangle iff it avoids
-that mask, so only admissible children are ever generated, as submasks of
-its complement.  The final slot is never enumerated: every subset of the
-complement is admissible, so the maximizing last graph is the complement
-itself.  The last two graphs are then a pair of edge sets with no
-conflicting edges across, and every maximizer is a closed pair of that
-symmetric relation: neither graph can gain an edge.  A node whose
-children are the last free graph lists only those pairs, by Close-by-One,
-and cuts every branch that cannot reach the best value found so far.
+ints and the whole search runs on machine words.  Both objectives and
+rainbow-freeness are unchanged when the graphs are permuted, so exhaustive
+search enumerates only tuples with |G1| >= |G2| >= ... >= |Gt|, level by
+level with branch-and-bound, and expands each maximizer found to all of
+its orderings (lex-leader symmetry breaking; Crawford, Ginsberg, Luks and
+Roy, 1996).  Each node carries its prefix's forbidden-edge mask: the edges
+that would close a triangle whose other two edges lie in two distinct
+prefix graphs.  A graph can be appended without creating a rainbow
+triangle iff it avoids that mask, so only admissible children are ever
+generated, as subsets of its complement.  The final slot is never
+enumerated: every subset of the complement is admissible, so the
+maximizing last graph is the complement itself.  The last two graphs are
+then a pair of edge sets with no conflicting edges across, and every
+maximizer is a closed pair of that symmetric relation: neither graph can
+gain an edge.  A node whose children are the last free graph lists only
+those pairs, by Close-by-One, and cuts every branch that cannot reach the
+best value found so far.
 
 Parallel runs split the first-graph range into fixed-size chunks, each
 pruned against the same seed value, whose results merge deterministically;
@@ -35,9 +39,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import permutations
 from math import prod
 from pathlib import Path
-from typing import Any, Collection, Sequence
+from typing import Any, Callable, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .certify import theory_bound
@@ -51,7 +56,7 @@ DEFAULT_BUDGET_BITS = 32
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record or the meaning of its counters
 # changes, so older files are refused
-_CHECKPOINT_FORMAT = 5
+_CHECKPOINT_FORMAT = 6
 
 
 def _require_positive(**options: int) -> None:
@@ -66,11 +71,15 @@ class SearchReport:
 
     `_report` merges the records of all search units into it.  witnesses
     hold each graph as its colex bit integer, in canonical form up to
-    n = CANONICAL_MAX_N = 8 and raw above it.  In exhaustive mode nodes
-    counts expanded partial tuples and pruned counts admissible
-    (rainbow-free) children cut by the optimistic bound.  At the last two
-    graphs nodes counts the closed pairs visited and pruned the
-    Close-by-One branches cut by the bound.  For t <= 2 the answer, t
+    n = CANONICAL_MAX_N = 8 and raw above it; when there are more than
+    the cap, the least ones are kept.  In exhaustive mode only tuples with
+    |G1| >= ... >= |Gt| are walked, and every ordering of each maximizer
+    found is a witness.  nodes counts the expanded partial tuples of that
+    walk and pruned counts the first graphs, the admissible (rainbow-free)
+    children and the whole subtrees of children cut by the optimistic
+    bound.  At the last two graphs nodes counts the closed pairs visited
+    and pruned the Close-by-One branches cut by the bound or by the edge
+    count of the graph before them.  For t <= 2 the answer, t
     copies of K_n, is written down: one node, none pruned, no references.
     In local mode nodes counts the fill moves examined, 3 * C(n,2) per
     random restart, and pruned counts the moves refused by the
@@ -253,23 +262,27 @@ def _search_chunk(
     tie_cap: int,
     first_graphs: Sequence[int],
 ) -> dict[str, Any]:
-    """Enumerate all rainbow-free t-tuples, t >= 3, whose first graph lies in `first_graphs`.
+    """Search the rainbow-free t-tuples, t >= 3, whose first graph lies in `first_graphs`.
 
+    Only tuples with |G1| >= |G2| >= ... >= |Gt| are walked: each graph
+    has at most cap = |previous graph| edges, and every later graph at
+    most min(room, cap), where room counts the edges it may still use.
     Each node carries the union of its prefix and the prefix's forbidden
     mask (see `_cross`), so its admissible children are exactly the
-    submasks of the complement `avail` of that mask.  Later graphs only
-    lose edges, so a child g leaves room for at most the edges of `avail`
-    outside `cross[g]` in every later graph; that bound prunes the walk
-    above the last two graphs, where children are walked in ascending
-    order.  The last two graphs are listed as closed pairs by
-    `close_pairs`, which records its hits in the same order.
+    subsets of the complement `avail` of that mask.  Above the last two
+    graphs the children are walked depth first, adding edges of avail in
+    ascending order up to cap; room only shrinks as a child grows, which
+    bounds its whole subtree.  The last two graphs are listed as closed
+    pairs by `close_pairs`.
 
-    Returns the chunk record: the chunk-local best value, the sorted
-    tuples attaining it, and node/prune counters.  Only the current best
-    is tracked, so the witness set resets whenever it rises; it keeps at
-    most tie_cap tuples, and the caller passes one more than it reports,
-    so a full set is how it sees an overflow.  Pruning is strict, so
-    tuples tying the incumbent are always visited.
+    Returns the chunk record: the chunk-local best value, its witnesses
+    and node/prune counters.  Each hit is recorded with all its orderings,
+    canonicalized; relabeling commutes with permuting the graphs, so these
+    are the witnesses a walk over every order would find.  Only the
+    current best is tracked, so the witness set resets whenever it rises;
+    it keeps the least tie_cap witnesses, and the caller passes one more
+    than it reports, so a full set is how it sees an overflow.  Pruning is
+    strict, so tuples tying the incumbent are always visited.
     """
     m = max_edge_count(n)
     full = (1 << m) - 1
@@ -284,54 +297,70 @@ def _search_chunk(
         nonlocal best, witnesses
         if value > best:
             best, witnesses = value, set()
-        if len(witnesses) < tie_cap:
-            witnesses.add(_canonical_witness(n, tuple(graphs)))
+        first = _canonical_witness(n, tuple(graphs))
+        if first in witnesses:
+            return  # it came with every ordering of its tuple
+        witnesses.update(_canonical_witness(n, p) for p in set(permutations(first)))
+        if len(witnesses) > 2 * tie_cap:
+            # a witness dropped here stays out: tie_cap smaller ones are kept
+            witnesses = set(sorted(witnesses)[:tie_cap])
 
     def extend(prefix: list[int], part: int, union: int, forbidden: int) -> None:
-        nonlocal nodes, pruned
+        nonlocal nodes
         nodes += 1
         avail = full & ~forbidden
         remaining = t - len(prefix)
+        cap = prefix[-1].bit_count()
         # edges outside avail are forbidden already, so rows can drop them
         rows = {1 << e: _cross(through, union, 1 << e) & avail for e in iter_bits(avail)}
-        if remaining == 2:
-            close_pairs(prefix, part, avail, rows)
-            return
-        # cross[g] = edges closing a triangle with one edge in g, one in union;
-        # each submask extends one visited earlier by its lowest edge
-        cross = {0: 0}
-        g = 0
-        while True:
-            gc = g.bit_count()
-            cand = part + gc if is_sum else part * gc
-            room = (avail & ~cross[g]).bit_count()
+
+        def bound(count: int, later: int) -> int:
+            # the value with count edges here and later in each graph after
             if is_sum:
-                optimistic = cand + (remaining - 1) * room
-            else:
-                optimistic = cand * room ** (remaining - 1)
-            if optimistic < best:
+                return part + count + (remaining - 1) * later
+            return part * count * later ** (remaining - 1)
+
+        if remaining == 2:
+            close_pairs(prefix, avail, cap, rows, bound)
+            return
+
+        def walk(g: int, cross: int, above: int) -> None:
+            # cross: edges closing a triangle with one edge in g, one in union
+            nonlocal pruned
+            gc = g.bit_count()
+            room = (avail & ~cross).bit_count()
+            if bound(gc, min(room, gc)) < best:
                 pruned += 1
             else:
                 prefix.append(g)
-                extend(prefix, cand, union | g, forbidden | cross[g])
+                extend(prefix, part + gc if is_sum else part * gc, union | g, forbidden | cross)
                 prefix.pop()
-            g = (g - avail) & avail
-            if not g:
-                break
-            low = g & -g
-            cross[g] = cross[g ^ low] | rows[low]
+            free = avail & -above
+            if gc == cap or not free:
+                return
+            # the graphs in g's subtree add edges of free only, and room only shrinks
+            if bound(min(cap, gc + free.bit_count()), min(room, cap)) < best:
+                pruned += 1
+                return
+            while free:
+                bit = free & -free
+                free ^= bit
+                walk(g | bit, cross | rows[bit], bit << 1)
 
-    def close_pairs(prefix: list[int], part: int, avail: int, rows: dict[int, int]) -> None:
+        walk(0, 0, 1)
+
+    def close_pairs(prefix: list[int], avail: int, cap: int, rows: dict[int, int],
+                    score: Callable[[int, int], int]) -> None:
         """Record the closed pairs (g, h) of the last two graphs that reach the best.
 
-        Edge x of g and edge y of h conflict iff x is in rows[y], a
+        score(|g|, |h|) is the value of the tuple.  Edge x of g and edge y of h conflict iff x is in rows[y], a
         symmetric relation, and every tuple of the best value is a closed
         pair: each of g and h is every edge of avail that conflicts with
         nothing in the other, or one could gain an edge.  Close-by-One
         (Kuznetsov 1993) visits each closed pair once; down its tree g
         only grows and h only shrinks, which bounds a branch before its
-        closure.  Hits are recorded in ascending g, the order of a walk
-        over every choice of g.
+        closure.  A sorted tuple also needs cap >= |g| >= |h|, so a node
+        whose g has more than cap edges is cut with its subtree.
         """
         nonlocal nodes, pruned
 
@@ -350,37 +379,48 @@ def _search_chunk(
             nonlocal nodes, pruned, bar
             nodes += 1
             gc, hc = g.bit_count(), h.bit_count()
-            value = part + gc + hc if is_sum else part * gc * hc
-            if value >= bar:
-                bar = value
-                hits.append((g, h, value))
+            if hc <= gc and score(gc, hc) >= bar:
+                bar = score(gc, hc)
+                hits.append((g, h, bar))
             free = avail & ~g & -above
+            if gc == cap:
+                # every branch adds an edge to g
+                pruned += free.bit_count()
+                return
             while free:
                 bit = free & -free
                 free ^= bit
                 # g gains at most this edge and every free one above it, h only loses
-                reach = gc + 1 + free.bit_count()
-                if (part + reach + hc if is_sum else part * reach * hc) < bar:
+                reach = min(cap, gc + 1 + free.bit_count())
+                if score(reach, min(hc, reach)) < bar:
                     # so this branch and every later one, with fewer edges above, is cut
                     pruned += 1 + free.bit_count()
                     break
                 nh = h & ~rows[bit]
-                if (part + reach + nh.bit_count() if is_sum
-                        else part * reach * nh.bit_count()) < bar:
+                if score(reach, min(nh.bit_count(), reach)) < bar:
                     pruned += 1
                     continue
                 ng = derive(nh)
-                if not (ng ^ g) & (bit - 1):
+                if (ng ^ g) & (bit - 1):
+                    continue
+                if ng.bit_count() > cap:
+                    pruned += 1
+                else:
                     visit(ng, nh, bit << 1)
 
-        visit(derive(avail), avail, 1)
-        for g, h, value in sorted(hits):
+        g = derive(avail)
+        if g.bit_count() > cap:
+            pruned += 1
+        else:
+            visit(g, avail, 1)
+        for g, h, value in hits:
             if value >= best:
                 record(prefix + [g, h], value)
 
     for g1 in first_graphs:
         cand = g1.bit_count()
-        optimistic = cand + (t - 1) * m if is_sum else cand * m ** (t - 1)
+        # every later graph has at most |g1| edges
+        optimistic = t * cand if is_sum else cand ** t
         if optimistic < best:
             pruned += 1
             continue
@@ -388,7 +428,7 @@ def _search_chunk(
 
     return {
         "best": best,
-        "witnesses": sorted(witnesses),
+        "witnesses": sorted(witnesses)[:tie_cap],
         "nodes": nodes,
         "pruned": pruned,
     }

@@ -67,7 +67,11 @@ class GraphSystem:
             return {"n": self.n, "hex": [g.to_hex() for g in self.graphs]}
         return {
             "n": self.n,
-            "graphs": [[[e.u, e.v] for e in g.edges()] for g in self.graphs],
+            # the order of Graph.edges(), ascending colex, without an Edge per edge
+            "graphs": [
+                [[u, v] for v, row in enumerate(g.rows) for u in iter_bits(row & ((1 << v) - 1))]
+                for g in self.graphs
+            ],
         }
 
     def to_json(self, compact: bool = False) -> str:

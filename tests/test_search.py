@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -148,32 +148,39 @@ def reference_first_level(n):
 def reference_search_chunk(objective, n, t, incumbent, tie_cap, first_graphs):
     """The per-submask walk with the loose bound, the oracle for `search._search_chunk`.
 
-    Every admissible child is walked in ascending order and cut only when
-    even m edges in each later graph could not reach the running best; the
-    last graph is read off the forbidden mask.  Returns best and witnesses
-    of the chunk record.
+    Every admissible child with no more edges than the graph before it is
+    walked in ascending order and cut only when even m edges in each later
+    graph could not reach the running best; the last graph h is read off
+    the forbidden mask.  A chunk record covers the sorted tuples whose last
+    two graphs (g, h) form a closed pair, so a leaf counts only when g is
+    every edge its slot allowed that h leaves free, and |h| <= |g|.  Each
+    hit stands for all its orderings, canonicalized.  Returns best and the
+    least tie_cap witnesses of the chunk record.
     """
     m = max_edge_count(n)
     full = (1 << m) - 1
     through = _through_pairs(n)
     is_sum = objective == "sum"
     best = incumbent
-    witnesses = set()
+    hits = set()
 
-    def extend(prefix, part, union, forbidden):
-        nonlocal best, witnesses
+    def extend(prefix, part, union, forbidden, slot):
+        # slot: the avail and union under which prefix[-1] was chosen
+        nonlocal best, hits
         avail = full & ~forbidden
         if len(prefix) == t - 1:
             count = avail.bit_count()
             value = part + count if is_sum else part * count
-            if value < best:
+            if value < best or count > prefix[-1].bit_count():
+                return
+            if prefix[-1] != slot[0] & ~_cross(through, slot[1], avail):
                 return
             if value > best:
-                best, witnesses = value, set()
-            if len(witnesses) < tie_cap:
-                witnesses.add(canonical_system_bits(n, tuple(prefix) + (avail,)))
+                best, hits = value, set()
+            hits.add(tuple(prefix) + (avail,))
             return
         remaining = t - len(prefix)
+        cap = prefix[-1].bit_count()
         rows = [_cross(through, union, 1 << e) for e in range(m)]
         cross = {0: 0}
         g = 0
@@ -181,9 +188,9 @@ def reference_search_chunk(objective, n, t, incumbent, tie_cap, first_graphs):
             gc = g.bit_count()
             cand = part + gc if is_sum else part * gc
             optimistic = cand + (remaining - 1) * m if is_sum else cand * m ** (remaining - 1)
-            if optimistic >= best:
+            if gc <= cap and optimistic >= best:
                 prefix.append(g)
-                extend(prefix, cand, union | g, forbidden | cross[g])
+                extend(prefix, cand, union | g, forbidden | cross[g], (avail, union))
                 prefix.pop()
             g = (g - avail) & avail
             if not g:
@@ -194,8 +201,9 @@ def reference_search_chunk(objective, n, t, incumbent, tie_cap, first_graphs):
     for g1 in first_graphs:
         cand = g1.bit_count()
         if (cand + (t - 1) * m if is_sum else cand * m ** (t - 1)) >= best:
-            extend([g1], cand, g1, 0)
-    return best, sorted(witnesses)
+            extend([g1], cand, g1, 0, (full, 0))
+    witnesses = {canonical_system_bits(n, p) for hit in hits for p in permutations(hit)}
+    return best, sorted(witnesses)[:tie_cap]
 
 
 def system_value(objective: str, s: GraphSystem) -> int:
@@ -357,13 +365,26 @@ def test_exhaustive_n5_pinned():
     full = (1 << 10) - 1
     assert report.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
     assert not report.witness_overflow
-    # counters, not results: 1,024 first graphs expanded plus the closed
-    # (G2, G3) pairs visited; pruned counts the Close-by-One branches cut
-    assert (report.nodes, report.pruned) == (6_210, 35_725)
+    # counters, not results: the 176 first graphs with at least 20/3 edges
+    # expanded plus the closed (G2, G3) pairs visited; pruned counts the
+    # other first graphs and the Close-by-One branches cut
+    assert (report.nodes, report.pruned) == (959, 6_380)
     product = exhaustive_max_product(5)
-    assert (product.nodes, product.pruned) == (7_849, 42_613)
+    assert (product.nodes, product.pruned) == (2_867, 16_309)
     wide = exhaustive_max_sum(4, 5)
-    assert (wide.nodes, wide.pruned) == (214, 13_021)
+    assert (wide.nodes, wide.pruned) == (31, 474)
+
+
+@pytest.mark.parametrize("n, t, budget", [(5, 5, 40), (5, 6, 50), (6, 4, 45), (6, 5, 60)])
+def test_exhaustive_t4_and_above_pinned(monkeypatch, n, t, budget):
+    # the t >= 4 sum theorem: t * floor(n^2/4), met only by t copies of the
+    # balanced complete bipartite graph
+    monkeypatch.setenv("RBT_LAB_BUDGET", str(budget))
+    report = exhaustive_max_sum(n, t, iso_pruning=True)
+    assert report.best_value == report.references["seed_value"] == t * (n * n // 4)
+    expected = balanced_bipartite_system(n, t)
+    assert report.witnesses == [canonical_system_bits(n, tuple(g.to_bits() for g in expected.graphs))]
+    assert not report.witness_overflow
 
 
 def test_exhaustive_n7_pinned(monkeypatch):
@@ -382,6 +403,26 @@ def test_exhaustive_n7_pinned(monkeypatch):
     assert not product.witness_overflow and not total.witness_overflow
 
 
+# sum at n <= 5 over t = 3..5, and product at n <= 6, each with every witness
+ORDERING_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(3, 6)] + [
+    ("product", n, 3) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("objective, n, t", ORDERING_SETUPS)
+def test_witness_set_is_closed_under_graph_order(monkeypatch, objective, n, t):
+    # the search walks one order of the graphs; every other order of every
+    # witness, canonicalized, must come back from the expansion
+    monkeypatch.setenv("RBT_LAB_BUDGET", "40")
+    if objective == "sum":
+        report = exhaustive_max_sum(n, t, iso_pruning=True, witness_cap=10**6)
+    else:
+        report = exhaustive_max_product(n, iso_pruning=True, witness_cap=10**6)
+    assert report.witnesses and not report.witness_overflow
+    found = set(report.witnesses)
+    for w in report.witnesses:
+        assert {canonical_system_bits(n, p) for p in permutations(w)} <= found
+
+
 # the sizes the old 2^(C(n,2)*t) budget admitted, where the reference walk
 # stays within a second
 ORACLE_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(2, 7)
@@ -391,8 +432,8 @@ ORACLE_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(2, 7)
 @pytest.mark.parametrize("objective, n, t", ORACLE_SETUPS)
 @pytest.mark.parametrize("iso_pruning", [False, True])
 def test_search_chunk_matches_the_reference_walk(objective, n, t, iso_pruning):
-    # from incumbent 0 the best rises inside a node, so the order in which
-    # its ties are recorded is checked too
+    # from incumbent 0 the best rises inside a node, so the ties dropped
+    # when it rises, and the least ones kept under a small cap, are checked too
     first = _first_level(n, iso_pruning)
     for incumbent in (_seed_value(objective, n, t), 0):
         for tie_cap in (1, 2, 3, 65):
@@ -408,8 +449,8 @@ def test_search_chunk_matches_the_reference_walk(objective, n, t, iso_pruning):
 
 @pytest.mark.parametrize("objective", ["sum", "product"])
 def test_search_chunk_matches_the_reference_walk_n6(objective):
-    # from incumbent 0 the best rises inside the chunk, so the order in
-    # which ties are kept and dropped is checked too
+    # from incumbent 0 the best rises inside the chunk, so the ties kept
+    # and dropped are checked too
     classes = random.Random(6).sample(_first_level(6, True), 8)
     for chunk in (sorted(classes[:4]), sorted(classes[4:])):
         for tie_cap in (2, 3, 65):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, permutations
 
@@ -345,6 +346,16 @@ def test_json_round_trip_both_forms():
         )
         assert system_from_json(s.to_json(compact=False)) == s
         assert system_from_json(s.to_json(compact=True)) == s
+
+
+def test_json_edge_lists_follow_graph_edges():
+    # the edge-list form is built from the rows, in the order of Graph.edges()
+    rng = random.Random(778)
+    for n in (1, 2, 5, 32, 64):
+        for t in (1, 3, 8):
+            s = random_system(rng, n, t)
+            doc = {"n": n, "graphs": [[[e.u, e.v] for e in g.edges()] for g in s.graphs]}
+            assert json.dumps(s.to_json_dict(), indent=2) == json.dumps(doc, indent=2)
 
 
 def test_json_parse_examples():
