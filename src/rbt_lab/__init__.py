@@ -15,7 +15,7 @@ from .matching import (
     maximum_matching,
 )
 from .partition import MantelPartition, mantel_edge_bound, mantel_partition, verify_partition
-from .reports import CertReport, PreconditionError, RainbowFoundError, make_report
+from .reports import CertReport, PreconditionError, RainbowFoundError
 from .systems import (
     GraphSystem,
     RainbowWitness,

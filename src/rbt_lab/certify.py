@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 from .graph import Graph, max_edge_count
 from .matching import MatchingResult, matching_number
 from .partition import mantel_partition
-from .reports import CertReport, PreconditionError, RainbowFoundError, make_report
+from .reports import CertReport, PreconditionError, RainbowFoundError
 from .systems import GraphSystem, find_rainbow_triangle, triangle_incidence
 
 
@@ -98,7 +98,7 @@ def certify_sum_t3(s: GraphSystem) -> CertReport:
     witness: dict = {"edge_counts": list(s.edge_counts())}
     if value == bound and s.n >= 5:
         witness["equality_pattern"] = matches_two_complete_one_empty(s)
-    return make_report("sum-t3", value, bound, witness)
+    return CertReport("sum-t3", value, bound, witness)
 
 
 def certify_sum_t(s: GraphSystem) -> CertReport:
@@ -108,7 +108,7 @@ def certify_sum_t(s: GraphSystem) -> CertReport:
     _require_rbt_free(s, "sum-t")
     value = s.total_edges()
     bound = theory_bound("sum", s.n, s.t)
-    return make_report("sum-t", value, bound, {"edge_counts": list(s.edge_counts())})
+    return CertReport("sum-t", value, bound, {"edge_counts": list(s.edge_counts())})
 
 
 # -- triple bounds through the first graph's structure --------------------------
@@ -122,7 +122,7 @@ def certify_weighted_sum(b: Graph, c: Graph, d: Graph) -> CertReport:
     value = 2 * b.edge_count() + c.edge_count() + d.edge_count()
     bound = 4 * floor_quarter_sq(b.n)
     witness = {"edge_counts": [b.edge_count(), c.edge_count(), d.edge_count()]}
-    return make_report("weighted", value, bound, witness)
+    return CertReport("weighted", value, bound, witness)
 
 
 def certify_nearly_matchable(b: Graph, c: Graph, d: Graph) -> CertReport:
@@ -135,7 +135,7 @@ def certify_nearly_matchable(b: Graph, c: Graph, d: Graph) -> CertReport:
     _triple(b, c, d, "nearly-matchable")
     value = c.edge_count() + d.edge_count()
     bound = 2 * floor_quarter_sq(b.n)
-    return make_report("nearly-matchable", value, bound, {"matching_size": ell})
+    return CertReport("nearly-matchable", value, bound, {"matching_size": ell})
 
 
 def certify_product_nested(b: Graph, c: Graph, d: Graph) -> CertReport:
@@ -148,7 +148,7 @@ def certify_product_nested(b: Graph, c: Graph, d: Graph) -> CertReport:
     value = b.edge_count() * c.edge_count() * d.edge_count()
     bound = theory_bound("product", b.n, 3)
     witness = {"edge_counts": [b.edge_count(), c.edge_count(), d.edge_count()]}
-    return make_report("product-nested", value, bound, witness)
+    return CertReport("product-nested", value, bound, witness)
 
 
 def conjecture_margin(b: Graph, c: Graph, d: Graph) -> CertReport:
@@ -165,7 +165,7 @@ def conjecture_margin(b: Graph, c: Graph, d: Graph) -> CertReport:
         "system_hex": [g.to_hex() for g in s.graphs],
         "counterexample": value > bound,
     }
-    return make_report("conjecture", value, bound, witness)
+    return CertReport("conjecture", value, bound, witness)
 
 
 def certify_triangle_incidence(s: GraphSystem) -> CertReport:
@@ -183,7 +183,7 @@ def certify_triangle_incidence(s: GraphSystem) -> CertReport:
                 if count > worst:
                     worst = count
                     worst_z = [a, b, c]
-    return make_report("triangle-incidence", worst, 6, {"worst_3set": worst_z})
+    return CertReport("triangle-incidence", worst, 6, {"worst_3set": worst_z})
 
 
 # -- matching-partition parameter bounds ----------------------------------------
@@ -260,8 +260,8 @@ def certify_partition_bounds(b: Graph, c: Graph, d: Graph) -> CertReport:
         "cd_bound": cd_bound,
     }
     if b_bound - b_value <= cd_bound - cd_value:
-        return make_report("prop31", b_value, b_bound, witness)
-    return make_report("prop31", cd_value, cd_bound, witness)
+        return CertReport("prop31", b_value, b_bound, witness)
+    return CertReport("prop31", cd_value, cd_bound, witness)
 
 
 def check_unmatched_cross_degree(

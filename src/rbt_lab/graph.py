@@ -3,7 +3,7 @@
 Vertices are dense labels 0..n-1.  A vertex set is a plain int bitmask, so
 set algebra is single-word AND/OR/popcount.  Edge serialization order is
 colexicographic: index(u, v) = v(v-1)/2 + u for u < v, which is prefix-stable
-as n grows.  Graphs are immutable values; edge toggling returns a new graph.
+as n grows.  Graphs are immutable values.
 """
 
 from __future__ import annotations
@@ -213,12 +213,6 @@ class Graph:
     def degree(self, x: int) -> int:
         return self.rows[x].bit_count()
 
-    def neighborhood(self, x: int) -> int:
-        """Neighbor bitmask of x (x itself never included)."""
-        if not 0 <= x < self.n:
-            raise ValueError(f"vertex {x} out of range for n={self.n}")
-        return self.rows[x]
-
     def degree_into(self, x: int, targets: int) -> int:
         """Number of neighbors of x inside the target mask; x in targets is ignored."""
         if not 0 <= x < self.n:
@@ -258,7 +252,7 @@ class Graph:
                     return False
         return True
 
-    # -- algebra and mutation-by-copy ---------------------------------------
+    # -- algebra -----------------------------------------------------------
 
     def _require_same_n(self, other: Graph) -> None:
         if self.n != other.n:
@@ -275,53 +269,6 @@ class Graph:
     def is_subgraph_of(self, other: Graph) -> bool:
         self._require_same_n(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def with_edge(self, u: int, v: int) -> Graph:
-        e = edge(u, v)
-        if e.v >= self.n:
-            raise ValueError(f"edge ({u}, {v}) has vertex >= n={self.n}")
-        rows = list(self.rows)
-        rows[e.u] |= 1 << e.v
-        rows[e.v] |= 1 << e.u
-        return Graph._trusted(self.n, rows)
-
-    def without_edge(self, u: int, v: int) -> Graph:
-        e = edge(u, v)
-        if e.v >= self.n:
-            raise ValueError(f"edge ({u}, {v}) has vertex >= n={self.n}")
-        rows = list(self.rows)
-        rows[e.u] &= ~(1 << e.v)
-        rows[e.v] &= ~(1 << e.u)
-        return Graph._trusted(self.n, rows)
-
-    def toggle_edge(self, u: int, v: int) -> Graph:
-        return self.without_edge(u, v) if self.has_edge(u, v) else self.with_edge(u, v)
-
-    def delete_vertex(self, x: int) -> Graph:
-        """Subgraph on the remaining n-1 vertices, labels above x shifted down."""
-        if not 0 <= x < self.n:
-            raise ValueError(f"vertex {x} out of range for n={self.n}")
-        if self.n == 1:
-            raise ValueError("cannot delete the only vertex")
-        low = (1 << x) - 1
-        rows = []
-        for v in range(self.n):
-            if v == x:
-                continue
-            row = self.rows[v]
-            rows.append((row & low) | ((row >> (x + 1)) << x))
-        return Graph._trusted(self.n - 1, rows)
-
-    def relabel(self, perm: list[int] | tuple[int, ...]) -> Graph:
-        """Image under the vertex permutation v -> perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("not a permutation of 0..n-1")
-        rows = [0] * self.n
-        for v, row in enumerate(self.rows):
-            pv = perm[v]
-            for u in iter_bits(row):
-                rows[pv] |= 1 << perm[u]
-        return Graph._trusted(self.n, rows)
 
     # -- serialization -------------------------------------------------------
 

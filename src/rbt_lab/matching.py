@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import Edge, Graph, iter_bits
-from .reports import CertReport, PreconditionError, make_report
+from .reports import CertReport, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,7 @@ def bipartite_deficiency_check(b: Graph, left: int, right: int) -> CertReport:
 
     nu = matching_number(b)
     if nu == q:
-        report = make_report("bipartite-deficiency", b.edge_count(), q * q,
-                             witness={"q": q, "nu": nu, "applicable": False})
-        return report
-    return make_report("bipartite-deficiency", b.edge_count(), (q - 1) * q,
-                       witness={"q": q, "nu": nu, "applicable": True})
+        return CertReport("bipartite-deficiency", b.edge_count(), q * q,
+                          witness={"q": q, "nu": nu, "applicable": False})
+    return CertReport("bipartite-deficiency", b.edge_count(), (q - 1) * q,
+                      witness={"q": q, "nu": nu, "applicable": True})

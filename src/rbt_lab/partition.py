@@ -13,7 +13,7 @@ from typing import Any
 
 from .graph import Graph, iter_bits, mask_of
 from .matching import matching_number, maximum_matching
-from .reports import CertReport, PreconditionError, make_report
+from .reports import CertReport, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -94,5 +94,5 @@ def mantel_edge_bound(g: Graph) -> CertReport:
     if not g.is_triangle_free():
         raise PreconditionError("graph contains a triangle")
     ell = matching_number(g)
-    return make_report("mantel-edge-bound", g.edge_count(), ell * (g.n - ell),
-                       witness={"matching_size": ell, "n": g.n})
+    return CertReport("mantel-edge-bound", g.edge_count(), ell * (g.n - ell),
+                      witness={"matching_size": ell, "n": g.n})

@@ -7,7 +7,7 @@ to 53-bit floats never truncate silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -33,9 +33,15 @@ class CertReport:
     claim: str
     value: int
     bound: int
-    slack: int
-    tight: bool
-    witness: dict[str, Any] | None = field(default=None)
+    witness: dict[str, Any] | None = None
+
+    @property
+    def slack(self) -> int:
+        return self.bound - self.value
+
+    @property
+    def tight(self) -> bool:
+        return self.slack == 0
 
     @property
     def passed(self) -> bool:
@@ -51,9 +57,3 @@ class CertReport:
             "witness": self.witness,
         }
 
-
-def make_report(claim: str, value: int, bound: int, witness: dict[str, Any] | None = None) -> CertReport:
-    """Report with slack and tightness derived from value and bound."""
-    slack = bound - value
-    return CertReport(claim=claim, value=value, bound=bound, slack=slack,
-                      tight=slack == 0, witness=witness)

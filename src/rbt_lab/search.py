@@ -210,8 +210,8 @@ def _check_budget(n: int, t: int) -> None:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
     # one tuple per choice of the first t - 1 graphs, the last being read
     # off the mask; the closed-pair search visits far fewer, so this caps
-    # the size of the space, not the cost.  It applies to t <= 2 as well,
-    # whose answer is written down, so every t refuses the same sizes
+    # the size of the space, not the cost.  Only t >= 3 is walked and
+    # budgeted: the t <= 2 answer is written down
     bits = max_edge_count(n) * (t - 1)
     if bits > budget:
         raise ValueError(
@@ -540,7 +540,8 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
                     witness_cap: int, checkpoint: str | None) -> SearchReport:
     _require_positive(t=t, threads=threads, witness_cap=witness_cap)
     _check_vertex_count(n)
-    _check_budget(n, t)
+    if t >= 3:
+        _check_budget(n, t)
     if iso_pruning and n > CANONICAL_MAX_N:
         # refused before any work: the first level would cover all 2^m graphs
         raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")

@@ -21,6 +21,7 @@ from rbt_lab import (
     certify_triangle_incidence,
     certify_weighted_sum,
     check_unmatched_cross_degree,
+    edge,
     exhaustive_max_product,
     exhaustive_max_sum,
     greedy_maximal_matching,
@@ -51,19 +52,20 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def random_triangle_free(rng: random.Random, n: int) -> Graph:
-    g = Graph.empty(n)
+    rows = [0] * n
     pairs = [(u, v) for v in range(n) for u in range(v)]
     rng.shuffle(pairs)
     budget = rng.randrange(0, len(pairs) + 1)
-    added = 0
+    edges = []
     for u, v in pairs:
-        if added >= budget:
+        if len(edges) >= budget:
             break
-        if g.rows[u] & g.rows[v]:
+        if rows[u] & rows[v]:
             continue
-        g = g.with_edge(u, v)
-        added += 1
-    return g
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        edges.append((u, v))
+    return Graph.from_edges(n, edges)
 
 
 def strip_triangles(g: Graph) -> Graph:
@@ -72,7 +74,7 @@ def strip_triangles(g: Graph) -> Graph:
         if not tris:
             return g
         t = tris[0]
-        g = g.without_edge(t.a, t.b)
+        g = Graph.from_bits(g.n, g.to_bits() & ~(1 << edge(t.a, t.b).index))
 
 
 def test_c01_exhaustive_n3():
@@ -176,13 +178,10 @@ def test_c07_certifier_property_suite():
             # bipartite-union proposal: dense but always rainbow-free
             a = rng.randint(1, n - 1)
             template = Graph.complete_bipartite(a, n - a)
-            graphs = []
-            for _ in range(3):
-                keep = Graph.empty(n)
-                for e in template.edges():
-                    if rng.random() < 0.8:
-                        keep = keep.with_edge(e.u, e.v)
-                graphs.append(keep)
+            graphs = [
+                Graph.from_edges(n, [e for e in template.edges() if rng.random() < 0.8])
+                for _ in range(3)
+            ]
             s = GraphSystem(n=n, graphs=tuple(graphs))
         else:
             p = rng.uniform(0.05, 0.5)

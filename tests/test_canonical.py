@@ -48,7 +48,11 @@ def bits_of(n, edges):
 
 
 def relabel(n, graphs, perm):
-    return tuple(Graph.from_bits(n, g).relabel(perm).to_bits() for g in graphs)
+    images = []
+    for g in graphs:
+        edges = Graph.from_bits(n, g).edges()
+        images.append(Graph.from_edges(n, [(perm[e.u], perm[e.v]) for e in edges]).to_bits())
+    return tuple(images)
 
 
 CUBE = [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ (1 << i)]

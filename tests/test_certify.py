@@ -17,6 +17,7 @@ from rbt_lab import (
     certify_weighted_sum,
     check_unmatched_cross_degree,
     conjecture_margin,
+    edge,
     lpq_inequality_holds,
     lpq_inequality_sides,
     matches_balanced_bipartite_copies,
@@ -28,12 +29,26 @@ from rbt_lab import (
     scan_lpq_inequality,
 )
 from rbt_lab.certify import _run_above
-from rbt_lab.reports import PreconditionError, RainbowFoundError
+from rbt_lab.reports import CertReport, PreconditionError, RainbowFoundError
 
 K5 = Graph.complete(5)
 E5 = Graph.empty(5)
 K23 = Graph.complete_bipartite(2, 3)
 K22 = Graph.complete_bipartite(2, 2)
+
+
+def test_cert_report_derives_slack_and_tight():
+    assert CertReport("x", 5, 7).to_json_dict() == {
+        "claim": "x", "value": "5", "bound": "7", "slack": "2", "tight": False, "witness": None,
+    }
+    tight = CertReport("x", 7, 7, {"k": 1})
+    assert (tight.slack, tight.tight, tight.passed) == (0, True, True)
+    assert tight.to_json_dict() == {
+        "claim": "x", "value": "7", "bound": "7", "slack": "0", "tight": True, "witness": {"k": 1},
+    }
+    violated = CertReport("x", 9, 7)
+    assert (violated.slack, violated.tight, violated.passed) == (-2, False, False)
+    assert violated.to_json_dict()["slack"] == "-2"
 
 
 def test_sum_t3_examples():
@@ -81,7 +96,8 @@ def test_equality_patterns():
     assert matches_two_complete_one_empty(GraphSystem.of(K5, E5, K5))
     assert not matches_two_complete_one_empty(GraphSystem.of(K5, K5, K5))
     assert matches_balanced_bipartite_copies(GraphSystem(n=5, graphs=(K23,) * 4))
-    relabeled = K23.relabel([2, 4, 0, 1, 3])
+    perm = [2, 4, 0, 1, 3]
+    relabeled = Graph.from_edges(5, [(perm[e.u], perm[e.v]) for e in K23.edges()])
     assert matches_balanced_bipartite_copies(GraphSystem(n=5, graphs=(relabeled,) * 4))
     assert not matches_balanced_bipartite_copies(GraphSystem(n=5, graphs=(K5,) * 4))
 
@@ -91,11 +107,13 @@ def test_balanced_bipartite_pattern_beyond_canonical_range(n):
     a = n // 2
     perm = list(range(n))
     random.Random(n).shuffle(perm)
-    relabeled = Graph.complete_bipartite(a, n - a).relabel(perm)
+    k = Graph.complete_bipartite(a, n - a)
+    relabeled = Graph.from_edges(n, [(perm[e.u], perm[e.v]) for e in k.edges()])
     assert matches_balanced_bipartite_copies(GraphSystem(n=n, graphs=(relabeled,) * 4))
     # trade a cross edge for one inside part {0..a-1}: the edge count stays
     # floor(n^2/4), and vertices 0, 1 and a + 1 now span a triangle
-    traded = relabeled.without_edge(perm[2], perm[a]).with_edge(perm[0], perm[1])
+    cross, inside = edge(perm[2], perm[a]), edge(perm[0], perm[1])
+    traded = Graph.from_bits(n, relabeled.to_bits() & ~(1 << cross.index) | 1 << inside.index)
     assert traded.edge_count() == n * n // 4
     assert not traded.is_triangle_free()
     assert not matches_balanced_bipartite_copies(GraphSystem(n=n, graphs=(traded,) * 4))
@@ -380,7 +398,7 @@ def test_value_sides_monotone_under_edge_addition():
         if u == v or s.graphs[i].has_edge(u, v):
             continue
         grown = list(s.graphs)
-        grown[i] = grown[i].with_edge(u, v)
+        grown[i] = Graph.from_bits(n, grown[i].to_bits() | 1 << edge(u, v).index)
         gb, gc, gd = grown
         assert gb.edge_count() + gc.edge_count() + gd.edge_count() >= s.total_edges()
         assert 2 * gb.edge_count() + gc.edge_count() + gd.edge_count() >= (

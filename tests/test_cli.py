@@ -82,6 +82,42 @@ def test_certify_product_nested(tmp_path, capsys):
     assert json.loads(out)["value"] == "216"
 
 
+# the stored outputs of `certify --claim prop31` on three copies of the star K_{1,3} + K_1
+PROP31_STAR_JSON = """\
+{
+  "claim": "prop31",
+  "value": "3",
+  "bound": "3",
+  "slack": "0",
+  "tight": true,
+  "witness": {
+    "matching_size": 1,
+    "p": 2,
+    "q": 3,
+    "alpha": "1",
+    "beta": "3/2",
+    "b_value": 3,
+    "b_bound": 3,
+    "cd_value": 6,
+    "cd_bound": 12
+  }
+}
+"""
+PROP31_STAR_HUMAN = """\
+claim prop31: value 3 vs bound 3 -> OK (slack 0, tight=True)
+witness: {'matching_size': 1, 'p': 2, 'q': 3, 'alpha': '1', 'beta': '3/2', \
+'b_value': 3, 'b_bound': 3, 'cd_value': 6, 'cd_bound': 12}
+"""
+
+
+def test_certify_prop31_matches_stored_documents(tmp_path, capsys):
+    star = [[0, 1], [0, 2], [0, 3]]
+    path = write(tmp_path, "s.json", json.dumps({"n": 5, "graphs": [star] * 3}))
+    argv = ["certify", "--claim", "prop31", "-i", path]
+    assert run(capsys, argv + ["--output", "json"]) == (0, PROP31_STAR_JSON, "")
+    assert run(capsys, argv) == (0, PROP31_STAR_HUMAN, "")
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     for text in (
         '{"n":3,"graphs":[[[0,0]]]}',
@@ -369,6 +405,24 @@ def test_search_budget_error(capsys):
     code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "7", "--t", "3"])
     assert code == 2
     assert "budget" in err
+    code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "3"])
+    assert code == 2
+    assert "budget" in err
+
+
+def test_search_t2_is_not_budgeted(monkeypatch, capsys):
+    # the written-down t <= 2 answer is never walked, so the budget is not read
+    monkeypatch.setenv("RBT_LAB_BUDGET", "bogus")
+    code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "2",
+                                  "--output", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    full = Graph.complete(9).to_hex()
+    assert (doc["best_value"], doc["witnesses"]) == ("72", [[full, full]])
+    assert (doc["nodes"], doc["pruned"]) == ("1", "0")
+    code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "3"])
+    assert code == 2
+    assert "RBT_LAB_BUDGET must be an integer" in err
 
 
 def test_search_n6_reaches_the_theory_values(capsys):

@@ -39,44 +39,13 @@ def test_edge_count_examples():
     assert Graph.complete_bipartite(2, 3).edge_count() == 6
 
 
-def test_neighborhood_examples():
-    star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert star.neighborhood(0) == mask_of([1, 2, 3, 4])
-    assert Graph.empty(3).neighborhood(1) == 0
-    c4 = Graph.cycle(4)
-    assert c4.neighborhood(0) == mask_of([1, 3])
-    with pytest.raises(ValueError):
-        c4.neighborhood(4)
-
-
-def test_delete_vertex_examples():
-    k4 = Graph.complete(4)
-    k3 = k4.delete_vertex(0)
-    assert k3 == Graph.complete(3)
-    assert k4.edge_count() == k4.degree(0) + k3.edge_count() == 6
-
-    path = Graph.path(3)
-    assert path.delete_vertex(1).edge_count() == 0
-
-    assert Graph.empty(3).delete_vertex(2) == Graph.empty(2)
-    with pytest.raises(ValueError):
-        Graph.empty(1).delete_vertex(0)
-
-
-def test_delete_vertex_edge_identity_random():
-    rng = random.Random(101)
-    for _ in range(200):
-        n = rng.randint(2, 12)
-        g = random_graph(rng, n, rng.random())
-        x = rng.randrange(n)
-        assert g.edge_count() == g.degree(x) + g.delete_vertex(x).edge_count()
-
-
 def test_degree_into_examples():
     k4 = Graph.complete(4)
+    assert k4.degree(0) == k4.degree_into(0, k4.vertex_mask) == 3
     assert k4.degree_into(0, mask_of([1, 2])) == 2
     assert k4.degree_into(0, 0) == 0
     k23 = Graph.complete_bipartite(2, 3)
+    assert (k23.degree(0), k23.degree(4)) == (3, 2)
     assert k23.degree_into(0, mask_of([0, 1])) == 0
     # membership of x itself in the target mask is ignored
     assert k4.degree_into(0, mask_of([0, 1])) == 1
@@ -132,32 +101,15 @@ def test_symmetry_and_irreflexivity_enforced():
         Graph(65)
 
 
-def test_mutation_preserves_invariants():
-    rng = random.Random(5)
-    g = Graph.empty(8)
-    for _ in range(300):
-        u = rng.randrange(8)
-        v = rng.randrange(8)
-        if u == v:
-            continue
-        g = g.toggle_edge(u, v)
-        # the public constructor re-validates: it raises if symmetry or loops broke
-        assert Graph(g.n, g.rows) == g
-        assert g.has_edge(u, v) == g.has_edge(v, u)
-
-
 def test_derived_graphs_pass_validation():
     # operations build rows without re-validating; the public constructor checks them
     rng = random.Random(17)
     for _ in range(200):
         n = rng.randint(2, 12)
         g, h = random_graph(rng, n), random_graph(rng, n)
-        u, v = rng.sample(range(n), 2)
-        perm = list(range(n))
-        rng.shuffle(perm)
+        u = rng.randrange(n)
         derived = [
-            g & h, g | h, g.with_edge(u, v), g.without_edge(u, v),
-            g.delete_vertex(u), g.relabel(perm), Graph.complete(n),
+            g & h, g | h, Graph.complete(n),
             Graph.complete_bipartite(u, n - u), Graph.from_edges(n, g.edges()),
         ]
         for d in derived:
@@ -259,19 +211,6 @@ def test_edges_are_colex_sorted():
     g = random_graph(rng, 10, 0.4)
     indices = [e.index for e in g.edges()]
     assert indices == sorted(indices)
-
-
-def test_relabel_preserves_structure():
-    rng = random.Random(23)
-    for _ in range(50):
-        n = rng.randint(2, 10)
-        g = random_graph(rng, n, 0.5)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = g.relabel(perm)
-        assert h.edge_count() == g.edge_count()
-        for e in g.edges():
-            assert h.has_edge(perm[e.u], perm[e.v])
 
 
 def test_iter_bits():

@@ -119,11 +119,9 @@ def test_matching_bipartite_koenig_consistency():
         b = rng.randint(1, 5)
         n = a + b
         left = (1 << a) - 1
-        g = Graph.empty(n)
-        for u in range(a):
-            for v in range(a, n):
-                if rng.random() < 0.5:
-                    g = g.with_edge(u, v)
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(a) for v in range(a, n) if rng.random() < 0.5]
+        )
         assert maximum_matching(g).size == bipartite_augmenting_size(g, left)
 
 
@@ -163,10 +161,7 @@ def test_nearly_matchable_examples():
 
 def test_bipartite_deficiency_examples():
     # K_{2,3} plus an isolated vertex padded into the 2-side: q=3, nu=2
-    g = Graph.empty(6)
-    for u in (0, 1):
-        for v in (3, 4, 5):
-            g = g.with_edge(u, v)
+    g = Graph.from_edges(6, [(u, v) for u in (0, 1) for v in (3, 4, 5)])
     report = bipartite_deficiency_check(g, mask_of([0, 1, 2]), mask_of([3, 4, 5]))
     assert report.witness is not None and report.witness["applicable"]
     assert report.value == 6 and report.bound == 6 and report.tight

@@ -19,19 +19,20 @@ from rbt_lab.reports import PreconditionError
 
 def random_triangle_free(rng: random.Random, n: int) -> Graph:
     """Triangle-free process: add random edges that close no triangle."""
-    g = Graph.empty(n)
+    rows = [0] * n
     pairs = [(u, v) for v in range(n) for u in range(v)]
     rng.shuffle(pairs)
     budget = rng.randrange(0, len(pairs) + 1)
-    added = 0
+    edges = []
     for u, v in pairs:
-        if added >= budget:
+        if len(edges) >= budget:
             break
-        if g.rows[u] & g.rows[v]:
+        if rows[u] & rows[v]:
             continue
-        g = g.with_edge(u, v)
-        added += 1
-    return g
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        edges.append((u, v))
+    return Graph.from_edges(n, edges)
 
 
 def test_partition_path_example():

@@ -257,6 +257,21 @@ def test_exhaustive_t2_is_two_complete_graphs_n8(monkeypatch, iso_pruning):
     assert (report.nodes, report.pruned, report.references) == (1, 0, {})
 
 
+@pytest.mark.parametrize("n, best", [(9, 72), (64, 4032)])
+def test_exhaustive_t2_is_not_budgeted(monkeypatch, n, best):
+    # 2^C(n,2) tuples exceed the default budget, but none is walked
+    monkeypatch.setattr(search, "_first_level", lambda *args: pytest.fail("first level built"))
+    monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
+    report = exhaustive_max_sum(n, 2)
+    full = (1 << max_edge_count(n)) - 1
+    assert report.best_value == best
+    assert report.witnesses == [(full, full)]
+    assert (report.nodes, report.pruned, report.references) == (1, 0, {})
+    # the range check of --iso-pruning still applies
+    with pytest.raises(ValueError, match="canonicalization supported up to n=8"):
+        exhaustive_max_sum(n, 2, iso_pruning=True)
+
+
 @pytest.mark.parametrize("call", [
     lambda n, **kw: exhaustive_max_sum(n, 1, **kw),
     lambda n, **kw: exhaustive_max_sum(n, 2, **kw),

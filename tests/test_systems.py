@@ -10,6 +10,7 @@ from rbt_lab import (
     RainbowWitness,
     auxiliary_incidence_graph,
     bipartite_deficiency_check,
+    edge,
     edge_multiplicities,
     find_rainbow_triangle,
     is_nested,
@@ -199,7 +200,8 @@ def test_witness_matches_reference_dense():
                     assert find_rainbow_triangle(GraphSystem.of(*graphs)) is None
                     assert reference_witness(GraphSystem.of(*graphs)) is None
                     for u, v in extra:
-                        s = GraphSystem.of(*graphs[:-1], graphs[-1].with_edge(u, v))
+                        grown = graphs[-1].to_bits() | 1 << edge(u, v).index
+                        s = GraphSystem.of(*graphs[:-1], Graph.from_bits(n, grown))
                         w = find_rainbow_triangle(s)
                         assert w is not None and w == reference_witness(s)
                         assert w.is_valid_for(s)
