@@ -159,14 +159,6 @@ class Graph:
         return cls._trusted(n, [right_mask] * left + [left_mask] * right)
 
     @classmethod
-    def cycle(cls, n: int) -> Graph:
-        return cls.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
-
-    @classmethod
-    def path(cls, n: int) -> Graph:
-        return cls.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-    @classmethod
     def from_bits(cls, n: int, bits: int) -> Graph:
         """Graph from its colex edge-bit integer."""
         _check_vertex_count(n)
@@ -209,9 +201,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
-
-    def degree(self, x: int) -> int:
-        return self.rows[x].bit_count()
 
     def degree_into(self, x: int, targets: int) -> int:
         """Number of neighbors of x inside the target mask; x in targets is ignored."""

@@ -36,7 +36,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import permutations
@@ -450,6 +449,8 @@ def _map(threads: int, fn, items: Sequence):
     if threads == 1 or len(items) < 2:
         yield from map(fn, items)
         return
+    # imported here, so that a run that never fans out never loads the pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         yield from pool.map(fn, items)
 

@@ -319,10 +319,20 @@ def system_from_json_dict(doc: Any) -> GraphSystem:
     raise ValueError('system document needs either "graphs" or "hex"')
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def load_json(text: str) -> Any:
-    """Decode a JSON document; malformed text raises ValueError with its position."""
+    """Decode a JSON document; malformed text, or a key given twice in one
+    object, raises ValueError naming the position or the key."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -142,7 +142,7 @@ def matched_set_degree_checks(g: Graph) -> None:
             if w >> x & 1:
                 continue
             assert g.degree_into(x, w) <= matching.size
-            assert g.degree(x) <= matching.size
+            assert g.degree_into(x, g.vertex_mask) <= matching.size
 
 
 def test_c06_partition_property_suite():

@@ -56,16 +56,17 @@ def relabel(n, graphs, perm):
 
 
 CUBE = [(u, u ^ (1 << i)) for u in range(8) for i in range(3) if u < u ^ (1 << i)]
+C8 = [(v, (v + 1) % 8) for v in range(8)]
 STRUCTURED_8 = {
     "K44 triple": tuple(g.to_bits() for g in bipartite_triple(8).graphs),
     "K8": ((1 << 28) - 1,),
     "empty": (0,),
     "3-cube": (bits_of(8, CUBE),),
-    "C8": (Graph.cycle(8).to_bits(),),
+    "C8": (bits_of(8, C8),),
     "perfect matching": (bits_of(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),),
     "2K4": (bits_of(8, [(a, b) for part in (range(4), range(4, 8))
                         for a in part for b in part if a < b]),),
-    "cube, C8, matching": (bits_of(8, CUBE), Graph.cycle(8).to_bits(),
+    "cube, C8, matching": (bits_of(8, CUBE), bits_of(8, C8),
                            bits_of(8, [(0, 7), (1, 6), (2, 5), (3, 4)])),
 }
 

@@ -198,7 +198,7 @@ def test_partition_bounds_star_example():
 
 
 def test_partition_bounds_preconditions():
-    c4 = Graph.cycle(4)
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(PreconditionError, match="n > 2l"):
         certify_partition_bounds(c4, c4, c4)  # nu=2, n=4: nearly matchable case
     with pytest.raises(PreconditionError, match="contained"):

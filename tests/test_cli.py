@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbt_lab
 from rbt_lab import Graph, bipartite_triple, exhaustive_max_product, search, system_from_json
 from rbt_lab.canonical import canonical_system_bits
 from rbt_lab.cli import main
@@ -119,20 +124,24 @@ def test_certify_prop31_matches_stored_documents(tmp_path, capsys):
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
-    for text in (
-        '{"n":3,"graphs":[[[0,0]]]}',
-        "{broken",
-        '{"n":70,"hex":["00"]}',
-        '{"n":3,"graphs":[[[0,1],[0,1]]]}',
-        '{"n":3,"hex":["03 ","00","00"]}',
-        '{"n":6,"hex":["03 04","0000","0000"]}',
+    for text, message in (
+        ('{"n":3,"graphs":[[[0,0]]]}', "error"),
+        ("{broken", "malformed JSON at line 1, column 2"),
+        ('{"n":70,"hex":["00"]}', "error"),
+        ('{"n":3,"graphs":[[[0,1],[0,1]]]}', "error"),
+        ('{"n":3,"hex":["03 ","00","00"]}', "error"),
+        ('{"n":6,"hex":["03 04","0000","0000"]}', "error"),
+        # the last copy of a key must not silently win: the first "hex" is a
+        # rainbow triangle, the first "n" fits the graphs
+        ('{"n":3,"hex":["01","04","02"],"hex":["00","00","00"]}', "duplicate key 'hex'"),
+        ('{"n":3,"n":4,"hex":["00","00","00"]}', "duplicate key 'n'"),
+        ('{"n":3,"graphs":[[[0,1]],[[1,2]],[[0,2]]],"graphs":[[],[],[]]}',
+         "duplicate key 'graphs'"),
     ):
         path = write(tmp_path, "bad.json", text)
         code, _, err = run(capsys, ["check-rbt", "-i", path])
         assert code == 2
-        assert "error" in err
-        if text == "{broken":
-            assert "malformed JSON at line 1, column 2" in err
+        assert "error" in err and message in err
 
 
 def test_format_flag_enforced(tmp_path, capsys):
@@ -539,3 +548,55 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert "non-zero denominator" in err
+
+
+LEAN_START = r"""
+import contextlib, io, json, sys
+import rbt_lab.cli
+
+POOL = ("concurrent.futures", "multiprocessing")
+
+def loaded():
+    return [m for m in POOL if m in sys.modules]
+
+def run(argv, stdin=""):
+    sys.stdin, out = io.StringIO(stdin), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = rbt_lab.cli.main(argv)
+    return code, out.getvalue()
+
+result = {"import": loaded()}
+result["codes"] = [
+    run(["check-rbt"], '{"n":5,"hex":["ff03","ff03","0000"]}')[0],
+    run(["search", "--objective", "product", "--n", "4", "--exhaustive"])[0],
+    run(["search", "--objective", "product", "--n", "6", "--local", "--seed", "4",
+         "--restarts", "2"])[0],
+]
+result["single"] = loaded()
+reports = []
+for threads in ("1", "2"):
+    code, out = run(["search", "--objective", "sum", "--n", "5", "--t", "3",
+                     "--threads", threads, "--output", "json"])
+    result["codes"].append(code)
+    reports.append(json.loads(out))
+result["fanned_out"] = loaded()
+result["reports"] = reports
+print(json.dumps(result))
+"""
+
+
+def test_single_threaded_commands_never_load_the_pool():
+    # a fresh interpreter, since this one has loaded the pool already
+    env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", LEAN_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["import"] == result["single"] == []
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    # unpruned n = 5 has 16 chunks, so --threads 2 fans out and loads the pool
+    assert result["fanned_out"] == ["concurrent.futures", "multiprocessing"]
+    one, two = result["reports"]
+    assert (one["config"].pop("threads"), two["config"].pop("threads")) == (1, 2)
+    del one["wall_time"], two["wall_time"]
+    assert one == two

@@ -13,6 +13,8 @@ from rbt_lab import (
 )
 from rbt_lab.reports import PreconditionError
 
+C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
 
 def brute_matching_size(g: Graph) -> int:
     """Branch on the lowest unmatched vertex; exact by full enumeration."""
@@ -66,7 +68,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def test_matching_examples():
-    assert maximum_matching(Graph.cycle(5)).size == 2
+    assert maximum_matching(C5).size == 2
     assert maximum_matching(Graph.complete(4)).size == 2
     assert maximum_matching(Graph.empty(6)).size == 0
     assert maximum_matching(Graph.complete_bipartite(3, 3)).size == 3
@@ -126,7 +128,7 @@ def test_matching_bipartite_koenig_consistency():
 
 
 def test_greedy_is_maximal_and_deterministic():
-    path = Graph.path(4)
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     res = greedy_maximal_matching(path)
     assert [(e.u, e.v) for e in res.edges] == [(0, 1), (2, 3)]
     assert res.size == 2
@@ -156,7 +158,7 @@ def test_greedy_edges_come_in_colex_order():
 def test_nearly_matchable_examples():
     assert is_nearly_matchable(Graph.complete(4))
     assert not is_nearly_matchable(Graph.empty(4))
-    assert is_nearly_matchable(Graph.cycle(5))
+    assert is_nearly_matchable(C5)
 
 
 def test_bipartite_deficiency_examples():

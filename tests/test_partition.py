@@ -16,6 +16,9 @@ from rbt_lab import (
 from rbt_lab.graph import iter_bits
 from rbt_lab.reports import PreconditionError
 
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
 
 def random_triangle_free(rng: random.Random, n: int) -> Graph:
     """Triangle-free process: add random edges that close no triangle."""
@@ -36,23 +39,21 @@ def random_triangle_free(rng: random.Random, n: int) -> Graph:
 
 
 def test_partition_path_example():
-    path = Graph.path(3)
-    p = mantel_partition(path)
+    p = mantel_partition(P3)
     assert p.x_side == (1,)
     assert p.y_side == (0,)
     assert p.z_side == mask_of([2])
-    assert verify_partition(path, p)
+    assert verify_partition(P3, p)
 
 
 def test_partition_c5_example():
-    c5 = Graph.cycle(5)
-    p = mantel_partition(c5)
-    assert verify_partition(c5, p)
+    p = mantel_partition(C5)
+    assert verify_partition(C5, p)
     # the colex greedy seed pairs (0,1) and (2,3), with 4 in Z
     assert p.z_side == mask_of([4])
     assert set(p.x_side) == {0, 3}
     assert set(p.y_side) == {1, 2}
-    assert not c5.has_edge(4, 1) and not c5.has_edge(4, 2)
+    assert not C5.has_edge(4, 1) and not C5.has_edge(4, 2)
 
 
 def test_partition_k33():
@@ -69,11 +70,10 @@ def test_partition_rejects_triangles():
 
 
 def test_verify_rejects_swapped_sides():
-    path = Graph.path(3)
-    p = mantel_partition(path)
+    p = mantel_partition(P3)
     swapped = MantelPartition(x_side=p.y_side, y_side=p.x_side,
                               z_side=p.z_side, size=p.size)
-    assert not verify_partition(path, swapped)
+    assert not verify_partition(P3, swapped)
 
 
 def test_verify_rejects_edge_inside_z():
@@ -138,11 +138,11 @@ def test_matched_set_degree_bounds():
                 if w >> x & 1:
                     continue
                 assert g.degree_into(x, w) <= ell
-                assert g.degree(x) <= ell  # maximality-based bound
+                assert g.degree_into(x, g.vertex_mask) <= ell  # maximality-based bound
 
 
 def test_edge_bound_examples():
-    r = mantel_edge_bound(Graph.cycle(5))
+    r = mantel_edge_bound(C5)
     assert r.value == 5 and r.bound == 6 and not r.tight
 
     r = mantel_edge_bound(Graph.complete_bipartite(3, 3))

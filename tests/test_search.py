@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 from itertools import combinations, permutations
@@ -629,8 +630,9 @@ class InProcessPool:
 
 def test_pool_is_sized_by_the_work(monkeypatch):
     # asking for more threads than there are restarts or chunks starts one
-    # process per item, not one per thread
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    # process per item, not one per thread; _map imports the pool class when
+    # it fans out, so the stand-in goes where that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "sizes", [])
     local = local_search_product(6, 1, threads=5000)
     assert local.config["threads"] == 5000
