@@ -24,9 +24,8 @@ from .systems import (
     GraphSystem,
     find_rainbow_triangle,
     is_nested,
-    load_json,
     nest_reduce,
-    system_from_json_dict,
+    system_from_json,
 )
 
 
@@ -41,13 +40,7 @@ def _read_source(path: str) -> str:
 
 
 def _load_system(args: argparse.Namespace) -> GraphSystem:
-    doc = load_json(_read_source(args.input))
-    system = system_from_json_dict(doc)
-    if args.format == "json" and "graphs" not in doc:
-        raise PreconditionError('input format "json" requires a "graphs" key')
-    if args.format == "hex" and "hex" not in doc:
-        raise PreconditionError('input format "hex" requires a "hex" key')
-    return system
+    return system_from_json(_read_source(args.input))
 
 
 def _mode_flag(args, name: str, used: bool, default: Any, scope: str) -> Any:
@@ -150,38 +143,27 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-_CLAIMS = (
-    "sum-t3",
-    "sum-t",
-    "weighted",
-    "nearly-matchable",
-    "product-nested",
-    "conjecture",
-    "prop31",
-)
+# claim -> (its certifier in `certify`, whether it takes the three graphs);
+# the certifier is looked up at call time, so a patched module attribute is
+# the one called
+_CLAIMS = {
+    "sum-t3": ("certify_sum_t3", False),
+    "sum-t": ("certify_sum_t", False),
+    "weighted": ("certify_weighted_sum", True),
+    "nearly-matchable": ("certify_nearly_matchable", True),
+    "product-nested": ("certify_product_nested", True),
+    "conjecture": ("conjecture_margin", True),
+    "prop31": ("certify_partition_bounds", True),
+}
 
 
 def _cmd_certify(args) -> int:
     system = _load_system(args)
-    claim = args.claim
-    if claim == "sum-t3":
-        report = cert.certify_sum_t3(system)
-    elif claim == "sum-t":
-        report = cert.certify_sum_t(system)
-    else:
-        if system.t != 3:
-            raise PreconditionError(f"claim {claim} needs exactly 3 graphs, got {system.t}")
-        b, c, d = system.graphs
-        if claim == "weighted":
-            report = cert.certify_weighted_sum(b, c, d)
-        elif claim == "nearly-matchable":
-            report = cert.certify_nearly_matchable(b, c, d)
-        elif claim == "product-nested":
-            report = cert.certify_product_nested(b, c, d)
-        elif claim == "conjecture":
-            report = cert.conjecture_margin(b, c, d)
-        else:
-            report = cert.certify_partition_bounds(b, c, d)
+    name, triple = _CLAIMS[args.claim]
+    if triple and system.t != 3:
+        raise PreconditionError(f"claim {args.claim} needs exactly 3 graphs, got {system.t}")
+    certifier = getattr(cert, name)
+    report = certifier(*system.graphs) if triple else certifier(system)
     return _report_exit(report, args.output)
 
 
@@ -311,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         if system_input:
             p.add_argument("--input", "-i", default="-",
                            help="system JSON file, or - for stdin (default)")
-            p.add_argument("--format", choices=("auto", "json", "hex"), default="auto",
-                           help="required input flavor (default: accept either)")
         p.add_argument("--output", choices=("human", "json"), default="human")
 
     p = sub.add_parser("check-rbt", help="test a system for rainbow triangles")
@@ -339,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("sum", "product"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=3)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--local", action="store_true", default=False)
+    p.add_argument("--local", action="store_true",
+                   help="seeded random maximal fills (default: exhaustive search)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None, help="local restarts (default 8)")
     p.add_argument("--threads", type=int, default=1)

@@ -44,9 +44,8 @@ from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
-from .certify import theory_bound
 from .graph import Graph, _check_vertex_count, iter_bits, max_edge_count
-from .systems import GraphSystem
+from .systems import GraphSystem, load_json
 
 BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
 DEFAULT_BUDGET_BITS = 32
@@ -78,8 +77,10 @@ class SearchReport:
     children and the whole subtrees of children cut by the optimistic
     bound.  At the last two graphs nodes counts the closed pairs visited
     and pruned the Close-by-One branches cut by the bound or by the edge
-    count of the graph before them.  For t <= 2 the answer, t
-    copies of K_n, is written down: one node, none pruned, no references.
+    count of the graph before them.  references hold seed_value, the
+    value of the extremal construction the search starts from, in both
+    modes.  For t <= 2 the answer, t copies of K_n, is written down: one
+    node, none pruned, no references.
     In local mode nodes counts the fill moves examined, 3 * C(n,2) per
     random restart, and pruned counts the moves refused by the
     forbidden-edge mask.
@@ -412,8 +413,9 @@ def _search_chunk(
             pruned += 1
         else:
             visit(g, avail, 1)
+        # hit values never fall, so only those at the final bar survive
         for g, h, value in hits:
-            if value >= best:
+            if value == bar:
                 record(prefix + [g, h], value)
 
     for g1 in first_graphs:
@@ -486,19 +488,22 @@ def _record_error(header: dict[str, Any], record: Any) -> str | None:
 def _load_checkpoint(path: str, header: dict[str, Any]) -> dict[str, dict[str, Any]]:
     """Chunk records stored at `path` by a run with the same header, keyed by chunk id.
 
-    Every record is checked against the header before any is used, so a
-    damaged or forged file, or a path that cannot be read, is refused with
-    ValueError, never merged.
+    The file is decoded by `load_json`, which refuses a key given twice,
+    and every record is checked against the header before any is used, so
+    a damaged or forged file, or a path that cannot be read, is refused
+    with ValueError, never merged.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = load_json(Path(path).read_text())
     except FileNotFoundError:
         return {}
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot use checkpoint {path}: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("header") != header:
+    if not isinstance(doc, dict) or doc.keys() != {"header", "done"}:
+        raise ValueError(f"checkpoint {path} must hold exactly a header and done chunks")
+    if doc["header"] != header:
         raise ValueError(f"checkpoint {path} was written by a different search setup")
-    done, count = doc.get("done"), header["num_chunks"]
+    done, count = doc["done"], header["num_chunks"]
     if not isinstance(done, dict) or not done.keys() <= {str(i) for i in range(count)}:
         raise ValueError(f"checkpoint {path} must map chunk ids 0..{count - 1} to records")
     for key, record in done.items():
@@ -563,8 +568,6 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
         # not depend on which chunks ran before it, in this process or another
         search = partial(_search_chunk, objective, n, t, seed_value, witness_cap + 1)
         references = {"seed_value": seed_value}
-        if objective == "product":
-            references["conjecture_bound"] = theory_bound("product", n, 3)
     header = {
         "format": _CHECKPOINT_FORMAT,
         "objective": objective,
@@ -607,9 +610,9 @@ def exhaustive_max_product(n: int, *, threads: int = 1, iso_pruning: bool = Fals
                            witness_cap: int = 64, checkpoint: str | None = None) -> SearchReport:
     """Exact maximum of |G1||G2||G3| over rainbow-free triples.
 
-    Takes the options of `exhaustive_max_sum`.  The report's references
-    carry floor(n^2/4)^3; a best value above it would be a counterexample
-    to the open product conjecture.
+    Takes the options of `exhaustive_max_sum`.  The report's seed value is
+    that of the bipartite triple, floor(n^2/4)^3; a best value above it
+    would be a counterexample to the open product conjecture.
     """
     return _run_exhaustive("product", n, 3, threads, iso_pruning, witness_cap, checkpoint)
 
@@ -678,9 +681,6 @@ def local_search_product(n: int, seed: int, *, restarts: int = 8, threads: int =
     _check_vertex_count(n)
     started = time.perf_counter()
     records = list(_map(threads, partial(_local_restart, n, seed), range(restarts)))
-    references = {
-        "conjecture_bound": theory_bound("product", n, 3),
-        "constructor_value": _seed_value("product", n, 3),
-    }
+    references = {"seed_value": _seed_value("product", n, 3)}
     config = {"mode": "local", "seed": seed, "restarts": restarts, "threads": threads}
     return _report("product", n, 3, records, witness_cap, started, references, config)

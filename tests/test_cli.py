@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,21 @@ from pathlib import Path
 import pytest
 
 import rbt_lab
-from rbt_lab import Graph, bipartite_triple, exhaustive_max_product, search, system_from_json
+from rbt_lab import (
+    Graph,
+    balanced_bipartite_system,
+    bipartite_triple,
+    exhaustive_max_product,
+    exhaustive_max_sum,
+    search,
+    system_from_json,
+    two_complete_one_empty,
+)
+from rbt_lab import certify as cert
+from rbt_lab import cli
 from rbt_lab.canonical import canonical_system_bits
-from rbt_lab.cli import main
+from rbt_lab.cli import build_parser, main
+from rbt_lab.reports import PreconditionError, RainbowFoundError
 
 RAINBOW = '{"n":3,"graphs":[[[0,1]],[[1,2]],[[0,2]]]}'
 TWO_COMPLETE = '{"n":5,"hex":["ff03","ff03","0000"]}'
@@ -123,6 +136,90 @@ def test_certify_prop31_matches_stored_documents(tmp_path, capsys):
     assert run(capsys, argv) == (0, PROP31_STAR_HUMAN, "")
 
 
+# each claim's certifier, and whether it takes the three graphs or the system
+CLAIM_CERTIFIERS = {
+    "sum-t3": (cert.certify_sum_t3, False),
+    "sum-t": (cert.certify_sum_t, False),
+    "weighted": (cert.certify_weighted_sum, True),
+    "nearly-matchable": (cert.certify_nearly_matchable, True),
+    "product-nested": (cert.certify_product_nested, True),
+    "conjecture": (cert.conjecture_margin, True),
+    "prop31": (cert.certify_partition_bounds, True),
+}
+TRIPLE_CLAIMS = [claim for claim, (_, triple) in CLAIM_CERTIFIERS.items() if triple]
+# a rainbow triple, a sum-t3 equality case with a triangle in B, three
+# nested bipartite graphs, three stars (prop31 applies), and a system of
+# four graphs
+CERTIFY_SYSTEMS = [
+    system_from_json(RAINBOW),
+    two_complete_one_empty(5),
+    bipartite_triple(6),
+    system_from_json(json.dumps({"n": 5, "graphs": [[[0, 1], [0, 2], [0, 3]]] * 3})),
+    balanced_bipartite_system(6, 4),
+]
+
+
+def _certifier_outcome(certifier, *args):
+    """The exit code, report document and error the CLI must give for this call."""
+    try:
+        report = certifier(*args)
+    except RainbowFoundError as exc:
+        return 1, None, str(exc)
+    except PreconditionError as exc:
+        return 2, None, str(exc)
+    return (0 if report.passed else 1), report.to_json_dict(), None
+
+
+@pytest.mark.parametrize("claim", CLAIM_CERTIFIERS)
+def test_certify_gives_each_claims_certifier_report(tmp_path, monkeypatch, capsys, claim):
+    certifier, triple = CLAIM_CERTIFIERS[claim]
+    # every certifier records its calls, so the one the CLI reaches is seen
+    # to be looked up on the module when the claim runs
+    called = []
+    for other, _ in CLAIM_CERTIFIERS.values():
+        monkeypatch.setattr(cert, other.__name__,
+                            lambda *args, _f=other: called.append(_f) or _f(*args))
+    for system in CERTIFY_SYSTEMS:
+        if triple and system.t != 3:
+            continue
+        code, doc, error = _certifier_outcome(certifier, *(system.graphs if triple else [system]))
+        path = write(tmp_path, "s.json", json.dumps(system.to_json_dict()))
+        called.clear()
+        got, out, err = run(capsys, ["certify", "--claim", claim, "-i", path, "--output", "json"])
+        assert got == code
+        assert called[:1] == [certifier]
+        if doc is None:
+            assert out == "" and error in err
+        else:
+            assert json.loads(out) == doc
+
+
+@pytest.mark.parametrize("claim", TRIPLE_CLAIMS)
+def test_certify_triple_claim_on_four_graphs_exits_2(tmp_path, capsys, claim):
+    path = write(tmp_path, "s.json", json.dumps(CERTIFY_SYSTEMS[-1].to_json_dict()))
+    code, out, err = run(capsys, ["certify", "--claim", claim, "-i", path])
+    assert (code, out) == (2, "")
+    assert f"claim {claim} needs exactly 3 graphs, got 4" in err
+
+
+def test_certify_choices_are_the_claim_table():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    claim = next(a for a in commands.choices["certify"]._actions if a.dest == "claim")
+    assert list(claim.choices) == list(cli._CLAIMS) == list(CLAIM_CERTIFIERS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--objective", "product", "--n", "4", "--exhaustive"],
+    ["check-rbt", "--format", "json"],
+    ["certify", "--claim", "sum-t3", "--format", "hex"],
+])
+def test_removed_flags_are_unrecognized(capsys, argv):
+    flag = next(a for a in argv if a in ("--exhaustive", "--format"))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     for text, message in (
         ('{"n":3,"graphs":[[[0,0]]]}', "error"),
@@ -144,19 +241,10 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         assert "error" in err and message in err
 
 
-def test_format_flag_enforced(tmp_path, capsys):
-    path = write(tmp_path, "s.json", '{"n":3,"hex":["00","00","00"]}')
-    code, _, err = run(capsys, ["check-rbt", "-i", path, "--format", "json"])
-    assert code == 2
-    code, _, _ = run(capsys, ["check-rbt", "-i", path, "--format", "hex"])
-    assert code == 0
-
-
 def test_search_product_cli(capsys):
     code, out, _ = run(
         capsys,
-        ["search", "--objective", "product", "--n", "4", "--exhaustive",
-         "--output", "json"],
+        ["search", "--objective", "product", "--n", "4", "--output", "json"],
     )
     assert code == 0
     doc = json.loads(out)
@@ -179,15 +267,15 @@ def test_search_local_cli(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert int(doc["best_value"]) >= int(doc["references"]["constructor_value"])
+    assert int(doc["best_value"]) >= int(doc["references"]["seed_value"])
 
 
 @pytest.mark.parametrize("flags, message", [
     (["--local", "--seed", "1", "--checkpoint", "run.json"], "exhaustive search only"),
     (["--local", "--seed", "1", "--iso-pruning"], "exhaustive search only"),
-    (["--exhaustive", "--seed", "3"], "local search only"),
+    (["--seed", "3"], "local search only"),
     (["--local", "--seed", "4", "--iters", "2000"], "unrecognized arguments: --iters"),
-    (["--exhaustive", "--restarts", "3"], "--restarts applies to local search only"),
+    (["--restarts", "3"], "--restarts applies to local search only"),
 ])
 def test_search_rejects_flags_the_mode_ignores(tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -361,6 +449,38 @@ def test_search_damaged_checkpoint_exits_2(tmp_path, capsys, damage, message):
     assert ckpt.read_bytes() == before
 
 
+FORGED_CHUNK_0 = '"0": {"best": 99, "witnesses": [], "nodes": 1, "pruned": 0}, '
+
+
+@pytest.mark.parametrize("forge, message", [
+    # only the last copy of a key used to be read, so a forged first copy passed
+    (lambda text: text.replace('"done": {', '"done": {' + FORGED_CHUNK_0, 1),
+     "duplicate key '0'"),
+    (lambda text: text.replace('"nodes": ', '"nodes": 999999, "nodes": ', 1),
+     "duplicate key 'nodes'"),
+    (lambda text: text[: len(text) // 2], "malformed JSON"),
+    (lambda text: '{"nodes": 999999, ' + text[1:], "exactly a header and done"),
+])
+def test_search_forged_checkpoint_document_exits_2(tmp_path, capsys, forge, message):
+    ckpt = tmp_path / "run.json"
+    argv = ["search", "--objective", "sum", "--n", "4", "--t", "3", "--checkpoint", str(ckpt),
+            "--output", "json"]
+    assert run(capsys, argv)[0] == 0
+    text = ckpt.read_text()
+    forged = forge(text)
+    assert forged != text
+    ckpt.write_text(forged)
+    before = ckpt.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {ckpt}")) as refused:
+        exhaustive_max_sum(4, 3, checkpoint=str(ckpt))
+    assert message in str(refused.value)
+    assert ckpt.read_bytes() == before
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"checkpoint {ckpt}" in err and message in err
+    assert ckpt.read_bytes() == before
+
+
 def test_search_unusable_checkpoint_path_exits_2(tmp_path, monkeypatch, capsys):
     # a directory cannot be read, and a file in a missing directory cannot be
     # written; both are refused before any chunk is searched
@@ -380,7 +500,7 @@ def test_search_unusable_checkpoint_path_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_search_checkpoint_and_threads_flags(tmp_path, capsys):
     ckpt = tmp_path / "run.json"
-    argv = ["search", "--objective", "product", "--n", "4", "--exhaustive",
+    argv = ["search", "--objective", "product", "--n", "4",
             "--threads", "2", "--checkpoint", str(ckpt), "--output", "json"]
     code, out, _ = run(capsys, argv)
     assert code == 0
@@ -568,7 +688,7 @@ def run(argv, stdin=""):
 result = {"import": loaded()}
 result["codes"] = [
     run(["check-rbt"], '{"n":5,"hex":["ff03","ff03","0000"]}')[0],
-    run(["search", "--objective", "product", "--n", "4", "--exhaustive"])[0],
+    run(["search", "--objective", "product", "--n", "4"])[0],
     run(["search", "--objective", "product", "--n", "6", "--local", "--seed", "4",
          "--restarts", "2"])[0],
 ]

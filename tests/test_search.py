@@ -15,6 +15,7 @@ from rbt_lab import (
     is_rbt_free,
     local_search_product,
     max_edge_count,
+    theory_bound,
     two_complete_one_empty,
 )
 from rbt_lab import search
@@ -409,7 +410,7 @@ def test_exhaustive_n7_pinned(monkeypatch):
     # n(n-1) only at (K7, K7, empty) in its three orders
     monkeypatch.setenv("RBT_LAB_BUDGET", "42")
     product = exhaustive_max_product(7, iso_pruning=True)
-    assert product.best_value == product.references["conjecture_bound"] == 1_728
+    assert product.best_value == theory_bound("product", 7, 3) == 1_728
     triple = tuple(g.to_bits() for g in bipartite_triple(7).graphs)
     assert product.witnesses == [canonical_system_bits(7, triple)]
     full = (1 << 21) - 1
@@ -792,7 +793,7 @@ def test_local_search_consistent_with_conjecture_larger_n():
     for n in (12, 16, 20):
         report = local_search_product(n, 2026, restarts=3)
         bound = (n * n // 4) ** 3
-        assert report.best_value >= report.references["constructor_value"]
+        assert report.best_value >= report.references["seed_value"]
         assert report.best_value <= bound, (
             f"product bound exceeded at n={n}: {report.to_json_dict()}"
         )
@@ -807,7 +808,7 @@ def test_local_search_matches_exhaustive_n4():
 def test_local_search_seeded_bound_n10():
     report = local_search_product(10, 5)
     assert report.best_value >= 25**3
-    assert report.references["constructor_value"] == 25**3
+    assert report.references["seed_value"] == 25**3
 
 
 def test_local_search_deterministic():
@@ -892,7 +893,7 @@ def test_report_json_schema():
     assert doc["best_value"] == "8"
     assert isinstance(doc["witnesses"], list) and doc["witnesses"]
     assert all(isinstance(h, str) for w in doc["witnesses"] for h in w)
-    assert doc["references"]["conjecture_bound"] == "8"
+    assert doc["references"]["seed_value"] == str(theory_bound("product", 3, 3)) == "8"
     assert doc["exhaustive"] is True
 
 
