@@ -19,10 +19,12 @@ gain an edge.  A node whose children are the last free graph lists only
 those pairs, by Close-by-One, and cuts every branch that cannot reach the
 best value found so far.
 
-Parallel runs split the first-graph range into fixed-size chunks, each
-pruned against the same seed value, whose results merge deterministically;
-reports therefore do not depend on the thread count, on the order in which
-chunks run, or on which chunks a checkpoint resume replays.
+Parallel runs split the first level into fixed-size chunks, runs of first
+graphs or, with iso-pruning, of the parent classes whose children are the
+first graphs, each pruned against the same seed value, whose results merge
+deterministically; reports therefore do not depend on the thread count, on
+the order in which chunks run, or on which chunks a checkpoint resume
+replays.
 
 Local search for the product objective takes the balanced bipartite
 triple plus seeded random maximal fills and keeps the best; it does not
@@ -50,11 +52,12 @@ from .systems import GraphSystem, load_json
 BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
 DEFAULT_BUDGET_BITS = 32
 
-# first graphs per exhaustive work unit, the unit of parallelism and of checkpointing
+# first graphs, or with iso-pruning parent classes on n - 1 vertices, per
+# exhaustive work unit, the unit of parallelism and of checkpointing
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record or the meaning of its counters
 # changes, so older files are refused
-_CHECKPOINT_FORMAT = 6
+_CHECKPOINT_FORMAT = 7
 
 
 def _require_positive(**options: int) -> None:
@@ -220,31 +223,61 @@ def _check_budget(n: int, t: int) -> None:
         )
 
 
+@lru_cache(maxsize=32)
+def _stars(p: int) -> tuple[int, ...]:
+    """Per vertex of a graph on p vertices, the colex mask of its edges."""
+    return tuple(sum(1 << (max(u, v) * (max(u, v) - 1) // 2 + min(u, v))
+                     for u in range(p) if u != v) for v in range(p))
+
+
+def _children(q: int, h: int) -> list[int]:
+    """The classes on q vertices whose parent is the class with canonical form h.
+
+    The parent of a class is the class of its canonical form c with the top
+    vertex q - 1 deleted, c & low with low the first C(q-1, 2) colex bits,
+    so every class on q vertices is the child of exactly one class on
+    q - 1 (canonical augmentation; McKay, "Isomorph-free exhaustive
+    generation", 1998).  A child is the form of h plus a vertex q - 1 with
+    some neighbourhood s, whose edges take the top q - 1 colex positions.
+    The top vertex of a min-colex form has the least degree, so only
+    extensions whose new vertex has no more edges than any other vertex
+    are canonicalized: with d the least degree of h and M the set of its
+    vertices of that degree, s is skipped when |s| > d + (M <= s).
+    Canonicalizing h | s << C(q-1, 2) gives a form c, kept when its parent
+    is h; a class reached twice from h is kept once.
+    """
+    top = max_edge_count(q - 1)
+    low = (1 << top) - 1
+    degrees = [(h & star).bit_count() for star in _stars(q - 1)]
+    least = min(degrees, default=0)
+    argmin = sum(1 << v for v, d in enumerate(degrees) if d == least)
+    seen: set[int] = set()
+    kids = []
+    for s in range(1 << (q - 1)):
+        if s.bit_count() > least + (argmin & ~s == 0):
+            continue
+        c = canonical_bits(q, h | s << top)
+        if c not in seen:
+            seen.add(c)
+            # h is its own form, so c & low == h needs no second canonicalization
+            if c & low == h or canonical_bits(q - 1, c & low) == h:
+                kids.append(c)
+    return kids
+
+
 def _first_level(n: int, iso_pruning: bool) -> Sequence[int]:
     """The first graphs the search walks, in ascending order.
 
     Without iso-pruning that is every graph on n vertices.  With it, it is
-    the sorted canonical forms of the isomorphism classes, built one
-    vertex at a time (Read, "Every one a winner", 1978): every graph on q
-    vertices is a class on q - 1 vertices, up to relabeling, plus a vertex
-    q - 1 with some neighbourhood s, whose edges (u, q - 1) take the top
-    q - 1 colex positions.  So canonicalizing each extension
-    h | s << C(q-1, 2) of each class h and deduplicating gives the classes
-    on q vertices.  At n = 7 that is 11,290 canonicalizations instead of
-    2^21.  A canonicity test on the extensions ("keep e iff it is its own
-    form") would lose classes: min-colex forms are not hereditary, and
-    deleting the top vertex of a canonical graph leaves a non-canonical
-    graph for 3 of the 11 classes at n = 4, 11 of 34 at n = 5, 83 of 156
-    at n = 6 and 679 of 1,044 at n = 7.
+    the sorted canonical forms of the isomorphism classes, grown one vertex
+    at a time from the graph on no vertices as the tree of `_children`.  At
+    n = 7 that is 3,907 canonicalizations instead of 2^21.
     """
     if not iso_pruning:
         return range(1 << max_edge_count(n))
     classes = [0]
-    for q in range(2, n + 1):
-        top = max_edge_count(q - 1)
-        classes = sorted(
-            {canonical_bits(q, h | s << top) for h in classes for s in range(1 << (q - 1))}
-        )
+    for q in range(1, n + 1):
+        classes = sorted(c for h in classes for c in _children(q, h))
     return classes
 
 
@@ -435,6 +468,13 @@ def _search_chunk(
     }
 
 
+def _search_classes(objective: str, n: int, t: int, incumbent: int, tie_cap: int,
+                    parents: Sequence[int]) -> dict[str, Any]:
+    """`_search_chunk` over the classes on n vertices whose parents are `parents`."""
+    first = sorted(c for h in parents for c in _children(n, h))
+    return _search_chunk(objective, n, t, incumbent, tie_cap, first)
+
+
 def _seed_value(objective: str, n: int, t: int) -> int:
     if objective == "sum":
         if t < 3:
@@ -513,7 +553,8 @@ def _load_checkpoint(path: str, header: dict[str, Any]) -> dict[str, dict[str, A
 
 
 def _save_checkpoint(path: str, header: dict[str, Any], done: dict[str, Any]) -> None:
-    tmp = Path(path).with_suffix(".tmp")
+    # a sibling of its own, so the replace is atomic whatever the suffix
+    tmp = Path(f"{path}.tmp")
     try:
         tmp.write_text(json.dumps({"header": header, "done": done}))
         tmp.replace(path)
@@ -562,11 +603,14 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
         def search(chunk: list[int]) -> dict[str, Any]:
             return {"best": seed_value, "witnesses": [chunk], "nodes": 1, "pruned": 0}
     else:
-        first = _first_level(n, iso_pruning)
-        chunks = [first[i : i + _CHUNK_SIZE] for i in range(0, len(first), _CHUNK_SIZE)]
+        # an iso-pruned chunk is a run of parent classes on n - 1 vertices,
+        # whose children its worker builds and searches
+        units = _first_level(n - 1, True) if iso_pruning else _first_level(n, False)
+        chunks = [units[i : i + _CHUNK_SIZE] for i in range(0, len(units), _CHUNK_SIZE)]
         # every chunk prunes against the seed value alone, so its record does
         # not depend on which chunks ran before it, in this process or another
-        search = partial(_search_chunk, objective, n, t, seed_value, witness_cap + 1)
+        search = partial(_search_classes if iso_pruning else _search_chunk,
+                         objective, n, t, seed_value, witness_cap + 1)
         references = {"seed_value": seed_value}
     header = {
         "format": _CHECKPOINT_FORMAT,

@@ -327,21 +327,22 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
     exhaustive_max_product(4, checkpoint=str(fresh))
-    assert json.loads(fresh.read_text())["header"]["format"] == 6
+    assert json.loads(fresh.read_text())["header"]["format"] == 7
 
 
 def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
-    # formats 2 to 5 stored the same record shape, but their nodes and
+    # formats 2 to 6 stored the same record shape, but their nodes and
     # pruned were counted by the walk before the exact last-slot bound, by
     # the bit-vector scoring of the last free graph, (format 4, t = 2)
     # over every first graph, and (format 5) over every order of the
-    # graphs, so a resume would mix two kinds of counts
+    # graphs, so a resume would mix two kinds of counts; a format 6
+    # iso-pruned chunk was a run of classes, not of their parent classes
     path = tmp_path / "run.json"
     argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(path),
             "--output", "json"]
     assert run(capsys, argv)[0] == 0
     fresh = json.loads(path.read_text())
-    for old_format in (2, 3, 4, 5):
+    for old_format in (2, 3, 4, 5, 6):
         path.write_text(json.dumps({**fresh, "header": {**fresh["header"], "format": old_format}}))
         before = path.read_bytes()
         code, out, err = run(capsys, argv)

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,21 @@ def max_triangle_free_edges(n):
 def reference_first_level(n):
     """Every graph on n vertices canonicalized, the oracle for `_first_level(n, True)`."""
     return sorted({canonical_bits(n, g) for g in range(1 << max_edge_count(n))})
+
+
+def extension_first_level(n):
+    """Every one-vertex extension of every class canonicalized, in one global set.
+
+    Every graph on q vertices is a class on q - 1 vertices, up to
+    relabeling, plus a vertex q - 1 with some neighbourhood s, so this is
+    the second oracle for `_first_level(n, True)`, one that reaches n = 7.
+    """
+    classes = [0]
+    for q in range(2, n + 1):
+        top = max_edge_count(q - 1)
+        classes = sorted(
+            {canonical_bits(q, h | s << top) for h in classes for s in range(1 << (q - 1))})
+    return classes
 
 
 def reference_search_chunk(objective, n, t, incumbent, tie_cap, first_graphs):
@@ -322,10 +338,23 @@ def test_first_level_matches_the_reference(n):
     assert _first_level(n, True) == reference_first_level(n)
 
 
+def test_first_level_matches_the_extension_oracle_n7():
+    assert _first_level(7, True) == extension_first_level(7)
+
+
 def test_first_level_counts_the_graph_classes():
-    # OEIS A000088; the n = 7 level takes about 2 s
+    # OEIS A000088; the n = 7 level takes about 1 s
     counts = [len(_first_level(n, True)) for n in range(1, 8)]
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+
+@pytest.mark.parametrize("n, misses", [(6, 532), (7, 3_907)])
+def test_first_level_canonicalization_count(n, misses):
+    # a cold level canonicalizes only the extensions that pass the degree
+    # filter, plus the parents that cannot be read off the form
+    canonical_bits.cache_clear()
+    _first_level(n, True)
+    assert canonical_bits.cache_info().misses == misses
 
 
 def test_iso_pruning_same_value():
@@ -405,7 +434,7 @@ def test_exhaustive_t4_and_above_pinned(monkeypatch, n, t, budget):
 
 
 def test_exhaustive_n7_pinned(monkeypatch):
-    # exact t = 3 at n = 7, most of it the first level: the product meets the
+    # exact t = 3 at n = 7, about half of it the first level: the product meets the
     # conjectured floor(49/4)^3 only at the K_{3,4} triple, and the sum meets
     # n(n-1) only at (K7, K7, empty) in its three orders
     monkeypatch.setenv("RBT_LAB_BUDGET", "42")
@@ -611,6 +640,26 @@ def test_chunk_size_invariance_t2(monkeypatch):
             assert reports[0] == reports[1] == reports[2]
 
 
+# iso-pruned setups whose seed is the optimum, with more than one parent class
+ISO_PRUNED = [(exhaustive_max_sum, (5, 3)), (exhaustive_max_product, (5,)),
+              (exhaustive_max_product, (6,))]
+
+
+@pytest.mark.parametrize("entry, args", ISO_PRUNED)
+def test_iso_pruned_reports_do_not_depend_on_threads_or_chunks(monkeypatch, entry, args):
+    # the workers build the first graphs from the parent classes of their
+    # chunk, so every split of the parents must give the same report
+    reports = []
+    for size in (1, 4, 64):
+        monkeypatch.setattr(search, "_CHUNK_SIZE", size)
+        for threads in (1, 2):
+            report = without_wall_time(entry(*args, iso_pruning=True, threads=threads))
+            assert report["config"].pop("threads") == threads
+            assert report["config"].pop("chunk_size") == size
+            reports.append(report)
+    assert all(report == reports[0] for report in reports)
+
+
 class InProcessPool:
     """ProcessPoolExecutor stand-in that records max_workers and maps in this process."""
 
@@ -751,9 +800,30 @@ def test_checkpoint_chunk_ids_are_checked(tmp_path):
         exhaustive_max_product(4, checkpoint=str(path))
 
 
+def test_checkpoint_temp_file_is_its_own_sibling(tmp_path, monkeypatch):
+    # run.tmp must not be its own temp file, which would rewrite it in
+    # place, and a.json and a.ckpt must not share one
+    moves = []
+    replace = Path.replace
+
+    def recording_replace(self, target):
+        moves.append((self, Path(target)))
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", recording_replace)
+    names = ("run.tmp", "a.json", "a.ckpt")
+    for name in names:
+        exhaustive_max_product(4, checkpoint=str(tmp_path / name))
+    assert {target.name for _, target in moves} == set(names)
+    for tmp, target in moves:
+        assert tmp == target.with_name(target.name + ".tmp")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
 def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
-    # the intended use: resumable runs at the n=5 budget edge
-    monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
+    # the intended use: resumable runs at the n=5 budget edge; an iso-pruned
+    # chunk is a run of the 11 parent classes on 4 vertices, so six chunks
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 2)
     path = tmp_path / "n5.json"
     plain = exhaustive_max_sum(5, 3, iso_pruning=True)
     first = exhaustive_max_sum(5, 3, iso_pruning=True, checkpoint=str(path))
@@ -772,8 +842,9 @@ def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
     assert resumed.nodes == first.nodes
 
 
-def test_checkpoint_resume_n6_iso(tmp_path):
-    # n = 6 in its default chunks: 156 classes, three chunks
+def test_checkpoint_resume_n6_iso(tmp_path, monkeypatch):
+    # n = 6 from its 34 parent classes on 5 vertices, three chunks
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 16)
     path = tmp_path / "n6.json"
     first = exhaustive_max_sum(6, 3, iso_pruning=True, checkpoint=str(path))
     assert first.best_value == 30
