@@ -35,12 +35,10 @@ adjacency rows and a forbidden row per vertex, updated per added edge.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import permutations
 from math import prod
 from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
@@ -49,9 +47,12 @@ from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .graph import Graph, _check_vertex_count, iter_bits, max_edge_count
 from .systems import GraphSystem, load_json
 
-BUDGET_ENV_VAR = "RBT_LAB_BUDGET"
-DEFAULT_BUDGET_BITS = 32
-
+# without iso-pruning the first level is all 2^C(n,2) graphs: 2^21 take
+# minutes at n = 7, so a t >= 3 search without it stops there
+_UNPRUNED_MAX_N = 7
+# `extend` and `walk` recurse once per graph and once per added edge, so t
+# is held well inside the interpreter's recursion limit
+_MAX_T = 32
 # first graphs, or with iso-pruning parent classes on n - 1 vertices, per
 # exhaustive work unit, the unit of parallelism and of checkpointing
 _CHUNK_SIZE = 64
@@ -205,24 +206,6 @@ def bipartite_triple(n: int) -> GraphSystem:
 # -- exhaustive search ---------------------------------------------------------------
 
 
-def _check_budget(n: int, t: int) -> None:
-    raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET_BITS))
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    # one tuple per choice of the first t - 1 graphs, the last being read
-    # off the mask; the closed-pair search visits far fewer, so this caps
-    # the size of the space, not the cost.  Only t >= 3 is walked and
-    # budgeted: the t <= 2 answer is written down
-    bits = max_edge_count(n) * (t - 1)
-    if bits > budget:
-        raise ValueError(
-            f"search space is 2^{bits} tuples which exceeds the 2^{budget} budget; "
-            f"raise {BUDGET_ENV_VAR} to override"
-        )
-
-
 @lru_cache(maxsize=32)
 def _stars(p: int) -> tuple[int, ...]:
     """Per vertex of a graph on p vertices, the colex mask of its edges."""
@@ -287,6 +270,15 @@ def _canonical_witness(n: int, graphs: tuple[int, ...]) -> tuple[int, ...]:
     return graphs
 
 
+def _orderings(items: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every distinct ordering of items, each once, however often a value repeats."""
+    if len(items) < 2:
+        return [items]
+    # each value leads once, from its first position
+    return [(x,) + rest for i, x in enumerate(items) if x not in items[:i]
+            for rest in _orderings(items[:i] + items[i + 1:])]
+
+
 def _search_chunk(
     objective: str,
     n: int,
@@ -333,7 +325,7 @@ def _search_chunk(
         first = _canonical_witness(n, tuple(graphs))
         if first in witnesses:
             return  # it came with every ordering of its tuple
-        witnesses.update(_canonical_witness(n, p) for p in set(permutations(first)))
+        witnesses.update(_canonical_witness(n, p) for p in _orderings(first))
         if len(witnesses) > 2 * tie_cap:
             # a witness dropped here stays out: tie_cap smaller ones are kept
             witnesses = set(sorted(witnesses)[:tie_cap])
@@ -587,8 +579,12 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
                     witness_cap: int, checkpoint: str | None) -> SearchReport:
     _require_positive(t=t, threads=threads, witness_cap=witness_cap)
     _check_vertex_count(n)
-    if t >= 3:
-        _check_budget(n, t)
+    if t >= 3 and not iso_pruning and n > _UNPRUNED_MAX_N:
+        raise ValueError(f"a t >= 3 search without iso-pruning lists all 2^{max_edge_count(n)} "
+                         f"graphs first; it runs up to n={_UNPRUNED_MAX_N}")
+    if t > _MAX_T:
+        raise ValueError(f"a t >= 3 search recurses once per graph and edge; "
+                         f"t must be <= {_MAX_T}, got {t}")
     if iso_pruning and n > CANONICAL_MAX_N:
         # refused before any work: the first level would cover all 2^m graphs
         raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")

@@ -366,8 +366,7 @@ def test_search_range_checks_exit_2(capsys, flags, message):
 
 
 def test_search_iso_pruning_beyond_canonical_range_exits_2(monkeypatch, capsys):
-    # under a raised budget, n = 9 would otherwise start canonicalizing 2^36 graphs
-    monkeypatch.setenv("RBT_LAB_BUDGET", "200")
+    # n = 9 would otherwise start canonicalizing 2^36 graphs
     monkeypatch.setattr(search, "canonical_bits", lambda *args: pytest.fail("canonicalized"))
     monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
     with pytest.raises(ValueError, match="canonicalization supported up to n=8"):
@@ -531,18 +530,26 @@ def test_search_theory_bound_only_where_a_theorem_applies(capsys):
     assert "t = 3" in err
 
 
-def test_search_budget_error(capsys):
-    code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "7", "--t", "3"])
+@pytest.mark.parametrize("flags, message", [
+    (["--objective", "product", "--n", "8"], "runs up to n=7"),
+    (["--objective", "sum", "--n", "9", "--t", "3"], "runs up to n=7"),
+    (["--objective", "sum", "--n", "4", "--t", "33", "--iso-pruning"], "t must be <= 32, got 33"),
+    # deeper than the interpreter's recursion limit
+    (["--objective", "sum", "--n", "1", "--t", "2000"], "t must be <= 32, got 2000"),
+])
+def test_search_limits_exit_2(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
+    path = tmp_path / "ck.json"
+    code, out, err = run(capsys, ["search"] + flags + ["--checkpoint", str(path),
+                                                       "--output", "json"])
     assert code == 2
-    assert "budget" in err
-    code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "3"])
-    assert code == 2
-    assert "budget" in err
+    assert out == ""
+    assert message in err
+    assert not path.exists()
 
 
-def test_search_t2_is_not_budgeted(monkeypatch, capsys):
-    # the written-down t <= 2 answer is never walked, so the budget is not read
-    monkeypatch.setenv("RBT_LAB_BUDGET", "bogus")
+def test_search_t2_is_not_budgeted(capsys):
+    # the written-down t <= 2 answer is never walked, so no limit of a walk applies
     code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "2",
                                   "--output", "json"])
     assert (code, err) == (0, "")
@@ -550,9 +557,10 @@ def test_search_t2_is_not_budgeted(monkeypatch, capsys):
     full = Graph.complete(9).to_hex()
     assert (doc["best_value"], doc["witnesses"]) == ("72", [[full, full]])
     assert (doc["nodes"], doc["pruned"]) == ("1", "0")
-    code, _, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "3"])
-    assert code == 2
-    assert "RBT_LAB_BUDGET must be an integer" in err
+    code, out, _ = run(capsys, ["search", "--objective", "sum", "--n", "64", "--t", "2",
+                                "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["best_value"] == "4032"
 
 
 def test_search_n6_reaches_the_theory_values(capsys):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 import random
 from itertools import combinations, permutations
 from pathlib import Path
@@ -24,6 +25,7 @@ from rbt_lab.canonical import canonical_bits, canonical_system_bits
 from rbt_lab.search import (
     _cross,
     _first_level,
+    _orderings,
     _random_rbt_free_triple,
     _search_chunk,
     _seed_value,
@@ -277,7 +279,7 @@ def test_exhaustive_t2_is_two_complete_graphs_n8(monkeypatch, iso_pruning):
 
 @pytest.mark.parametrize("n, best", [(9, 72), (64, 4032)])
 def test_exhaustive_t2_is_not_budgeted(monkeypatch, n, best):
-    # 2^C(n,2) tuples exceed the default budget, but none is walked
+    # no limit of a walked search applies, since none is walked
     monkeypatch.setattr(search, "_first_level", lambda *args: pytest.fail("first level built"))
     monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
     report = exhaustive_max_sum(n, 2)
@@ -298,8 +300,8 @@ def test_exhaustive_t2_is_not_budgeted(monkeypatch, n, best):
 ])
 @pytest.mark.parametrize("n", [0, -1, 65])
 def test_exhaustive_checks_the_vertex_count_first(tmp_path, monkeypatch, call, n):
-    # refused before the seed, the budget, the first level or the checkpoint
-    for name in ("_seed_value", "_check_budget", "_first_level", "_save_checkpoint"):
+    # refused before the seed, the first level or the checkpoint
+    for name in ("_seed_value", "_first_level", "_children", "_save_checkpoint"):
         monkeypatch.setattr(search, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     path = tmp_path / "ck.json"
     with pytest.raises(ValueError, match=f"vertex count must be in 1..64, got {n}"):
@@ -421,11 +423,16 @@ def test_exhaustive_n5_pinned():
     assert (wide.nodes, wide.pruned) == (31, 474)
 
 
-@pytest.mark.parametrize("n, t, budget", [(5, 5, 40), (5, 6, 50), (6, 4, 45), (6, 5, 60)])
-def test_exhaustive_t4_and_above_pinned(monkeypatch, n, t, budget):
+@pytest.mark.parametrize("n, t, space_bits", [
+    (5, 5, 40), (5, 6, 50), (6, 4, 45), (6, 5, 60),
+    (6, 8, 105), (7, 5, 84), (7, 6, 105), (6, 16, 225),
+    (5, 32, 310),  # the largest t a search accepts
+])
+def test_exhaustive_t4_and_above_pinned(n, t, space_bits):
     # the t >= 4 sum theorem: t * floor(n^2/4), met only by t copies of the
-    # balanced complete bipartite graph
-    monkeypatch.setenv("RBT_LAB_BUDGET", str(budget))
+    # balanced complete bipartite graph.  Each run takes a second or less,
+    # whatever the size 2^(C(n,2) * (t - 1)) of its space of tuples
+    assert max_edge_count(n) * (t - 1) == space_bits
     report = exhaustive_max_sum(n, t, iso_pruning=True)
     assert report.best_value == report.references["seed_value"] == t * (n * n // 4)
     expected = balanced_bipartite_system(n, t)
@@ -433,11 +440,10 @@ def test_exhaustive_t4_and_above_pinned(monkeypatch, n, t, budget):
     assert not report.witness_overflow
 
 
-def test_exhaustive_n7_pinned(monkeypatch):
+def test_exhaustive_n7_pinned():
     # exact t = 3 at n = 7, about half of it the first level: the product meets the
     # conjectured floor(49/4)^3 only at the K_{3,4} triple, and the sum meets
     # n(n-1) only at (K7, K7, empty) in its three orders
-    monkeypatch.setenv("RBT_LAB_BUDGET", "42")
     product = exhaustive_max_product(7, iso_pruning=True)
     assert product.best_value == theory_bound("product", 7, 3) == 1_728
     triple = tuple(g.to_bits() for g in bipartite_triple(7).graphs)
@@ -455,10 +461,9 @@ ORDERING_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(3, 6)] + [
 
 
 @pytest.mark.parametrize("objective, n, t", ORDERING_SETUPS)
-def test_witness_set_is_closed_under_graph_order(monkeypatch, objective, n, t):
+def test_witness_set_is_closed_under_graph_order(objective, n, t):
     # the search walks one order of the graphs; every other order of every
     # witness, canonicalized, must come back from the expansion
-    monkeypatch.setenv("RBT_LAB_BUDGET", "40")
     if objective == "sum":
         report = exhaustive_max_sum(n, t, iso_pruning=True, witness_cap=10**6)
     else:
@@ -469,8 +474,8 @@ def test_witness_set_is_closed_under_graph_order(monkeypatch, objective, n, t):
         assert {canonical_system_bits(n, p) for p in permutations(w)} <= found
 
 
-# the sizes the old 2^(C(n,2)*t) budget admitted, where the reference walk
-# stays within a second
+# the sizes with 2^(C(n,2)*t) <= 2^32 tuples, where the reference walk stays
+# within a second
 ORACLE_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(2, 7)
                  if max_edge_count(n) * t <= 32] + [("product", n, 3) for n in range(1, 6)]
 
@@ -588,23 +593,65 @@ def test_mantel_maximum_small():
         max_triangle_free_edges(7)
 
 
-def test_budget_enforced(monkeypatch):
-    # the budget counts the choices of the first t - 1 graphs,
-    # 2^(C(n,2) * (t - 1)): the last graph is read off the forbidden mask
-    with monkeypatch.context() as patch:
-        patch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
-        with pytest.raises(ValueError, match="2\\^42 tuples"):
-            exhaustive_max_sum(7, 3)
-        with pytest.raises(ValueError, match="2\\^40 tuples"):
-            exhaustive_max_sum(5, 5)
-    monkeypatch.setenv("RBT_LAB_BUDGET", "17")
-    with pytest.raises(ValueError, match="budget"):
-        exhaustive_max_sum(4, 4)  # 18 bits > 17
-    monkeypatch.setenv("RBT_LAB_BUDGET", "18")
+def test_orderings_are_the_distinct_permutations():
+    rng = random.Random(7)
+    for _ in range(300):
+        w = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
+        assert sorted(_orderings(w)) == sorted(set(permutations(w)))
+    assert _orderings((5,) * 20) == [(5,) * 20]
+
+
+def test_many_copies_of_one_graph_expand_to_one_witness():
+    # the t! orderings of (K2, ..., K2) are one tuple
+    report = exhaustive_max_sum(2, 20)
+    assert (report.best_value, report.witnesses) == (20, [(1,) * 20])
+
+
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exhaustive_max_sum(7, 3),
+    lambda: exhaustive_max_product(7),
+])
+def test_unpruned_n7_reaches_the_search(monkeypatch, call):
+    # all 2^21 first graphs: accepted, though the whole run takes minutes
+    def stub(*args):
+        raise Reached
+    monkeypatch.setattr(search, "_search_chunk", stub)
+    with pytest.raises(Reached):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda **kw: exhaustive_max_sum(8, 3, **kw), "runs up to n=7"),
+    (lambda **kw: exhaustive_max_product(8, **kw), "runs up to n=7"),
+    (lambda **kw: exhaustive_max_product(9, iso_pruning=True, **kw),
+     "canonicalization supported up to n=8"),
+    (lambda **kw: exhaustive_max_sum(4, 33, iso_pruning=True, **kw), "t must be <= 32, got 33"),
+    (lambda **kw: exhaustive_max_sum(1, 2000, **kw), "t must be <= 32, got 2000"),
+])
+def test_search_limits_refuse_before_any_work(tmp_path, monkeypatch, call, message):
+    for name in ("_seed_value", "_first_level", "_children", "_search_chunk", "_save_checkpoint"):
+        monkeypatch.setattr(search, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    path = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match=message):
+        call(checkpoint=str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_reads_no_environment_variable(monkeypatch):
+    # no setting outside the call's own options, such as a space budget
+    # left in the environment by an older version, changes a search
+    class Unreadable(dict):
+        def __getitem__(self, key, *default):
+            pytest.fail(f"environment variable {key} read")
+        get = __contains__ = __getitem__
+
+    monkeypatch.setattr(os, "environ", Unreadable())
     assert exhaustive_max_sum(4, 4).best_value == 16
-    monkeypatch.setenv("RBT_LAB_BUDGET", "bogus")
-    with pytest.raises(ValueError):
-        exhaustive_max_sum(3, 3)
+    assert exhaustive_max_sum(5, 5, iso_pruning=True).best_value == 30
 
 
 # setups whose seed is the optimum, so no chunk's incumbent rises and the
@@ -821,7 +868,7 @@ def test_checkpoint_temp_file_is_its_own_sibling(tmp_path, monkeypatch):
 
 
 def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
-    # the intended use: resumable runs at the n=5 budget edge; an iso-pruned
+    # the intended use: resumable runs, here at n = 5; an iso-pruned
     # chunk is a run of the 11 parent classes on 4 vertices, so six chunks
     monkeypatch.setattr(search, "_CHUNK_SIZE", 2)
     path = tmp_path / "n5.json"
