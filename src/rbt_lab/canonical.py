@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .graph import Graph, iter_bits
 
-# the largest n whose search witnesses and iso-pruned first levels are
+# the largest n whose search witnesses and first levels are
 # canonical forms; above it witnesses are reported raw, so changing it
 # changes reports.  The first level is grown as a tree of one-vertex
 # extensions, so at n = 8 it takes 43,371 canonical forms for its 12,346

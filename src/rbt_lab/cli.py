@@ -172,10 +172,11 @@ def _cmd_search(args) -> int:
     bound = cert.theory_bound(args.objective, args.n, args.t)
     seed = _mode_flag(args, "seed", args.local, None, "local search")
     restarts = _mode_flag(args, "restarts", args.local, 8, "local search")
-    iso_pruning = _mode_flag(args, "iso_pruning", not args.local, False, "exhaustive search")
+    # read only to refuse it in local mode: exhaustive search always prunes
+    _mode_flag(args, "iso_pruning", not args.local, False, "exhaustive search")
     checkpoint = _mode_flag(args, "checkpoint", not args.local, None, "exhaustive search")
     shared = {"threads": args.threads, "witness_cap": args.witness_cap}
-    exhaustive = {"iso_pruning": iso_pruning, "checkpoint": checkpoint, **shared}
+    exhaustive = {"checkpoint": checkpoint, **shared}
     if args.objective == "sum":
         if args.local:
             raise PreconditionError("local search supports the product objective only")
@@ -324,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None, help="local restarts (default 8)")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--iso-pruning", action="store_true", default=None)
+    p.add_argument("--iso-pruning", action="store_true", default=None,
+                   help="the default: exhaustive search walks one first graph per "
+                        "isomorphism class; changes nothing")
     p.add_argument("--witness-cap", type=int, default=64)
     p.add_argument("--checkpoint", default=None,
                    help="JSON checkpoint for resumable exhaustive runs")

@@ -19,12 +19,14 @@ gain an edge.  A node whose children are the last free graph lists only
 those pairs, by Close-by-One, and cuts every branch that cannot reach the
 best value found so far.
 
-Parallel runs split the first level into fixed-size chunks, runs of first
-graphs or, with iso-pruning, of the parent classes whose children are the
-first graphs, each pruned against the same seed value, whose results merge
-deterministically; reports therefore do not depend on the thread count, on
-the order in which chunks run, or on which chunks a checkpoint resume
-replays.
+The first graphs are the isomorphism classes of graphs on n vertices,
+one canonical form each, grown as a tree of one-vertex extensions
+(canonical augmentation).  Runs split the first level into fixed-size
+chunks, runs of the parent classes on n - 1 vertices whose children are
+the first graphs, each pruned against the same seed value, whose results
+merge deterministically; reports therefore do not depend on the thread
+count, on the order in which chunks run, or on which chunks a checkpoint
+resume replays.
 
 Local search for the product objective takes the balanced bipartite
 triple plus seeded random maximal fills and keeps the best; it does not
@@ -47,18 +49,15 @@ from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
 from .graph import Graph, _check_vertex_count, iter_bits, max_edge_count
 from .systems import GraphSystem, load_json
 
-# without iso-pruning the first level is all 2^C(n,2) graphs: 2^21 take
-# minutes at n = 7, so a t >= 3 search without it stops there
-_UNPRUNED_MAX_N = 7
 # `extend` and `walk` recurse once per graph and once per added edge, so t
 # is held well inside the interpreter's recursion limit
 _MAX_T = 32
-# first graphs, or with iso-pruning parent classes on n - 1 vertices, per
-# exhaustive work unit, the unit of parallelism and of checkpointing
+# parent classes on n - 1 vertices per exhaustive work unit, the unit of
+# parallelism and of checkpointing
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record or the meaning of its counters
 # changes, so older files are refused
-_CHECKPOINT_FORMAT = 7
+_CHECKPOINT_FORMAT = 8
 
 
 def _require_positive(**options: int) -> None:
@@ -75,11 +74,12 @@ class SearchReport:
     hold each graph as its colex bit integer, in canonical form up to
     n = CANONICAL_MAX_N = 8 and raw above it; when there are more than
     the cap, the least ones are kept.  In exhaustive mode only tuples with
-    |G1| >= ... >= |Gt| are walked, and every ordering of each maximizer
-    found is a witness.  nodes counts the expanded partial tuples of that
-    walk and pruned counts the first graphs, the admissible (rainbow-free)
-    children and the whole subtrees of children cut by the optimistic
-    bound.  At the last two graphs nodes counts the closed pairs visited
+    |G1| >= ... >= |Gt| whose G1 is a canonical form, one per isomorphism
+    class, are walked, and every ordering of each maximizer found is a
+    witness.  nodes counts the expanded partial tuples of that walk and
+    pruned counts the first graphs, the admissible (rainbow-free) children
+    and the whole subtrees of children cut by the optimistic bound.  At
+    the last two graphs nodes counts the closed pairs visited
     and pruned the Close-by-One branches cut by the bound or by the edge
     count of the graph before them.  references hold seed_value, the
     value of the extremal construction the search starts from, in both
@@ -248,16 +248,13 @@ def _children(q: int, h: int) -> list[int]:
     return kids
 
 
-def _first_level(n: int, iso_pruning: bool) -> Sequence[int]:
-    """The first graphs the search walks, in ascending order.
+def _first_level(n: int) -> list[int]:
+    """The sorted canonical forms of the isomorphism classes on n vertices.
 
-    Without iso-pruning that is every graph on n vertices.  With it, it is
-    the sorted canonical forms of the isomorphism classes, grown one vertex
-    at a time from the graph on no vertices as the tree of `_children`.  At
-    n = 7 that is 3,907 canonicalizations instead of 2^21.
+    They are grown one vertex at a time from the graph on no vertices as
+    the tree of `_children`.  At n = 7 that is 3,907 canonicalizations
+    instead of 2^21.
     """
-    if not iso_pruning:
-        return range(1 << max_edge_count(n))
     classes = [0]
     for q in range(1, n + 1):
         classes = sorted(c for h in classes for c in _children(q, h))
@@ -575,19 +572,17 @@ def _report(objective: str, n: int, t: int, records: Collection[dict[str, Any]],
     )
 
 
-def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: bool,
-                    witness_cap: int, checkpoint: str | None) -> SearchReport:
+def _run_exhaustive(objective: str, n: int, t: int, threads: int, witness_cap: int,
+                    checkpoint: str | None) -> SearchReport:
     _require_positive(t=t, threads=threads, witness_cap=witness_cap)
     _check_vertex_count(n)
-    if t >= 3 and not iso_pruning and n > _UNPRUNED_MAX_N:
-        raise ValueError(f"a t >= 3 search without iso-pruning lists all 2^{max_edge_count(n)} "
-                         f"graphs first; it runs up to n={_UNPRUNED_MAX_N}")
+    if t >= 3 and n > CANONICAL_MAX_N:
+        # refused before any work: the first level is canonical forms on n vertices
+        raise ValueError(f"a t >= 3 search lists graph classes first; "
+                         f"canonicalization supported up to n={CANONICAL_MAX_N}")
     if t > _MAX_T:
         raise ValueError(f"a t >= 3 search recurses once per graph and edge; "
                          f"t must be <= {_MAX_T}, got {t}")
-    if iso_pruning and n > CANONICAL_MAX_N:
-        # refused before any work: the first level would cover all 2^m graphs
-        raise ValueError(f"canonicalization supported up to n={CANONICAL_MAX_N}")
     started = time.perf_counter()
     seed_value = _seed_value(objective, n, t)
     if t < 3:
@@ -599,21 +594,19 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
         def search(chunk: list[int]) -> dict[str, Any]:
             return {"best": seed_value, "witnesses": [chunk], "nodes": 1, "pruned": 0}
     else:
-        # an iso-pruned chunk is a run of parent classes on n - 1 vertices,
-        # whose children its worker builds and searches
-        units = _first_level(n - 1, True) if iso_pruning else _first_level(n, False)
-        chunks = [units[i : i + _CHUNK_SIZE] for i in range(0, len(units), _CHUNK_SIZE)]
+        # a chunk is a run of parent classes on n - 1 vertices, whose
+        # children its worker builds and searches
+        parents = _first_level(n - 1)
+        chunks = [parents[i : i + _CHUNK_SIZE] for i in range(0, len(parents), _CHUNK_SIZE)]
         # every chunk prunes against the seed value alone, so its record does
         # not depend on which chunks ran before it, in this process or another
-        search = partial(_search_classes if iso_pruning else _search_chunk,
-                         objective, n, t, seed_value, witness_cap + 1)
+        search = partial(_search_classes, objective, n, t, seed_value, witness_cap + 1)
         references = {"seed_value": seed_value}
     header = {
         "format": _CHECKPOINT_FORMAT,
         "objective": objective,
         "n": n,
         "t": t,
-        "iso_pruning": iso_pruning,
         "witness_cap": witness_cap,
         "chunk_size": _CHUNK_SIZE,
         "num_chunks": len(chunks),
@@ -629,32 +622,30 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, iso_pruning: b
         done[key] = record
         if checkpoint:
             _save_checkpoint(checkpoint, header, done)
-    config = {"mode": "exhaustive", "iso_pruning": iso_pruning, "threads": threads,
-              "chunk_size": _CHUNK_SIZE}
+    config = {"mode": "exhaustive", "threads": threads, "chunk_size": _CHUNK_SIZE}
     return _report(objective, n, t, done.values(), witness_cap, started, references, config)
 
 
-def exhaustive_max_sum(n: int, t: int, *, threads: int = 1, iso_pruning: bool = False,
-                       witness_cap: int = 64, checkpoint: str | None = None) -> SearchReport:
+def exhaustive_max_sum(n: int, t: int, *, threads: int = 1, witness_cap: int = 64,
+                       checkpoint: str | None = None) -> SearchReport:
     """Exact maximum of the total edge count over rainbow-free t-tuples.
 
     threads splits the fixed chunks over processes without changing the
-    report; iso_pruning takes the first graph up to isomorphism; at most
-    witness_cap maximizers are reported; checkpoint names a file of
-    finished chunks that a rerun of the same setup resumes from.
+    report; at most witness_cap maximizers are reported; checkpoint names
+    a file of finished chunks that a rerun of the same setup resumes from.
     """
-    return _run_exhaustive("sum", n, t, threads, iso_pruning, witness_cap, checkpoint)
+    return _run_exhaustive("sum", n, t, threads, witness_cap, checkpoint)
 
 
-def exhaustive_max_product(n: int, *, threads: int = 1, iso_pruning: bool = False,
-                           witness_cap: int = 64, checkpoint: str | None = None) -> SearchReport:
+def exhaustive_max_product(n: int, *, threads: int = 1, witness_cap: int = 64,
+                           checkpoint: str | None = None) -> SearchReport:
     """Exact maximum of |G1||G2||G3| over rainbow-free triples.
 
     Takes the options of `exhaustive_max_sum`.  The report's seed value is
     that of the bipartite triple, floor(n^2/4)^3; a best value above it
     would be a counterexample to the open product conjecture.
     """
-    return _run_exhaustive("product", n, 3, threads, iso_pruning, witness_cap, checkpoint)
+    return _run_exhaustive("product", n, 3, threads, witness_cap, checkpoint)
 
 
 # -- local search --------------------------------------------------------------------

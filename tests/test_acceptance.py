@@ -99,7 +99,7 @@ def test_c02_exhaustive_n4():
 
 def test_c03_essential_uniqueness_n5():
     started = time.perf_counter()
-    r = exhaustive_max_sum(5, 3, iso_pruning=True)
+    r = exhaustive_max_sum(5, 3)
     assert r.best_value == 20 == 5 * 4
     assert r.witnesses and not r.witness_overflow
     full = max_edge_count(5)

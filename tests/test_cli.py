@@ -327,7 +327,7 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
     exhaustive_max_product(4, checkpoint=str(fresh))
-    assert json.loads(fresh.read_text())["header"]["format"] == 7
+    assert json.loads(fresh.read_text())["header"]["format"] == 8
 
 
 def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
@@ -336,13 +336,14 @@ def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
     # the bit-vector scoring of the last free graph, (format 4, t = 2)
     # over every first graph, and (format 5) over every order of the
     # graphs, so a resume would mix two kinds of counts; a format 6
-    # iso-pruned chunk was a run of classes, not of their parent classes
+    # iso-pruned chunk was a run of classes, not of their parent classes,
+    # and a format 7 chunk without iso-pruning was a run of first graphs
     path = tmp_path / "run.json"
     argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(path),
             "--output", "json"]
     assert run(capsys, argv)[0] == 0
     fresh = json.loads(path.read_text())
-    for old_format in (2, 3, 4, 5, 6):
+    for old_format in (2, 3, 4, 5, 6, 7):
         path.write_text(json.dumps({**fresh, "header": {**fresh["header"], "format": old_format}}))
         before = path.read_bytes()
         code, out, err = run(capsys, argv)
@@ -370,20 +371,21 @@ def test_search_iso_pruning_beyond_canonical_range_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(search, "canonical_bits", lambda *args: pytest.fail("canonicalized"))
     monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
     with pytest.raises(ValueError, match="canonicalization supported up to n=8"):
-        exhaustive_max_product(9, iso_pruning=True)
-    code, out, err = run(capsys, ["search", "--objective", "product", "--n", "9",
-                                  "--iso-pruning", "--output", "json"])
-    assert code == 2
-    assert out == ""
-    assert "canonicalization supported up to n=8" in err
+        exhaustive_max_product(9)
+    for flags in ([], ["--iso-pruning"]):
+        code, out, err = run(capsys, ["search", "--objective", "product", "--n", "9",
+                                      "--output", "json"] + flags)
+        assert code == 2
+        assert out == ""
+        assert "canonicalization supported up to n=8" in err
 
 
 def test_search_t1_takes_the_checks_of_every_search(tmp_path, capsys):
+    # the canonical range bounds the first level of a walk, and t = 1 walks none
     code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "1",
                                   "--iso-pruning", "--output", "json"])
-    assert code == 2
-    assert out == ""
-    assert "canonicalization supported up to n=8" in err
+    assert (code, err) == (0, "")
+    assert json.loads(out)["best_value"] == "36"
     missing = tmp_path / "missing" / "ck.json"
     code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "4", "--t", "1",
                                   "--checkpoint", str(missing), "--output", "json"])
@@ -531,9 +533,10 @@ def test_search_theory_bound_only_where_a_theorem_applies(capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--objective", "product", "--n", "8"], "runs up to n=7"),
-    (["--objective", "sum", "--n", "9", "--t", "3"], "runs up to n=7"),
-    (["--objective", "sum", "--n", "4", "--t", "33", "--iso-pruning"], "t must be <= 32, got 33"),
+    (["--objective", "product", "--n", "9"], "canonicalization supported up to n=8"),
+    (["--objective", "sum", "--n", "9", "--t", "3", "--iso-pruning"],
+     "canonicalization supported up to n=8"),
+    (["--objective", "sum", "--n", "4", "--t", "33"], "t must be <= 32, got 33"),
     # deeper than the interpreter's recursion limit
     (["--objective", "sum", "--n", "1", "--t", "2000"], "t must be <= 32, got 2000"),
 ])
@@ -549,18 +552,36 @@ def test_search_limits_exit_2(tmp_path, monkeypatch, capsys, flags, message):
 
 
 def test_search_t2_is_not_budgeted(capsys):
-    # the written-down t <= 2 answer is never walked, so no limit of a walk applies
-    code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "2",
-                                  "--output", "json"])
-    assert (code, err) == (0, "")
-    doc = json.loads(out)
+    # the written-down t <= 2 answer is never walked, so no limit of a walk
+    # applies, with --iso-pruning or without
     full = Graph.complete(9).to_hex()
-    assert (doc["best_value"], doc["witnesses"]) == ("72", [[full, full]])
-    assert (doc["nodes"], doc["pruned"]) == ("1", "0")
+    for flags in ([], ["--iso-pruning"]):
+        code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "9", "--t", "2",
+                                      "--output", "json"] + flags)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["best_value"], doc["witnesses"]) == ("72", [[full, full]])
+        assert (doc["nodes"], doc["pruned"]) == ("1", "0")
     code, out, _ = run(capsys, ["search", "--objective", "sum", "--n", "64", "--t", "2",
                                 "--output", "json"])
     assert code == 0
     assert json.loads(out)["best_value"] == "4032"
+
+
+@pytest.mark.parametrize("flags", [["--objective", "sum", "--n", "5", "--t", "3"],
+                                   ["--objective", "product", "--n", "5"]])
+def test_search_iso_pruning_flag_changes_nothing(capsys, flags):
+    # every exhaustive search walks one first graph per class, so the flag,
+    # kept for old command lines, leaves the report as it is
+    docs = []
+    for extra in ([], ["--iso-pruning"]):
+        code, out, err = run(capsys, ["search"] + flags + extra + ["--output", "json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        doc.pop("wall_time")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert "iso_pruning" not in docs[0]["config"]
 
 
 def test_search_n6_reaches_the_theory_values(capsys):
@@ -568,7 +589,7 @@ def test_search_n6_reaches_the_theory_values(capsys):
     # in any order, and from the bipartite constructor for the product
     full, empty = Graph.complete(6).to_hex(), Graph.empty(6).to_hex()
     code, out, _ = run(capsys, ["search", "--objective", "sum", "--n", "6", "--t", "3",
-                                "--iso-pruning", "--output", "json"])
+                                "--output", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["best_value"] == "30"
@@ -576,7 +597,7 @@ def test_search_n6_reaches_the_theory_values(capsys):
                                                [full, full, empty]])
     assert not doc["witness_overflow"]
     code, out, _ = run(capsys, ["search", "--objective", "product", "--n", "6",
-                                "--iso-pruning", "--output", "json"])
+                                "--output", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["best_value"] == "729" == str(9**3)
@@ -704,7 +725,7 @@ result["codes"] = [
 result["single"] = loaded()
 reports = []
 for threads in ("1", "2"):
-    code, out = run(["search", "--objective", "sum", "--n", "5", "--t", "3",
+    code, out = run(["search", "--objective", "sum", "--n", "7", "--t", "3",
                      "--threads", threads, "--output", "json"])
     result["codes"].append(code)
     reports.append(json.loads(out))
@@ -723,7 +744,8 @@ def test_single_threaded_commands_never_load_the_pool():
     result = json.loads(done.stdout)
     assert result["import"] == result["single"] == []
     assert result["codes"] == [0, 0, 0, 0, 0]
-    # unpruned n = 5 has 16 chunks, so --threads 2 fans out and loads the pool
+    # sum (7, 3) has 156 parent classes in 3 chunks, so --threads 2 fans out
+    # and loads the pool
     assert result["fanned_out"] == ["concurrent.futures", "multiprocessing"]
     one, two = result["reports"]
     assert (one["config"].pop("threads"), two["config"].pop("threads")) == (1, 2)

@@ -146,7 +146,7 @@ def max_triangle_free_edges(n):
 
 
 def reference_first_level(n):
-    """Every graph on n vertices canonicalized, the oracle for `_first_level(n, True)`."""
+    """Every graph on n vertices canonicalized, the oracle for `_first_level(n)`."""
     return sorted({canonical_bits(n, g) for g in range(1 << max_edge_count(n))})
 
 
@@ -155,7 +155,7 @@ def extension_first_level(n):
 
     Every graph on q vertices is a class on q - 1 vertices, up to
     relabeling, plus a vertex q - 1 with some neighbourhood s, so this is
-    the second oracle for `_first_level(n, True)`, one that reaches n = 7.
+    the second oracle for `_first_level(n)`, one that reaches n = 7.
     """
     classes = [0]
     for q in range(2, n + 1):
@@ -264,12 +264,13 @@ def test_exhaustive_t2_matches_unpruned():
         assert exhaustive_max_sum(n, 2).best_value == brute_force_max("sum", n, 2)
 
 
-@pytest.mark.parametrize("iso_pruning", [False, True])
-def test_exhaustive_t2_is_two_complete_graphs_n8(monkeypatch, iso_pruning):
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_exhaustive_t2_is_two_complete_graphs_n8(tmp_path, monkeypatch, checkpointed):
     # written down like t = 1: no first level is built, no chunk is searched
     monkeypatch.setattr(search, "_first_level", lambda *args: pytest.fail("first level built"))
     monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
-    report = exhaustive_max_sum(8, 2, iso_pruning=iso_pruning)
+    checkpoint = str(tmp_path / "ck.json") if checkpointed else None
+    report = exhaustive_max_sum(8, 2, checkpoint=checkpoint)
     full = (1 << 28) - 1
     assert report.best_value == 56
     assert report.witnesses == [(full, full)]
@@ -279,7 +280,8 @@ def test_exhaustive_t2_is_two_complete_graphs_n8(monkeypatch, iso_pruning):
 
 @pytest.mark.parametrize("n, best", [(9, 72), (64, 4032)])
 def test_exhaustive_t2_is_not_budgeted(monkeypatch, n, best):
-    # no limit of a walked search applies, since none is walked
+    # no limit of a walked search applies, since none is walked: neither the
+    # canonical range of the first level nor the depth of the walk
     monkeypatch.setattr(search, "_first_level", lambda *args: pytest.fail("first level built"))
     monkeypatch.setattr(search, "_search_chunk", lambda *args: pytest.fail("chunk searched"))
     report = exhaustive_max_sum(n, 2)
@@ -287,9 +289,6 @@ def test_exhaustive_t2_is_not_budgeted(monkeypatch, n, best):
     assert report.best_value == best
     assert report.witnesses == [(full, full)]
     assert (report.nodes, report.pruned, report.references) == (1, 0, {})
-    # the range check of --iso-pruning still applies
-    with pytest.raises(ValueError, match="canonicalization supported up to n=8"):
-        exhaustive_max_sum(n, 2, iso_pruning=True)
 
 
 @pytest.mark.parametrize("call", [
@@ -337,16 +336,16 @@ def test_exhaustive_reference_values():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_first_level_matches_the_reference(n):
-    assert _first_level(n, True) == reference_first_level(n)
+    assert _first_level(n) == reference_first_level(n)
 
 
 def test_first_level_matches_the_extension_oracle_n7():
-    assert _first_level(7, True) == extension_first_level(7)
+    assert _first_level(7) == extension_first_level(7)
 
 
 def test_first_level_counts_the_graph_classes():
     # OEIS A000088; the n = 7 level takes about 1 s
-    counts = [len(_first_level(n, True)) for n in range(1, 8)]
+    counts = [len(_first_level(n)) for n in range(1, 8)]
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
@@ -355,15 +354,8 @@ def test_first_level_canonicalization_count(n, misses):
     # a cold level canonicalizes only the extensions that pass the degree
     # filter, plus the parents that cannot be read off the form
     canonical_bits.cache_clear()
-    _first_level(n, True)
+    _first_level(n)
     assert canonical_bits.cache_info().misses == misses
-
-
-def test_iso_pruning_same_value():
-    plain = exhaustive_max_sum(4, 3)
-    iso = exhaustive_max_sum(4, 3, iso_pruning=True)
-    assert plain.best_value == iso.best_value
-    assert iso.nodes < plain.nodes
 
 
 def test_witnesses_are_free_and_recompute():
@@ -413,14 +405,15 @@ def test_exhaustive_n5_pinned():
     full = (1 << 10) - 1
     assert report.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
     assert not report.witness_overflow
-    # counters, not results: the 176 first graphs with at least 20/3 edges
-    # expanded plus the closed (G2, G3) pairs visited; pruned counts the
-    # other first graphs and the Close-by-One branches cut
-    assert (report.nodes, report.pruned) == (959, 6_380)
+    # counters, not results: the 8 of the 34 first graphs, one per class,
+    # with at least 20/3 edges expanded plus the closed (G2, G3) pairs
+    # visited; pruned counts the other first graphs and the Close-by-One
+    # branches cut
+    assert (report.nodes, report.pruned) == (49, 290)
     product = exhaustive_max_product(5)
-    assert (product.nodes, product.pruned) == (2_867, 16_309)
+    assert (product.nodes, product.pruned) == (99, 542)
     wide = exhaustive_max_sum(4, 5)
-    assert (wide.nodes, wide.pruned) == (31, 474)
+    assert (wide.nodes, wide.pruned) == (7, 90)
 
 
 @pytest.mark.parametrize("n, t, space_bits", [
@@ -433,7 +426,7 @@ def test_exhaustive_t4_and_above_pinned(n, t, space_bits):
     # balanced complete bipartite graph.  Each run takes a second or less,
     # whatever the size 2^(C(n,2) * (t - 1)) of its space of tuples
     assert max_edge_count(n) * (t - 1) == space_bits
-    report = exhaustive_max_sum(n, t, iso_pruning=True)
+    report = exhaustive_max_sum(n, t)
     assert report.best_value == report.references["seed_value"] == t * (n * n // 4)
     expected = balanced_bipartite_system(n, t)
     assert report.witnesses == [canonical_system_bits(n, tuple(g.to_bits() for g in expected.graphs))]
@@ -444,12 +437,12 @@ def test_exhaustive_n7_pinned():
     # exact t = 3 at n = 7, about half of it the first level: the product meets the
     # conjectured floor(49/4)^3 only at the K_{3,4} triple, and the sum meets
     # n(n-1) only at (K7, K7, empty) in its three orders
-    product = exhaustive_max_product(7, iso_pruning=True)
+    product = exhaustive_max_product(7)
     assert product.best_value == theory_bound("product", 7, 3) == 1_728
     triple = tuple(g.to_bits() for g in bipartite_triple(7).graphs)
     assert product.witnesses == [canonical_system_bits(7, triple)]
     full = (1 << 21) - 1
-    total = exhaustive_max_sum(7, 3, iso_pruning=True)
+    total = exhaustive_max_sum(7, 3)
     assert total.best_value == 42
     assert total.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
     assert not product.witness_overflow and not total.witness_overflow
@@ -461,13 +454,30 @@ ORDERING_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(3, 6)] + [
 
 
 @pytest.mark.parametrize("objective, n, t", ORDERING_SETUPS)
+@pytest.mark.parametrize("witness_cap", [1, 64])
+def test_report_matches_the_all_graphs_walk(objective, n, t, witness_cap):
+    # the search walks one first graph per class; a walk whose first graphs
+    # are every graph on n vertices, with each hit expanded to its orderings
+    # and canonicalized, must find the same maximizers
+    seed = _seed_value(objective, n, t)
+    walk = _search_chunk(objective, n, t, seed, witness_cap + 1, range(1 << max_edge_count(n)))
+    if objective == "sum":
+        report = exhaustive_max_sum(n, t, witness_cap=witness_cap)
+    else:
+        report = exhaustive_max_product(n, witness_cap=witness_cap)
+    assert report.best_value == walk["best"]
+    assert report.witnesses == [tuple(w) for w in walk["witnesses"][:witness_cap]]
+    assert report.witness_overflow == (len(walk["witnesses"]) > witness_cap)
+
+
+@pytest.mark.parametrize("objective, n, t", ORDERING_SETUPS)
 def test_witness_set_is_closed_under_graph_order(objective, n, t):
     # the search walks one order of the graphs; every other order of every
     # witness, canonicalized, must come back from the expansion
     if objective == "sum":
-        report = exhaustive_max_sum(n, t, iso_pruning=True, witness_cap=10**6)
+        report = exhaustive_max_sum(n, t, witness_cap=10**6)
     else:
-        report = exhaustive_max_product(n, iso_pruning=True, witness_cap=10**6)
+        report = exhaustive_max_product(n, witness_cap=10**6)
     assert report.witnesses and not report.witness_overflow
     found = set(report.witnesses)
     for w in report.witnesses:
@@ -481,17 +491,18 @@ ORACLE_SETUPS = [("sum", n, t) for n in range(1, 6) for t in range(2, 7)
 
 
 @pytest.mark.parametrize("objective, n, t", ORACLE_SETUPS)
-@pytest.mark.parametrize("iso_pruning", [False, True])
-def test_search_chunk_matches_the_reference_walk(objective, n, t, iso_pruning):
+@pytest.mark.parametrize("one_per_class", [False, True])
+def test_search_chunk_matches_the_reference_walk(objective, n, t, one_per_class):
     # from incumbent 0 the best rises inside a node, so the ties dropped
-    # when it rises, and the least ones kept under a small cap, are checked too
-    first = _first_level(n, iso_pruning)
+    # when it rises, and the least ones kept under a small cap, are checked
+    # too; the first graphs are every graph, or the search's one per class
+    first = _first_level(n) if one_per_class else range(1 << max_edge_count(n))
     for incumbent in (_seed_value(objective, n, t), 0):
         for tie_cap in (1, 2, 3, 65):
             expected = reference_search_chunk(objective, n, t, incumbent, tie_cap, first)
             if t < 3:
                 # t <= 2 is written down, not walked: the walk must find that record
-                report = exhaustive_max_sum(n, t, iso_pruning=iso_pruning, witness_cap=tie_cap)
+                report = exhaustive_max_sum(n, t, witness_cap=tie_cap)
                 assert (report.best_value, report.witnesses) == expected
                 continue
             record = _search_chunk(objective, n, t, incumbent, tie_cap, first)
@@ -502,7 +513,7 @@ def test_search_chunk_matches_the_reference_walk(objective, n, t, iso_pruning):
 def test_search_chunk_matches_the_reference_walk_n6(objective):
     # from incumbent 0 the best rises inside the chunk, so the ties kept
     # and dropped are checked too
-    classes = random.Random(6).sample(_first_level(6, True), 8)
+    classes = random.Random(6).sample(_first_level(6), 8)
     for chunk in (sorted(classes[:4]), sorted(classes[4:])):
         for tie_cap in (2, 3, 65):
             record = _search_chunk(objective, 6, 3, 0, tie_cap, chunk)
@@ -607,29 +618,11 @@ def test_many_copies_of_one_graph_expand_to_one_witness():
     assert (report.best_value, report.witnesses) == (20, [(1,) * 20])
 
 
-class Reached(Exception):
-    pass
-
-
-@pytest.mark.parametrize("call", [
-    lambda: exhaustive_max_sum(7, 3),
-    lambda: exhaustive_max_product(7),
-])
-def test_unpruned_n7_reaches_the_search(monkeypatch, call):
-    # all 2^21 first graphs: accepted, though the whole run takes minutes
-    def stub(*args):
-        raise Reached
-    monkeypatch.setattr(search, "_search_chunk", stub)
-    with pytest.raises(Reached):
-        call()
-
-
 @pytest.mark.parametrize("call, message", [
-    (lambda **kw: exhaustive_max_sum(8, 3, **kw), "runs up to n=7"),
-    (lambda **kw: exhaustive_max_product(8, **kw), "runs up to n=7"),
-    (lambda **kw: exhaustive_max_product(9, iso_pruning=True, **kw),
-     "canonicalization supported up to n=8"),
-    (lambda **kw: exhaustive_max_sum(4, 33, iso_pruning=True, **kw), "t must be <= 32, got 33"),
+    (lambda **kw: exhaustive_max_sum(9, 3, **kw), "canonicalization supported up to n=8"),
+    (lambda **kw: exhaustive_max_product(9, **kw), "canonicalization supported up to n=8"),
+    (lambda **kw: exhaustive_max_sum(64, 4, **kw), "canonicalization supported up to n=8"),
+    (lambda **kw: exhaustive_max_sum(4, 33, **kw), "t must be <= 32, got 33"),
     (lambda **kw: exhaustive_max_sum(1, 2000, **kw), "t must be <= 32, got 2000"),
 ])
 def test_search_limits_refuse_before_any_work(tmp_path, monkeypatch, call, message):
@@ -651,7 +644,7 @@ def test_search_reads_no_environment_variable(monkeypatch):
 
     monkeypatch.setattr(os, "environ", Unreadable())
     assert exhaustive_max_sum(4, 4).best_value == 16
-    assert exhaustive_max_sum(5, 5, iso_pruning=True).best_value == 30
+    assert exhaustive_max_sum(5, 5).best_value == 30
 
 
 # setups whose seed is the optimum, so no chunk's incumbent rises and the
@@ -668,26 +661,24 @@ def counted(report):
 def test_thread_count_invariance(monkeypatch):
     monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
     for entry, args in SEEDED_AT_THE_OPTIMUM:
-        for iso_pruning in (False, True):
-            base = entry(*args, iso_pruning=iso_pruning)
-            threaded = entry(*args, iso_pruning=iso_pruning, threads=2)
-            assert counted(base) == counted(threaded)
-            assert threaded.config["threads"] == 2
+        base = entry(*args)
+        threaded = entry(*args, threads=2)
+        assert counted(base) == counted(threaded)
+        assert threaded.config["threads"] == 2
 
 
 def test_chunk_size_invariance_t2(monkeypatch):
     # t = 2 is one written-down chunk whatever the chunk size; the t >= 3
     # setups seeded at their optimum keep their counters too
     for entry, args in [(exhaustive_max_sum, (4, 2))] + SEEDED_AT_THE_OPTIMUM:
-        for iso_pruning in (False, True):
-            reports = []
-            for c in (1, 4, 64):
-                monkeypatch.setattr(search, "_CHUNK_SIZE", c)
-                reports.append(counted(entry(*args, iso_pruning=iso_pruning)))
-            assert reports[0] == reports[1] == reports[2]
+        reports = []
+        for c in (1, 4, 64):
+            monkeypatch.setattr(search, "_CHUNK_SIZE", c)
+            reports.append(counted(entry(*args)))
+        assert reports[0] == reports[1] == reports[2]
 
 
-# iso-pruned setups whose seed is the optimum, with more than one parent class
+# setups whose seed is the optimum, with more than one parent class
 ISO_PRUNED = [(exhaustive_max_sum, (5, 3)), (exhaustive_max_product, (5,)),
               (exhaustive_max_product, (6,))]
 
@@ -700,7 +691,7 @@ def test_iso_pruned_reports_do_not_depend_on_threads_or_chunks(monkeypatch, entr
     for size in (1, 4, 64):
         monkeypatch.setattr(search, "_CHUNK_SIZE", size)
         for threads in (1, 2):
-            report = without_wall_time(entry(*args, iso_pruning=True, threads=threads))
+            report = without_wall_time(entry(*args, threads=threads))
             assert report["config"].pop("threads") == threads
             assert report["config"].pop("chunk_size") == size
             reports.append(report)
@@ -734,7 +725,8 @@ def test_pool_is_sized_by_the_work(monkeypatch):
     local = local_search_product(6, 1, threads=5000)
     assert local.config["threads"] == 5000
     assert counted(local) == counted(local_search_product(6, 1))
-    monkeypatch.setattr(search, "_CHUNK_SIZE", 16)
+    # one chunk per parent class: the 4 classes on 3 vertices
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
     exhaustive = exhaustive_max_product(4, threads=5000)
     assert exhaustive.config["threads"] == 5000
     assert counted(exhaustive) == counted(exhaustive_max_product(4))
@@ -742,8 +734,8 @@ def test_pool_is_sized_by_the_work(monkeypatch):
 
 
 def test_exhaustive_run_to_run_determinism():
-    a = exhaustive_max_sum(4, 3, iso_pruning=True)
-    b = exhaustive_max_sum(4, 3, iso_pruning=True)
+    a = exhaustive_max_sum(4, 3)
+    b = exhaustive_max_sum(4, 3)
     assert (a.best_value, a.witnesses, a.nodes, a.pruned) == (
         b.best_value,
         b.witnesses,
@@ -753,7 +745,8 @@ def test_exhaustive_run_to_run_determinism():
 
 
 def test_checkpoint_resume(tmp_path, monkeypatch):
-    monkeypatch.setattr(search, "_CHUNK_SIZE", 8)
+    # four chunks, one per parent class on 3 vertices
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
     path = tmp_path / "ckpt.json"
     first = exhaustive_max_product(4, checkpoint=str(path))
     assert path.exists()
@@ -868,12 +861,12 @@ def test_checkpoint_temp_file_is_its_own_sibling(tmp_path, monkeypatch):
 
 
 def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
-    # the intended use: resumable runs, here at n = 5; an iso-pruned
-    # chunk is a run of the 11 parent classes on 4 vertices, so six chunks
+    # the intended use: resumable runs, here at n = 5; a chunk is a run of
+    # the 11 parent classes on 4 vertices, so six chunks
     monkeypatch.setattr(search, "_CHUNK_SIZE", 2)
     path = tmp_path / "n5.json"
-    plain = exhaustive_max_sum(5, 3, iso_pruning=True)
-    first = exhaustive_max_sum(5, 3, iso_pruning=True, checkpoint=str(path))
+    plain = exhaustive_max_sum(5, 3)
+    first = exhaustive_max_sum(5, 3, checkpoint=str(path))
     assert first.best_value == plain.best_value == 20
     assert first.witnesses == plain.witnesses
 
@@ -883,7 +876,7 @@ def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
     for key in list(done.keys())[1::2]:
         del done[key]
     path.write_text(json.dumps(doc))
-    resumed = exhaustive_max_sum(5, 3, iso_pruning=True, checkpoint=str(path))
+    resumed = exhaustive_max_sum(5, 3, checkpoint=str(path))
     assert resumed.best_value == first.best_value
     assert resumed.witnesses == first.witnesses
     assert resumed.nodes == first.nodes
@@ -893,7 +886,7 @@ def test_checkpoint_resume_n6_iso(tmp_path, monkeypatch):
     # n = 6 from its 34 parent classes on 5 vertices, three chunks
     monkeypatch.setattr(search, "_CHUNK_SIZE", 16)
     path = tmp_path / "n6.json"
-    first = exhaustive_max_sum(6, 3, iso_pruning=True, checkpoint=str(path))
+    first = exhaustive_max_sum(6, 3, checkpoint=str(path))
     assert first.best_value == 30
     doc = json.loads(path.read_text())
     done = doc["done"]
@@ -901,7 +894,7 @@ def test_checkpoint_resume_n6_iso(tmp_path, monkeypatch):
     for key in list(done.keys())[::2]:
         del done[key]
     path.write_text(json.dumps(doc))
-    resumed = exhaustive_max_sum(6, 3, iso_pruning=True, checkpoint=str(path))
+    resumed = exhaustive_max_sum(6, 3, checkpoint=str(path))
     assert without_wall_time(resumed) == without_wall_time(first)
 
 
@@ -1001,6 +994,9 @@ def test_search_options_follow_the_entry_point():
         exhaustive_max_product(3, seed=1)
     with pytest.raises(TypeError, match="iso_pruning"):
         local_search_product(4, 1, iso_pruning=True)
+    # every exhaustive search takes one first graph per class: no switch
+    with pytest.raises(TypeError, match="iso_pruning"):
+        exhaustive_max_sum(4, 3, iso_pruning=True)
     with pytest.raises(TypeError, match="checkpoint"):
         local_search_product(4, 1, checkpoint="run.json")
 
