@@ -619,8 +619,10 @@ def test_many_copies_of_one_graph_expand_to_one_witness():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda **kw: exhaustive_max_sum(9, 3, **kw), "canonicalization supported up to n=8"),
-    (lambda **kw: exhaustive_max_product(9, **kw), "canonicalization supported up to n=8"),
+    pytest.param(lambda **kw: exhaustive_max_sum(9, 3, **kw),
+                 "canonicalization supported up to n=8", id="sum-n9-canonical-range"),
+    pytest.param(lambda **kw: exhaustive_max_product(9, **kw),
+                 "canonicalization supported up to n=8", id="product-n9-canonical-range"),
     (lambda **kw: exhaustive_max_sum(64, 4, **kw), "canonicalization supported up to n=8"),
     (lambda **kw: exhaustive_max_sum(4, 33, **kw), "t must be <= 32, got 33"),
     (lambda **kw: exhaustive_max_sum(1, 2000, **kw), "t must be <= 32, got 2000"),
