@@ -21,7 +21,7 @@ from .graph import Graph, iter_bits
 # the largest n whose search witnesses and first levels are
 # canonical forms; above it witnesses are reported raw, so changing it
 # changes reports.  The first level is grown as a tree of one-vertex
-# extensions, so at n = 8 it takes 43,371 canonical forms for its 12,346
+# extensions, so at n = 8 it takes 34,874 canonical forms for its 12,346
 # classes, which fit the canonical_bits cache.
 CANONICAL_MAX_N = 8
 

@@ -21,12 +21,15 @@ best value found so far.
 
 The first graphs are the isomorphism classes of graphs on n vertices,
 one canonical form each, grown as a tree of one-vertex extensions
-(canonical augmentation).  Runs split the first level into fixed-size
-chunks, runs of the parent classes on n - 1 vertices whose children are
-the first graphs, each pruned against the same seed value, whose results
-merge deterministically; reports therefore do not depend on the thread
-count, on the order in which chunks run, or on which chunks a checkpoint
-resume replays.
+(canonical augmentation).  Only the classes with enough edges to reach
+the seed value are built, with the classes on the way to them: each
+level of the tree has a floor of edges below which no descendant gets
+enough, so the cost follows those classes, not all of them.  Runs split
+the first level into fixed-size chunks, runs of the parent classes on
+n - 1 vertices whose children are the first graphs, each pruned against
+the same seed value, whose results merge deterministically; reports
+therefore do not depend on the thread count, on the order in which
+chunks run, or on which chunks a checkpoint resume replays.
 
 Local search for the product objective takes the balanced bipartite
 triple plus seeded random maximal fills and keeps the best; it does not
@@ -57,7 +60,7 @@ _MAX_T = 32
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record or the meaning of its counters
 # changes, so older files are refused
-_CHECKPOINT_FORMAT = 8
+_CHECKPOINT_FORMAT = 9
 
 
 def _require_positive(**options: int) -> None:
@@ -77,14 +80,16 @@ class SearchReport:
     |G1| >= ... >= |Gt| whose G1 is a canonical form, one per isomorphism
     class, are walked, and every ordering of each maximizer found is a
     witness.  nodes counts the expanded partial tuples of that walk and
-    pruned counts the first graphs, the admissible (rainbow-free) children
-    and the whole subtrees of children cut by the optimistic bound.  At
-    the last two graphs nodes counts the closed pairs visited
-    and pruned the Close-by-One branches cut by the bound or by the edge
-    count of the graph before them.  references hold seed_value, the
-    value of the extremal construction the search starts from, in both
-    modes.  For t <= 2 the answer, t copies of K_n, is written down: one
-    node, none pruned, no references.
+    pruned counts the admissible (rainbow-free) children and the whole
+    subtrees of children cut by the optimistic bound, and the first graphs
+    it cuts once a chunk's best has risen above the seed value; first
+    graphs with too few edges to reach the seed value are never built, so
+    never counted.  At the last two graphs nodes counts the closed pairs
+    visited and pruned the Close-by-One branches cut by the bound or by
+    the edge count of the graph before them.  references hold
+    seed_value, the value of the extremal construction the search starts
+    from, in both modes.  For t <= 2 the answer, t copies of K_n, is
+    written down: one node, none pruned, no references.
     In local mode nodes counts the fill moves examined, 3 * C(n,2) per
     random restart, and pruned counts the moves refused by the
     forbidden-edge mask.
@@ -206,15 +211,29 @@ def bipartite_triple(n: int) -> GraphSystem:
 # -- exhaustive search ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _stars(p: int) -> tuple[int, ...]:
-    """Per vertex of a graph on p vertices, the colex mask of its edges."""
-    return tuple(sum(1 << (max(u, v) * (max(u, v) - 1) // 2 + min(u, v))
-                     for u in range(p) if u != v) for v in range(p))
+def _fewest_edges(objective: str, t: int, value: int) -> int:
+    """The least e such that a t-tuple whose first graph has e edges can reach value.
+
+    Every later graph of a sorted tuple has at most |G1| edges, so a first
+    graph with fewer edges is cut by `_search_chunk`'s optimistic bound.
+    """
+    e = 0
+    while (t * e if objective == "sum" else e ** t) < value:
+        e += 1
+    return e
 
 
-def _children(q: int, h: int) -> list[int]:
-    """The classes on q vertices whose parent is the class with canonical form h.
+def _parent_floor(q: int, fewest: int) -> int:
+    """The fewest edges of the parent of a class on q vertices with at least `fewest`.
+
+    The parent of a class c loses the least degree of c, at most
+    floor(2|c| / q), and x - floor(2x / q) never falls as x grows.
+    """
+    return fewest - 2 * fewest // q
+
+
+def _children(q: int, h: int, fewest: int) -> list[int]:
+    """The classes on q vertices with at least `fewest` edges whose parent is h.
 
     The parent of a class is the class of its canonical form c with the top
     vertex q - 1 deleted, c & low with low the first C(q-1, 2) colex bits,
@@ -222,42 +241,64 @@ def _children(q: int, h: int) -> list[int]:
     q - 1 (canonical augmentation; McKay, "Isomorph-free exhaustive
     generation", 1998).  A child is the form of h plus a vertex q - 1 with
     some neighbourhood s, whose edges take the top q - 1 colex positions.
-    The top vertex of a min-colex form has the least degree, so only
-    extensions whose new vertex has no more edges than any other vertex
-    are canonicalized: with d the least degree of h and M the set of its
-    vertices of that degree, s is skipped when |s| > d + (M <= s).
+    Three filters skip s before it is canonicalized:
+    - the top vertex of a min-colex form has the least degree, so with d
+      the least degree of h and M the set of its vertices of that degree,
+      s is skipped when |s| > d + (M <= s);
+    - s is skipped when |h| + |s| < fewest;
+    - twins u < v of h, vertices with the same neighbours apart from each
+      other, can be swapped without changing h, so s is skipped when it
+      holds v but not u: the swap maps it to a smaller s of the same
+      class, and the least s of its orbit under these swaps is kept.
     Canonicalizing h | s << C(q-1, 2) gives a form c, kept when its parent
     is h; a class reached twice from h is kept once.
     """
-    top = max_edge_count(q - 1)
+    p = q - 1
+    top = max_edge_count(p)
     low = (1 << top) - 1
-    degrees = [(h & star).bit_count() for star in _stars(q - 1)]
+    rows = Graph.from_bits(p, h).rows if p else ()
+    degrees = [row.bit_count() for row in rows]
     least = min(degrees, default=0)
     argmin = sum(1 << v for v, d in enumerate(degrees) if d == least)
+    need = fewest - h.bit_count()
+    # per vertex v with twins below it, v's bit and the bits of those twins
+    twins = []
+    for v in range(p):
+        below = sum(1 << u for u in range(v) if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
+        if below:
+            twins.append((1 << v, below))
     seen: set[int] = set()
     kids = []
-    for s in range(1 << (q - 1)):
-        if s.bit_count() > least + (argmin & ~s == 0):
+    for s in range(1 << p):
+        size = s.bit_count()
+        if size < need or size > least + (argmin & ~s == 0):
+            continue
+        if any(s & bit and below & ~s for bit, below in twins):
             continue
         c = canonical_bits(q, h | s << top)
         if c not in seen:
             seen.add(c)
             # h is its own form, so c & low == h needs no second canonicalization
-            if c & low == h or canonical_bits(q - 1, c & low) == h:
+            if c & low == h or canonical_bits(p, c & low) == h:
                 kids.append(c)
     return kids
 
 
-def _first_level(n: int) -> list[int]:
-    """The sorted canonical forms of the isomorphism classes on n vertices.
+def _first_level(n: int, fewest: int = 0) -> list[int]:
+    """The sorted canonical forms of the classes on n vertices with at least `fewest` edges.
 
     They are grown one vertex at a time from the graph on no vertices as
-    the tree of `_children`.  At n = 7 that is 3,907 canonicalizations
-    instead of 2^21.
+    the tree of `_children`, each level q cut at a floor f_q of edges:
+    f_n = fewest and f_(q-1) = `_parent_floor`(q, f_q), so no class on
+    the way to one with enough edges is cut.  At n = 7 the whole level is
+    2,898 canonicalizations instead of 2^21.
     """
+    floors = [fewest]
+    for q in range(n, 1, -1):
+        floors.append(_parent_floor(q, floors[-1]))
     classes = [0]
     for q in range(1, n + 1):
-        classes = sorted(c for h in classes for c in _children(q, h))
+        classes = sorted(c for h in classes for c in _children(q, h, floors[n - q]))
     return classes
 
 
@@ -458,9 +499,12 @@ def _search_chunk(
 
 
 def _search_classes(objective: str, n: int, t: int, incumbent: int, tie_cap: int,
-                    parents: Sequence[int]) -> dict[str, Any]:
-    """`_search_chunk` over the classes on n vertices whose parents are `parents`."""
-    first = sorted(c for h in parents for c in _children(n, h))
+                    fewest: int, parents: Sequence[int]) -> dict[str, Any]:
+    """`_search_chunk` over the classes on n vertices whose parents are `parents`.
+
+    Only the classes with at least `fewest` edges are built and searched.
+    """
+    first = sorted(c for h in parents for c in _children(n, h, fewest))
     return _search_chunk(objective, n, t, incumbent, tie_cap, first)
 
 
@@ -595,12 +639,15 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, witness_cap: i
             return {"best": seed_value, "witnesses": [chunk], "nodes": 1, "pruned": 0}
     else:
         # a chunk is a run of parent classes on n - 1 vertices, whose
-        # children its worker builds and searches
-        parents = _first_level(n - 1)
+        # children its worker builds and searches; a first graph with fewer
+        # than fewest edges cannot reach the seed value, so none is built,
+        # nor any class below the floor of its level
+        fewest = _fewest_edges(objective, t, seed_value)
+        parents = _first_level(n - 1, _parent_floor(n, fewest))
         chunks = [parents[i : i + _CHUNK_SIZE] for i in range(0, len(parents), _CHUNK_SIZE)]
         # every chunk prunes against the seed value alone, so its record does
         # not depend on which chunks ran before it, in this process or another
-        search = partial(_search_classes, objective, n, t, seed_value, witness_cap + 1)
+        search = partial(_search_classes, objective, n, t, seed_value, witness_cap + 1, fewest)
         references = {"seed_value": seed_value}
     header = {
         "format": _CHECKPOINT_FORMAT,

@@ -327,7 +327,7 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
     exhaustive_max_product(4, checkpoint=str(fresh))
-    assert json.loads(fresh.read_text())["header"]["format"] == 8
+    assert json.loads(fresh.read_text())["header"]["format"] == 9
 
 
 def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
@@ -337,13 +337,15 @@ def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
     # over every first graph, and (format 5) over every order of the
     # graphs, so a resume would mix two kinds of counts; a format 6
     # iso-pruned chunk was a run of classes, not of their parent classes,
-    # and a format 7 chunk without iso-pruning was a run of first graphs
+    # a format 7 chunk without iso-pruning was a run of first graphs, and
+    # a format 8 chunk's parents and pruned count took in the classes with
+    # too few edges to reach the seed value
     path = tmp_path / "run.json"
     argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(path),
             "--output", "json"]
     assert run(capsys, argv)[0] == 0
     fresh = json.loads(path.read_text())
-    for old_format in (2, 3, 4, 5, 6, 7):
+    for old_format in (2, 3, 4, 5, 6, 7, 8):
         path.write_text(json.dumps({**fresh, "header": {**fresh["header"], "format": old_format}}))
         before = path.read_bytes()
         code, out, err = run(capsys, argv)
@@ -725,7 +727,7 @@ result["codes"] = [
 result["single"] = loaded()
 reports = []
 for threads in ("1", "2"):
-    code, out = run(["search", "--objective", "sum", "--n", "7", "--t", "3",
+    code, out = run(["search", "--objective", "sum", "--n", "8", "--t", "3",
                      "--threads", threads, "--output", "json"])
     result["codes"].append(code)
     reports.append(json.loads(out))
@@ -744,8 +746,8 @@ def test_single_threaded_commands_never_load_the_pool():
     result = json.loads(done.stdout)
     assert result["import"] == result["single"] == []
     assert result["codes"] == [0, 0, 0, 0, 0]
-    # sum (7, 3) has 156 parent classes in 3 chunks, so --threads 2 fans out
-    # and loads the pool
+    # sum (8, 3) has 81 parent classes with enough edges in 2 chunks, so
+    # --threads 2 fans out and loads the pool
     assert result["fanned_out"] == ["concurrent.futures", "multiprocessing"]
     one, two = result["reports"]
     assert (one["config"].pop("threads"), two["config"].pop("threads")) == (1, 2)

@@ -349,13 +349,32 @@ def test_first_level_counts_the_graph_classes():
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
-@pytest.mark.parametrize("n, misses", [(6, 532), (7, 3_907)])
+@pytest.mark.parametrize("n, misses", [(6, 384), (7, 2_898)])
 def test_first_level_canonicalization_count(n, misses):
     # a cold level canonicalizes only the extensions that pass the degree
-    # filter, plus the parents that cannot be read off the form
+    # and twin filters, plus the parents that cannot be read off the form
     canonical_bits.cache_clear()
     _first_level(n)
     assert canonical_bits.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_first_level_cut_is_the_level_filtered_by_edge_count(n):
+    # the floors cut no class on the way to one with enough edges
+    level = _first_level(n)
+    for fewest in range(max_edge_count(n) + 2):
+        assert _first_level(n, fewest) == [c for c in level if c.bit_count() >= fewest]
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_parent_keeps_all_but_the_mean_degree(q):
+    # what the floors rest on: the top vertex of a canonical form has the
+    # least degree, at most floor(2|c| / q), and the floor never falls
+    low = (1 << max_edge_count(q - 1)) - 1
+    for c in _first_level(q):
+        assert (c & low).bit_count() >= c.bit_count() - 2 * c.bit_count() // q
+    floors = [search._parent_floor(q, x) for x in range(max_edge_count(q) + 1)]
+    assert floors == sorted(floors)
 
 
 def test_witnesses_are_free_and_recompute():
@@ -407,13 +426,13 @@ def test_exhaustive_n5_pinned():
     assert not report.witness_overflow
     # counters, not results: the 8 of the 34 first graphs, one per class,
     # with at least 20/3 edges expanded plus the closed (G2, G3) pairs
-    # visited; pruned counts the other first graphs and the Close-by-One
-    # branches cut
-    assert (report.nodes, report.pruned) == (49, 290)
+    # visited; pruned counts the Close-by-One branches cut, since the other
+    # first graphs are never built
+    assert (report.nodes, report.pruned) == (49, 264)
     product = exhaustive_max_product(5)
-    assert (product.nodes, product.pruned) == (99, 542)
+    assert (product.nodes, product.pruned) == (99, 522)
     wide = exhaustive_max_sum(4, 5)
-    assert (wide.nodes, wide.pruned) == (7, 90)
+    assert (wide.nodes, wide.pruned) == (7, 83)
 
 
 @pytest.mark.parametrize("n, t, space_bits", [
@@ -482,6 +501,27 @@ def test_witness_set_is_closed_under_graph_order(objective, n, t):
     found = set(report.witnesses)
     for w in report.witnesses:
         assert {canonical_system_bits(n, p) for p in permutations(w)} <= found
+
+
+@pytest.mark.parametrize("objective, n, t", ORDERING_SETUPS)
+def test_searched_first_graphs_are_the_classes_with_enough_edges(monkeypatch, objective, n, t):
+    # the workers build and search exactly the classes on n vertices whose
+    # first graph lets the optimistic bound reach the seed value
+    seed = _seed_value(objective, n, t)
+    fewest = min(e for e in range(max_edge_count(n) + 1)
+                 if (t * e if objective == "sum" else e ** t) >= seed)
+    searched = []
+
+    def recording(objective, n, t, incumbent, tie_cap, first_graphs):
+        searched.extend(first_graphs)
+        return _search_chunk(objective, n, t, incumbent, tie_cap, first_graphs)
+
+    monkeypatch.setattr(search, "_search_chunk", recording)
+    if objective == "sum":
+        exhaustive_max_sum(n, t)
+    else:
+        exhaustive_max_product(n)
+    assert sorted(searched) == [c for c in _first_level(n) if c.bit_count() >= fewest]
 
 
 # the sizes with 2^(C(n,2)*t) <= 2^32 tuples, where the reference walk stays
@@ -727,11 +767,12 @@ def test_pool_is_sized_by_the_work(monkeypatch):
     local = local_search_product(6, 1, threads=5000)
     assert local.config["threads"] == 5000
     assert counted(local) == counted(local_search_product(6, 1))
-    # one chunk per parent class: the 4 classes on 3 vertices
+    # one chunk per parent class: the 4 classes on 4 vertices with at
+    # least 4 edges
     monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
-    exhaustive = exhaustive_max_product(4, threads=5000)
+    exhaustive = exhaustive_max_product(5, threads=5000)
     assert exhaustive.config["threads"] == 5000
-    assert counted(exhaustive) == counted(exhaustive_max_product(4))
+    assert counted(exhaustive) == counted(exhaustive_max_product(5))
     assert InProcessPool.sizes == [8, 4]
 
 
@@ -863,13 +904,14 @@ def test_checkpoint_temp_file_is_its_own_sibling(tmp_path, monkeypatch):
 
 
 def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
-    # the intended use: resumable runs, here at n = 5; a chunk is a run of
-    # the 11 parent classes on 4 vertices, so six chunks
-    monkeypatch.setattr(search, "_CHUNK_SIZE", 2)
+    # the intended use: resumable runs, here at n = 5; a chunk is one of
+    # the 4 parent classes on 4 vertices with at least 4 edges, so four
+    # chunks
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 1)
     path = tmp_path / "n5.json"
-    plain = exhaustive_max_sum(5, 3)
-    first = exhaustive_max_sum(5, 3, checkpoint=str(path))
-    assert first.best_value == plain.best_value == 20
+    plain = exhaustive_max_product(5)
+    first = exhaustive_max_product(5, checkpoint=str(path))
+    assert first.best_value == plain.best_value == 216
     assert first.witnesses == plain.witnesses
 
     doc = json.loads(path.read_text())
@@ -878,15 +920,16 @@ def test_checkpoint_resume_n5_iso(tmp_path, monkeypatch):
     for key in list(done.keys())[1::2]:
         del done[key]
     path.write_text(json.dumps(doc))
-    resumed = exhaustive_max_sum(5, 3, checkpoint=str(path))
+    resumed = exhaustive_max_product(5, checkpoint=str(path))
     assert resumed.best_value == first.best_value
     assert resumed.witnesses == first.witnesses
     assert resumed.nodes == first.nodes
 
 
 def test_checkpoint_resume_n6_iso(tmp_path, monkeypatch):
-    # n = 6 from its 34 parent classes on 5 vertices, three chunks
-    monkeypatch.setattr(search, "_CHUNK_SIZE", 16)
+    # n = 6 from its 8 parent classes on 5 vertices with at least 7 edges,
+    # three chunks
+    monkeypatch.setattr(search, "_CHUNK_SIZE", 3)
     path = tmp_path / "n6.json"
     first = exhaustive_max_sum(6, 3, checkpoint=str(path))
     assert first.best_value == 30
