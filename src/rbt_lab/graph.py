@@ -4,12 +4,19 @@ Vertices are dense labels 0..n-1.  A vertex set is a plain int bitmask, so
 set algebra is single-word AND/OR/popcount.  Edge serialization order is
 colexicographic: index(u, v) = v(v-1)/2 + u for u < v, which is prefix-stable
 as n grows.  Graphs are immutable values.
+
+Every decoder reads only the lower triangle, the neighbours of each v below
+v, and `Graph._from_lower` mirrors it: the lower rows are packed into one
+bit matrix and transposed by log2(w) block swaps, w the least power of two
+>= n, so a decode costs a few big-integer operations rather than one per
+edge.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -22,6 +29,11 @@ def _check_vertex_count(n: int) -> None:
 def max_edge_count(n: int) -> int:
     """Number of possible edges on n vertices, C(n, 2)."""
     return n * (n - 1) // 2
+
+
+def bits_to_hex(n: int, bits: int) -> str:
+    """Compact hex form of the colex edge bits of a graph on n vertices, little-endian."""
+    return bits.to_bytes((max_edge_count(n) + 7) // 8, "little").hex()
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -38,6 +50,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@cache
+def _transpose_masks(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each block swap transposing a w x w bit matrix, w a power of two."""
+    steps = []
+    j = w >> 1
+    while j:
+        cols = sum(1 << c for c in range(w) if c & j)
+        steps.append((j * (w - 1), sum(cols << (r * w) for r in range(w) if not r & j)))
+        j >>= 1
+    return tuple(steps)
 
 
 class Edge(NamedTuple):
@@ -105,6 +129,28 @@ class Graph:
         g.rows = tuple(rows)
         return g
 
+    @classmethod
+    def _from_lower(cls, n: int, lower: Sequence[int]) -> Graph:
+        """Graph whose row v holds lower[v], the neighbours of v below v, and their mirror.
+
+        The lower rows are packed at stride w, the least power of two >= n,
+        into one w x w bit matrix; its transpose holds the upper rows.
+        """
+        w = 1 << (n - 1).bit_length()
+        packed = 0
+        for v, row in enumerate(lower):
+            packed |= row << (v * w)
+        # block-swap transpose (Hacker's Delight, 2nd ed., 7-3): each mask
+        # marks the cells (r, c) with bit j clear in r and set in c, which
+        # trade places with (r + j, c - j), j(w - 1) bits up
+        m = packed
+        for shift, mask in _transpose_masks(w):
+            d = (m ^ m >> shift) & mask
+            m ^= d ^ d << shift
+        m |= packed
+        full = (1 << w) - 1
+        return cls._trusted(n, [m >> (v * w) & full for v in range(n)])
+
     def _validate(self) -> None:
         n, rows = self.n, self.rows
         if len(rows) != n:
@@ -129,17 +175,18 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         _check_vertex_count(n)
-        rows = [0] * n
+        lower = [0] * n
         for pair in edges:
             u, v = pair
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                edge(u, v)  # raises the loop or negative-label error first
+            if u > v:
+                u, v = v, u
+            if not 0 <= u < v < n:
+                edge(*pair)  # raises the loop or negative-label error first
                 raise ValueError(f"edge {tuple(pair)} has vertex >= n={n}")
-            if rows[u] >> v & 1:
+            if lower[v] >> u & 1:
                 raise ValueError(f"duplicate edge {tuple(pair)}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls._trusted(n, rows)
+            lower[v] |= 1 << u
+        return cls._from_lower(n, lower)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
@@ -166,16 +213,7 @@ class Graph:
         if bits < 0 or bits >> m:
             raise ValueError(f"edge bits out of range for n={n}")
         # row v's lower part is the colex slice of edges (0, v)..(v-1, v)
-        rows = [0] * n
-        for v in range(1, n):
-            below = bits >> (v * (v - 1) // 2) & ((1 << v) - 1)
-            rows[v] |= below
-            bit = 1 << v
-            while below:
-                low = below & -below
-                rows[low.bit_length() - 1] |= bit
-                below ^= low
-        return cls._trusted(n, rows)
+        return cls._from_lower(n, [bits >> (v * (v - 1) // 2) & ((1 << v) - 1) for v in range(n)])
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> Graph:
@@ -272,8 +310,7 @@ class Graph:
         return bits
 
     def to_hex(self) -> str:
-        nbytes = (max_edge_count(self.n) + 7) // 8
-        return self.to_bits().to_bytes(nbytes, "little").hex()
+        return bits_to_hex(self.n, self.to_bits())
 
     # -- value semantics ------------------------------------------------------
 

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
-from .graph import Graph, _check_vertex_count, iter_bits, max_edge_count
+from .graph import Graph, _check_vertex_count, bits_to_hex, iter_bits, max_edge_count
 from .systems import GraphSystem, load_json
 
 # `extend` and `walk` recurse once per graph and once per added edge, so t
@@ -125,7 +125,7 @@ class SearchReport:
             "n": self.n,
             "t": self.t,
             "best_value": str(self.best_value),
-            "witnesses": [[g.to_hex() for g in s.graphs] for s in self.witness_systems()],
+            "witnesses": [[bits_to_hex(self.n, b) for b in w] for w in self.witnesses],
             "witness_overflow": self.witness_overflow,
             "nodes": str(self.nodes),
             "pruned": str(self.pruned),

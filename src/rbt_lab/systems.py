@@ -6,6 +6,8 @@ completing a rainbow triangle are, over every j != i, those joined to a in
 G_j and to b in a graph other than G_i and G_j, one word operation per
 graph G_j for each pair (a, b).  The first rainbow triangle in (b, a, c)
 order takes the least such a over every i with ab in G_i, then its least c.
+Where b has fewer candidate c above it than neighbours a below it, the a
+are first cut to those joined to one of the c, read off the rows of the c.
 """
 
 from __future__ import annotations
@@ -150,6 +152,12 @@ def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
     `Graph.triangles` lists them; the witness assigns the first distinct
     graph indices, by index, to the edges ab, ac, bc (see `_pick_sdr`).
     Systems with fewer than three nonempty graphs cannot contain one.
+
+    For each b and each G_i, only the a <= the least a found so far are
+    tried.  When the candidate c of all of G_i's terms together are fewer
+    than those a, the a are first cut to the ones joined to such a c, so
+    the first a left is the least with a rainbow c; the c are counted only
+    when the terms are fewer than the a.
     """
     n, t = s.n, s.t
     if t < 3 or sum(1 for g in s.graphs if any(g.rows)) < 3:
@@ -169,20 +177,39 @@ def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
         # best: the least a with a rainbow c so far (b while none); hits: its c
         best, hits = b, 0
         for i, r in enumerate(rows):
-            below = r[b] & ((1 << b) - 1)
-            if not below or (below & -below).bit_length() - 1 > best:
+            # only an a <= best can improve on the witness so far
+            below = r[b] & ((2 << best) - 1)
+            if not below:
                 continue
             # with ab in G_i, c is rainbow iff ac in some G_j, j != i, and bc
             # in a third graph: the terms (rows[j], X_ij) of b's neighbours
-            # above b in a graph other than G_i and G_j
+            # above b in a graph other than G_i and G_j, that is m3 | (m2 &
+            # ~(xi & xj)) | (m1 & ~m2 & ~(xi | xj)): a part fixed by i and a
+            # part that xj cuts
             xi = above[i]
+            fixed, cut = m3 | (m2 & ~xi), m2 | (m1 & ~xi)
             terms = []
             for j, xj in enumerate(above):
-                if j != i and (x := m3 | (m2 & ~(xi & xj)) | (m1 & ~m2 & ~(xi | xj))):
+                if j != i and (x := fixed | (cut & ~xj)):
                     terms.append((rows[j], x))
+            if not terms:
+                continue
+            # fewer c than a: keep only the a joined to some rainbow c, read
+            # from the rows of the c
+            size = below.bit_count()
+            if len(terms) < size:
+                count = 0
+                for _, x in terms:
+                    count += x.bit_count()
+                    if count >= size:
+                        break
+                else:
+                    reach = 0
+                    for rj, x in terms:
+                        for c in iter_bits(x):
+                            reach |= rj[c]
+                    below &= reach
             for a in iter_bits(below):
-                if a > best:
-                    break
                 rainbow = 0
                 for rj, x in terms:
                     rainbow |= rj[a] & x

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rbt_lab import Graph, Triangle, edge, edge_at, iter_bits, mask_of, max_edge_count
+from rbt_lab.graph import bits_to_hex
 
 
 def naive_triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -197,6 +198,20 @@ def test_from_bits_matches_per_edge_reference():
         for bits in (0, (1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m)):
             assert Graph.from_bits(n, bits) == reference_from_bits(n, bits)
             assert Graph.from_bits(n, bits).to_bits() == bits
+
+
+def test_edge_lists_and_hex_match_per_edge_reference():
+    # both decoders mirror the lower triangle by one bit-matrix transpose at
+    # stride w, the least power of two >= n: every n meets one of w = 1..64
+    rng = random.Random(4096)
+    for n in range(1, 65):
+        m = max_edge_count(n)
+        for bits in (0, (1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m)):
+            ref = reference_from_bits(n, bits)
+            pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in ref.edges()]
+            rng.shuffle(pairs)
+            assert Graph.from_edges(n, pairs) == ref
+            assert Graph.from_hex(n, bits_to_hex(n, bits)) == ref
 
 
 def test_bits_round_trip_random():

@@ -207,6 +207,44 @@ def test_witness_matches_reference_dense():
                         assert w.is_valid_for(s)
 
 
+def random_matching(rng: random.Random, n: int) -> Graph:
+    order = list(range(n))
+    rng.shuffle(order)
+    return Graph.from_edges(n, [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)])
+
+
+def test_witness_matches_reference_few_c_many_a():
+    # each b has a few rainbow c above it and many a below it in K_n, so the
+    # kernel keeps only the a reached from the rows of those c
+    rng = random.Random(1616)
+    for n in (16, 32, 64):
+        kn = Graph.complete(n)
+        for k in (2, 2, 3, 3, 4, 4):
+            # two of the matchings M, M' differ at some uv in M with uv' in
+            # M': the triangle u, v, v' is rainbow.  With k > 2 the c-set of
+            # a term holds several c, and its least a may come from any
+            matchings = [random_matching(rng, n) for _ in range(k)]
+            if len(set(matchings)) == 1:
+                continue
+            s = GraphSystem.of(kn, *matchings)
+            w = find_rainbow_triangle(s)
+            assert w is not None and w == reference_witness(s)
+        m = random_matching(rng, n)
+        missing = [e for e in kn.edges() if not m.has_edge(*e)]
+        for t in (3, 4, 8, 16):
+            # K_n + (t - 1) M is rainbow-free; one more edge xy in one of the
+            # copies makes x, y and the partner of x a rainbow triangle, and
+            # only triangles through xy rainbow
+            graphs = [kn] + [m] * (t - 1)
+            k = rng.randrange(1, t)
+            extra = rng.choice(missing)
+            graphs[k] = Graph.from_bits(n, m.to_bits() | 1 << extra.index)
+            s = GraphSystem.of(*graphs)
+            w = find_rainbow_triangle(s)
+            assert w is not None and w == reference_witness(s)
+            assert w.is_valid_for(s)
+
+
 def thinned_copies(rng: random.Random, n: int, t: int) -> GraphSystem:
     """Each graph keeps each edge of one sparse base graph with its own odds.
 
