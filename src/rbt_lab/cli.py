@@ -4,6 +4,11 @@ Exit codes are a contract: 0 means every requested check passed (or the
 search completed clean), 1 means a certified bound was violated or a rainbow
 triangle was found where freeness was asserted, 2 means usage or input
 error.  JSON mode emits exactly one JSON document on stdout.
+
+Each command's options are defined once, in `_COMMANDS`.  A call led by a
+command name builds and runs that command's parser alone; any other call,
+or one with arguments that parser does not know, goes to the full parser,
+so help, usage lines and errors read as from one parser with subcommands.
 """
 
 from __future__ import annotations
@@ -281,42 +286,30 @@ def _cmd_ineq_scan(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later `main` call."""
-    parser = argparse.ArgumentParser(
-        prog="rbt-lab",
-        description="analyze rainbow-triangle-free systems of graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_io(p: argparse.ArgumentParser, system_input: bool = True) -> None:
+    if system_input:
+        p.add_argument("--input", "-i", default="-",
+                       help="system JSON file, or - for stdin (default)")
+    p.add_argument("--output", choices=("human", "json"), default="human")
 
-    def add_io(p: argparse.ArgumentParser, system_input: bool = True) -> None:
-        if system_input:
-            p.add_argument("--input", "-i", default="-",
-                           help="system JSON file, or - for stdin (default)")
-        p.add_argument("--output", choices=("human", "json"), default="human")
 
-    p = sub.add_parser("check-rbt", help="test a system for rainbow triangles")
-    add_io(p)
-    p.set_defaults(func=_cmd_check_rbt)
-
-    p = sub.add_parser("partition", help="matching-based partition of a triangle-free graph")
-    add_io(p)
+def _add_partition(p: argparse.ArgumentParser) -> None:
+    _add_io(p)
     p.add_argument("--index", type=int, default=0, help="which graph of the system")
-    p.set_defaults(func=_cmd_partition)
 
-    p = sub.add_parser("reduce", help="rewrite a system into a nested chain")
-    add_io(p)
+
+def _add_reduce(p: argparse.ArgumentParser) -> None:
+    _add_io(p)
     p.add_argument("--compact", action="store_true", help="emit hex form")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("certify", help="check one of the quantitative bounds")
-    add_io(p)
+
+def _add_certify(p: argparse.ArgumentParser) -> None:
+    _add_io(p)
     p.add_argument("--claim", choices=_CLAIMS, required=True)
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("search", help="maximize an objective over rainbow-free systems")
-    add_io(p, system_input=False)
+
+def _add_search(p: argparse.ArgumentParser) -> None:
+    _add_io(p, system_input=False)
     p.add_argument("--objective", choices=("sum", "product"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=3)
@@ -331,33 +324,79 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-cap", type=int, default=64)
     p.add_argument("--checkpoint", default=None,
                    help="JSON checkpoint for resumable exhaustive runs")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("extremal", help="emit a bound-attaining construction")
-    add_io(p, system_input=False)
+
+def _add_extremal(p: argparse.ArgumentParser) -> None:
+    _add_io(p, system_input=False)
     p.add_argument("--kind", choices=("two-complete", "bipartite-k", "bipartite-triple"),
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=None, help="copies for bipartite-k (default 4)")
     p.add_argument("--compact", action="store_true", help="emit hex form")
-    p.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("ineq-scan", help="grid scans of the two product inequalities")
-    add_io(p, system_input=False)
+
+def _add_ineq_scan(p: argparse.ArgumentParser) -> None:
+    _add_io(p, system_input=False)
     p.add_argument("--which", choices=("31", "32"), required=True)
     p.add_argument("--l-max", type=int, default=None, help="scan 31 bound on l (default 30)")
     p.add_argument("--q-max", type=int, default=None, help="scan 31 bound on q (default 60)")
     p.add_argument("--step", default=None, help="scan 32 grid step (default 1/100)")
     p.add_argument("--max", default=None, help="scan 32 grid upper end (default 10)")
-    p.set_defaults(func=_cmd_ineq_scan)
 
+
+# command -> (help, the function adding its options, its handler); the one
+# place a command's options are defined, for its own parser and the full one
+_COMMANDS = {
+    "check-rbt": ("test a system for rainbow triangles", _add_io, _cmd_check_rbt),
+    "partition": ("matching-based partition of a triangle-free graph", _add_partition,
+                  _cmd_partition),
+    "reduce": ("rewrite a system into a nested chain", _add_reduce, _cmd_reduce),
+    "certify": ("check one of the quantitative bounds", _add_certify, _cmd_certify),
+    "search": ("maximize an objective over rainbow-free systems", _add_search, _cmd_search),
+    "extremal": ("emit a bound-attaining construction", _add_extremal, _cmd_extremal),
+    "ineq-scan": ("grid scans of the two product inequalities", _add_ineq_scan,
+                  _cmd_ineq_scan),
+}
+
+
+@cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with a command that command's parser alone; each built once.
+
+    A command's parser is the one the full parser's `add_parser` makes for
+    it, with the same class and prog, so its help and errors read the same.
+    """
+    if command is not None:
+        _, add_options, handler = _COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"rbt-lab {command}")
+        add_options(parser)
+        parser.set_defaults(func=handler)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="rbt-lab",
+        description="analyze rainbow-triangle-free systems of graphs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_options, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # the full parser also prints the error for arguments the command's
+    # parser leaves over, since its usage line names every command
+    if argv and argv[0] in _COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse already printed a usage message
         return 2 if exc.code not in (0, None) else 0

@@ -660,10 +660,11 @@ def _run_exhaustive(objective: str, n: int, t: int, threads: int, witness_cap: i
         "seed_value": seed_value,
     }
     done = _load_checkpoint(checkpoint, header) if checkpoint else {}
-    if checkpoint:
-        # saved before any chunk runs, so an unusable path fails first
-        _save_checkpoint(checkpoint, header, done)
     pending = [str(i) for i in range(len(chunks)) if str(i) not in done]
+    if checkpoint and pending:
+        # saved before any chunk runs, so an unusable path fails first; a
+        # finished checkpoint is left as it is
+        _save_checkpoint(checkpoint, header, done)
     records = _map(threads, search, [chunks[int(key)] for key in pending])
     for key, record in zip(pending, records, strict=True):
         done[key] = record

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -218,6 +219,52 @@ def test_removed_flags_are_unrecognized(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag}" in err
+
+
+# every argv that argparse answers itself, with help or a usage error
+PARSER_EXITS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["search", "--objective", "sum", "--n", "4", "--bogus"],
+    ["certify", "--claim", "nope"],
+    ["search", "--objective", "sum", "--n", "x"],
+    ["search", "--objective", "sum"],
+    ["--output", "json", "search", "--objective", "sum", "--n", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_full_parser(monkeypatch, capsys, argv):
+    # fixed width, so both help texts wrap alike
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = (2 if exc.value.code not in (0, None) else 0, *capsys.readouterr())
+    assert run(capsys, argv) == expected
+
+
+def test_a_call_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    argv = ["search", "--objective", "sum", "--n", "4", "--t", "2", "--output", "json"]
+    assert run(capsys, argv)[0] == 0
+    assert built == ["rbt-lab search"]
+    # arguments the command's parser leaves over go to the full parser
+    build_parser.cache_clear()
+    built.clear()
+    code, out, err = run(capsys, argv + ["--bogus"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --bogus" in err
+    assert built == ["rbt-lab search", "rbt-lab"] + [f"rbt-lab {name}" for name in cli._COMMANDS]
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

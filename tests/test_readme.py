@@ -28,6 +28,15 @@ def test_readme_shows_every_subcommand():
 
 
 @pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_parses_as_in_the_full_parser(line):
+    argv = shlex.split(line.split("| ")[-1])[1:]
+    args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    full = vars(build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert (vars(args), rest) == (full, [])
+
+
+@pytest.mark.parametrize("line", COMMANDS)
 def test_readme_command_exit_code(line, monkeypatch, capsys):
     stdin = ""
     if " | " in line:

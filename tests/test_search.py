@@ -810,6 +810,19 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
         exhaustive_max_sum(4, 3, checkpoint=str(path))
 
 
+@pytest.mark.parametrize("call", [lambda ck: exhaustive_max_product(4, checkpoint=ck),
+                                  lambda ck: exhaustive_max_sum(4, 1, checkpoint=ck)],
+                         ids=["product-n4", "sum-n4-t1"])
+def test_finished_checkpoint_is_not_rewritten(tmp_path, monkeypatch, call):
+    path = tmp_path / "ckpt.json"
+    first = call(str(path))
+    written = path.read_bytes()
+    monkeypatch.setattr(search, "_save_checkpoint", lambda *args: pytest.fail("saved"))
+    resumed = call(str(path))
+    assert without_wall_time(resumed) == without_wall_time(first)
+    assert path.read_bytes() == written
+
+
 def test_checkpoint_binds_witness_cap(tmp_path):
     # at (4, 3) a cap-1 checkpoint keeps 2 of the 4 maximizers per chunk, so
     # resuming it under cap 64 would report 2 witnesses without an overflow
