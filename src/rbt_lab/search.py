@@ -16,8 +16,8 @@ maximizing last graph is the complement itself.  The last two graphs are
 then a pair of edge sets with no conflicting edges across, and every
 maximizer is a closed pair of that symmetric relation: neither graph can
 gain an edge.  A node whose children are the last free graph lists only
-those pairs, by Close-by-One, and cuts every branch that cannot reach the
-best value found so far.
+those pairs, by Close-by-One (`_close_pairs`), and cuts every branch that
+cannot reach the best value found so far.
 
 The first graphs are the isomorphism classes of graphs on n vertices,
 one canonical form each, grown as a tree of one-vertex extensions
@@ -158,11 +158,12 @@ def _through_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def _cross(through: Sequence[tuple[tuple[int, int], ...]], union: int, g: int) -> int:
     """Edges e closing a triangle {e, f, h} with f in g and h in union.
 
-    This is the rainbow kernel.  For a rainbow-free prefix with union U and
-    forbidden mask F (the edges closing a triangle whose other two edges lie
-    in two distinct prefix graphs), a new graph g keeps the system
-    rainbow-free iff g & F == 0, and the extended system's mask is
-    F | _cross(through, U, g).
+    This is the search's admissibility mask, which `rbt_free_bits` also
+    uses; `find_rainbow_triangle` is the rainbow test of a system.  For a
+    rainbow-free prefix with union U and forbidden mask F (the edges closing
+    a triangle whose other two edges lie in two distinct prefix graphs), a
+    new graph g keeps the system rainbow-free iff g & F == 0, and the
+    extended system's mask is F | _cross(through, U, g).
     """
     out = 0
     while g:
@@ -177,7 +178,10 @@ def _cross(through: Sequence[tuple[tuple[int, int], ...]], union: int, g: int) -
 
 
 def rbt_free_bits(n: int, graphs: Sequence[int]) -> bool:
-    """Rainbow-freeness check on raw bit-integer graphs."""
+    """Rainbow-freeness of raw bit-integer graphs, by `_cross`: the checkpoint's witness check."""
+    if len(graphs) < 3:
+        # a rainbow triangle needs three graphs; n = 64's table is 125k tuples
+        return True
     through = _through_pairs(n)
     union = forbidden = 0
     for g in graphs:
@@ -211,14 +215,27 @@ def bipartite_triple(n: int) -> GraphSystem:
 # -- exhaustive search ---------------------------------------------------------------
 
 
+def _optimistic(is_sum: bool, remaining: int, part: int) -> Callable[[int, int], int]:
+    """score(count, later), the value of a sorted tuple with `remaining` graphs still open.
+
+    part is the value of the graphs before them, 0 or 1 for none; the next graph
+    has count edges and each after it later.  A closure: a `partial` costs more per call.
+    """
+    if is_sum:
+        return lambda count, later: part + count + (remaining - 1) * later
+    return lambda count, later: part * count * later ** (remaining - 1)
+
+
 def _fewest_edges(objective: str, t: int, value: int) -> int:
     """The least e such that a t-tuple whose first graph has e edges can reach value.
 
     Every later graph of a sorted tuple has at most |G1| edges, so a first
     graph with fewer edges is cut by `_search_chunk`'s optimistic bound.
     """
+    is_sum = objective == "sum"
+    score = _optimistic(is_sum, t, 0 if is_sum else 1)
     e = 0
-    while (t * e if objective == "sum" else e ** t) < value:
+    while score(e, e) < value:
         e += 1
     return e
 
@@ -317,14 +334,79 @@ def _orderings(items: tuple[int, ...]) -> list[tuple[int, ...]]:
             for rest in _orderings(items[:i] + items[i + 1:])]
 
 
-def _search_chunk(
-    objective: str,
-    n: int,
-    t: int,
-    incumbent: int,
-    tie_cap: int,
-    first_graphs: Sequence[int],
-) -> dict[str, Any]:
+def _close_pairs(avail: int, rows: dict[int, int], cap: int, score: Callable[[int, int], int],
+                 bar: int) -> tuple[list[tuple[int, int]], int, int, int]:
+    """The closed pairs (g, h) of the last two graphs whose value reaches bar.
+
+    score(|g|, |h|) is the value of the tuple.  Edge x of g and edge y of h
+    conflict iff x is in rows[y], a symmetric relation, and every tuple of
+    the best value is a closed pair: each of g and h is every edge of avail
+    that conflicts with nothing in the other, or one could gain an edge.
+    Close-by-One (Kuznetsov 1993) visits each closed pair once; down its
+    tree g only grows and h only shrinks, which bounds a branch before its
+    closure.  A sorted tuple also needs cap >= |g| >= |h|, so a node whose
+    g has more than cap edges is cut with its subtree, and a branch that
+    cannot reach bar, raised to each value found, is cut.
+
+    Returns the pairs at the final bar, each once, that bar (unchanged if
+    none reach it), and the closed pairs visited and branches cut.
+    """
+    nodes = pruned = 0
+
+    def derive(h: int) -> int:
+        cross = 0
+        while h:
+            low = h & -h
+            cross |= rows[low]
+            h ^= low
+        return avail & ~cross
+
+    hits: list[tuple[int, int, int]] = []
+
+    def visit(g: int, h: int, above: int) -> None:
+        nonlocal nodes, pruned, bar
+        nodes += 1
+        gc, hc = g.bit_count(), h.bit_count()
+        if hc <= gc and score(gc, hc) >= bar:
+            bar = score(gc, hc)
+            hits.append((g, h, bar))
+        free = avail & ~g & -above
+        if gc == cap:
+            # every branch adds an edge to g
+            pruned += free.bit_count()
+            return
+        while free:
+            bit = free & -free
+            free ^= bit
+            # g gains at most this edge and every free one above it, h only loses
+            reach = min(cap, gc + 1 + free.bit_count())
+            if score(reach, min(hc, reach)) < bar:
+                # so this branch and every later one, with fewer edges above, is cut
+                pruned += 1 + free.bit_count()
+                break
+            nh = h & ~rows[bit]
+            if score(reach, min(nh.bit_count(), reach)) < bar:
+                pruned += 1
+                continue
+            ng = derive(nh)
+            if (ng ^ g) & (bit - 1):
+                continue
+            if ng.bit_count() > cap:
+                pruned += 1
+            else:
+                visit(ng, nh, bit << 1)
+
+    g = derive(avail)
+    if g.bit_count() > cap:
+        pruned += 1
+    else:
+        visit(g, avail, 1)
+    # hit values never fall, so only those at the final bar survive
+    return [(g, h) for g, h, value in hits if value == bar], bar, nodes, pruned
+
+
+def _search_chunk(objective: str, n: int, t: int, incumbent: int, tie_cap: int,
+                  first_graphs: Sequence[int]) -> dict[str, Any]:
     """Search the rainbow-free t-tuples, t >= 3, whose first graph lies in `first_graphs`.
 
     Only tuples with |G1| >= |G2| >= ... >= |Gt| are walked: each graph
@@ -336,7 +418,8 @@ def _search_chunk(
     graphs the children are walked depth first, adding edges of avail in
     ascending order up to cap; room only shrinks as a child grows, which
     bounds its whole subtree.  The last two graphs are listed as closed
-    pairs by `close_pairs`.
+    pairs by `_close_pairs`.  Every cut compares `_optimistic` with the
+    best value.
 
     Returns the chunk record: the chunk-local best value, its witnesses
     and node/prune counters.  Each hit is recorded with all its orderings,
@@ -369,22 +452,21 @@ def _search_chunk(
             witnesses = set(sorted(witnesses)[:tie_cap])
 
     def extend(prefix: list[int], part: int, union: int, forbidden: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, pruned
         nodes += 1
         avail = full & ~forbidden
         remaining = t - len(prefix)
         cap = prefix[-1].bit_count()
         # edges outside avail are forbidden already, so rows can drop them
         rows = {1 << e: _cross(through, union, 1 << e) & avail for e in iter_bits(avail)}
-
-        def bound(count: int, later: int) -> int:
-            # the value with count edges here and later in each graph after
-            if is_sum:
-                return part + count + (remaining - 1) * later
-            return part * count * later ** (remaining - 1)
+        bound = _optimistic(is_sum, remaining, part)
 
         if remaining == 2:
-            close_pairs(prefix, avail, cap, rows, bound)
+            pairs, value, visited, cut = _close_pairs(avail, rows, cap, bound, best)
+            nodes += visited
+            pruned += cut
+            for g, h in pairs:
+                record(prefix + [g, h], value)
             return
 
         def walk(g: int, cross: int, above: int) -> None:
@@ -412,80 +494,11 @@ def _search_chunk(
 
         walk(0, 0, 1)
 
-    def close_pairs(prefix: list[int], avail: int, cap: int, rows: dict[int, int],
-                    score: Callable[[int, int], int]) -> None:
-        """Record the closed pairs (g, h) of the last two graphs that reach the best.
-
-        score(|g|, |h|) is the value of the tuple.  Edge x of g and edge y of h conflict iff x is in rows[y], a
-        symmetric relation, and every tuple of the best value is a closed
-        pair: each of g and h is every edge of avail that conflicts with
-        nothing in the other, or one could gain an edge.  Close-by-One
-        (Kuznetsov 1993) visits each closed pair once; down its tree g
-        only grows and h only shrinks, which bounds a branch before its
-        closure.  A sorted tuple also needs cap >= |g| >= |h|, so a node
-        whose g has more than cap edges is cut with its subtree.
-        """
-        nonlocal nodes, pruned
-
-        def derive(h: int) -> int:
-            cross = 0
-            while h:
-                low = h & -h
-                cross |= rows[low]
-                h ^= low
-            return avail & ~cross
-
-        hits: list[tuple[int, int, int]] = []
-        bar = best
-
-        def visit(g: int, h: int, above: int) -> None:
-            nonlocal nodes, pruned, bar
-            nodes += 1
-            gc, hc = g.bit_count(), h.bit_count()
-            if hc <= gc and score(gc, hc) >= bar:
-                bar = score(gc, hc)
-                hits.append((g, h, bar))
-            free = avail & ~g & -above
-            if gc == cap:
-                # every branch adds an edge to g
-                pruned += free.bit_count()
-                return
-            while free:
-                bit = free & -free
-                free ^= bit
-                # g gains at most this edge and every free one above it, h only loses
-                reach = min(cap, gc + 1 + free.bit_count())
-                if score(reach, min(hc, reach)) < bar:
-                    # so this branch and every later one, with fewer edges above, is cut
-                    pruned += 1 + free.bit_count()
-                    break
-                nh = h & ~rows[bit]
-                if score(reach, min(nh.bit_count(), reach)) < bar:
-                    pruned += 1
-                    continue
-                ng = derive(nh)
-                if (ng ^ g) & (bit - 1):
-                    continue
-                if ng.bit_count() > cap:
-                    pruned += 1
-                else:
-                    visit(ng, nh, bit << 1)
-
-        g = derive(avail)
-        if g.bit_count() > cap:
-            pruned += 1
-        else:
-            visit(g, avail, 1)
-        # hit values never fall, so only those at the final bar survive
-        for g, h, value in hits:
-            if value == bar:
-                record(prefix + [g, h], value)
-
+    # every later graph has at most |g1| edges
+    start = _optimistic(is_sum, t, 0 if is_sum else 1)
     for g1 in first_graphs:
         cand = g1.bit_count()
-        # every later graph has at most |g1| edges
-        optimistic = t * cand if is_sum else cand ** t
-        if optimistic < best:
+        if start(cand, cand) < best:
             pruned += 1
             continue
         extend([g1], cand, g1, 0)

@@ -23,8 +23,10 @@ from rbt_lab import (
 from rbt_lab import search
 from rbt_lab.canonical import canonical_bits, canonical_system_bits
 from rbt_lab.search import (
+    _close_pairs,
     _cross,
     _first_level,
+    _optimistic,
     _orderings,
     _random_rbt_free_triple,
     _search_chunk,
@@ -122,8 +124,10 @@ def brute_force_max(objective, n, t):
     def rec(prefix):
         nonlocal best
         if len(prefix) == t:
-            if rbt_free_bits(n, prefix):
-                best = max(best, _value(objective, prefix))
+            # the slow per-triangle test only for tuples that would raise the max
+            value = _value(objective, prefix)
+            if value > best and reference_rbt_free(n, prefix):
+                best = value
             return
         for g in space:
             rec(prefix + (g,))
@@ -465,6 +469,10 @@ def test_exhaustive_n7_pinned():
     assert total.best_value == 42
     assert total.witnesses == [(0, full, full), (full, 0, full), (full, full, 0)]
     assert not product.witness_overflow and not total.witness_overflow
+    # counters, not results: they pin the walk and its cuts at a size
+    # where Close-by-One does most of the work
+    assert (product.nodes, product.pruned) == (12_890, 157_863)
+    assert (total.nodes, total.pruned) == (1_472, 20_448)
 
 
 # sum at n <= 5 over t = 3..5, and product at n <= 6, each with every witness
@@ -571,6 +579,60 @@ def test_search_chunk_matches_the_reference_walk_n7(objective, tie_cap, index):
         objective, 7, 3, 0, tie_cap, [g1])
 
 
+def reference_closed_pairs(avail, rows):
+    """Every closed pair (g, h) of the conflict relation `rows` on avail, by brute force."""
+    def derive(x):
+        conflicts = 0
+        for bit, row in rows.items():
+            if x & bit:
+                conflicts |= row
+        return avail & ~conflicts
+
+    subsets = [x for x in range(avail + 1) if x & avail == x]
+    return [(derive(h), h) for h in subsets if derive(derive(h)) == h]
+
+
+def test_close_pairs_matches_brute_force():
+    # random symmetric conflict relations on up to 10 elements, with the
+    # objectives' own scores: the pairs returned are exactly the closed pairs
+    # with cap >= |g| >= |h| at the best score, each once
+    rng = random.Random(75)
+    for trial in range(300):
+        k = rng.randint(0, 10)
+        avail = sum(1 << e for e in range(k) if rng.random() < 0.8)
+        density = rng.random()
+        rows = {1 << e: 0 for e in range(k) if avail >> e & 1}
+        for x in rows:
+            for y in rows:
+                if x <= y and rng.random() < density:
+                    rows[x] |= y
+                    rows[y] |= x
+        closed = reference_closed_pairs(avail, rows)
+        is_sum = trial % 2 == 0
+        score = _optimistic(is_sum, 2, rng.randint(0, 5) if is_sum else rng.randint(1, 5))
+        cap = rng.randint(0, avail.bit_count())
+        sorted_pairs = [(g, h) for g, h in closed if cap >= g.bit_count() >= h.bit_count()]
+        values = [score(g.bit_count(), h.bit_count()) for g, h in sorted_pairs]
+        top = max(values, default=0)
+        for bar in {0, top, top + 1, rng.randint(0, top + 1)}:
+            pairs, final, nodes, _ = _close_pairs(avail, rows, cap, score, bar)
+            assert len(pairs) == len(set(pairs))
+            if top >= bar and sorted_pairs:
+                assert final == top
+                assert sorted(pairs) == sorted(
+                    p for p, v in zip(sorted_pairs, values) if v == top)
+            else:
+                # no pair reaches the bar
+                assert (pairs, final) == ([], bar)
+            assert nodes <= len(closed)
+        # a constant score cuts nothing, so every closed pair is visited once
+        pairs, final, nodes, pruned = _close_pairs(avail, rows, avail.bit_count(),
+                                                   lambda gc, hc: 0, 0)
+        assert (final, nodes, pruned) == (0, len(closed), 0)
+        assert sorted(pairs) == sorted((g, h) for g, h in closed
+                                       if g.bit_count() >= h.bit_count())
+
+
 def test_bit_positions():
     # the search walks C(n,2)-bit edge masks, wider than any adjacency row
     rng = random.Random(9)
@@ -585,14 +647,14 @@ def test_allowed_last_mask_is_exact():
         m = max_edge_count(n)
         while True:
             prefix = [rng.randrange(1 << m) for _ in range(rng.randint(1, 3))]
-            if rbt_free_bits(n, prefix):
+            if reference_rbt_free(n, prefix):
                 break
         allowed = allowed_last_graph_mask(n, prefix)
         for e in range(m):
             extended = prefix + [1 << e]
-            assert rbt_free_bits(n, extended) == bool(allowed >> e & 1)
+            assert reference_rbt_free(n, extended) == bool(allowed >> e & 1)
         # the full allowed mask itself is admissible
-        assert rbt_free_bits(n, prefix + [allowed])
+        assert reference_rbt_free(n, prefix + [allowed])
 
 
 def test_random_fill_guard_is_exact_and_maximal():
@@ -821,6 +883,16 @@ def test_finished_checkpoint_is_not_rewritten(tmp_path, monkeypatch, call):
     resumed = call(str(path))
     assert without_wall_time(resumed) == without_wall_time(first)
     assert path.read_bytes() == written
+
+
+def test_resumed_t2_checkpoint_builds_no_search_table(tmp_path, monkeypatch):
+    # the witnesses of a t <= 2 record are checked without the per-edge
+    # triangle table of n = 64, which the search never needs there
+    path = str(tmp_path / "ckpt.json")
+    first = exhaustive_max_sum(64, 2, checkpoint=path)
+    monkeypatch.setattr(search, "_through_pairs", lambda n: pytest.fail("search table built"))
+    resumed = exhaustive_max_sum(64, 2, checkpoint=path)
+    assert without_wall_time(resumed) == without_wall_time(first)
 
 
 def test_checkpoint_binds_witness_cap(tmp_path):
