@@ -8,8 +8,8 @@ orderly generation (Read, "Every one a winner", 1978; Faradzev, 1978).
 Labels n-1, n-2, ... go to one vertex at a time, so the most significant
 rows are settled first, and a partial labeling is cut as soon as lower
 bounds on the graphs' images show that it cannot beat the best tuple found
-so far.  Two vertices whose transposition fixes every graph lead to the
-same images, so only one of them is tried at each node.
+so far.  Twins, two vertices whose swap fixes every graph (`_twins`, shared
+with the search's class tree), give the same images; one is tried per node.
 """
 
 from __future__ import annotations
@@ -40,6 +40,13 @@ def canonical_system_bits(n: int, graphs: tuple[int, ...]) -> tuple[int, ...]:
     return _least_image(n, graphs)
 
 
+def _twins(n: int, rows_per_graph: list[tuple[int, ...]]) -> list[int]:
+    """twins[v]: the vertices u < v whose transposition with v fixes every graph."""
+    return [sum(1 << u for u in range(v)
+                if all(r[u] & ~(1 << v) == r[v] & ~(1 << u) for r in rows_per_graph))
+            for v in range(n)]
+
+
 def _least_image(n: int, graphs: tuple[int, ...]) -> tuple[int, ...]:
     """The pruned labeling search behind both public forms.
 
@@ -55,13 +62,7 @@ def _least_image(n: int, graphs: tuple[int, ...]) -> tuple[int, ...]:
     """
     rows = [Graph.from_bits(n, g).rows for g in graphs]
     base = [q * (q - 1) // 2 for q in range(n)]  # colex index of edge (0, q)
-    # twins[v]: the vertices u < v whose transposition with v fixes every graph
-    twins = [0] * n
-    for v in range(n):
-        for u in range(v):
-            both = (1 << u) | (1 << v)
-            if all(r[u] & ~both == r[v] & ~both for r in rows):
-                twins[v] |= 1 << u
+    twins = _twins(n, rows)
     label = [0] * n
     full = (1 << n) - 1
     best: tuple[int, ...] | None = None

@@ -270,9 +270,8 @@ def check_unmatched_cross_degree(
     """Degree bound d_C(x, W) + d_D(x, W) <= 2l for x outside the matched set W."""
     if not 0 <= x < b.n:
         raise PreconditionError(f"vertex {x} out of range")
-    for e in matching.edges:
-        if not b.has_edge(e.u, e.v):
-            raise PreconditionError(f"matching edge {tuple(e)} is not in the first graph")
+    if not matching.is_valid_for(b):
+        raise PreconditionError("the matching is not a matching of the first graph")
     if matching.matched_set >> x & 1:
         raise PreconditionError(f"vertex {x} is covered by the matching")
     _triple(b, c, d, "cross-degree")

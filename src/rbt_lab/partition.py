@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .graph import Graph, iter_bits, mask_of
-from .matching import matching_number, maximum_matching
+from .graph import Edge, Graph, iter_bits, mask_of
+from .matching import MatchingResult, matching_number, maximum_matching
 from .reports import CertReport, PreconditionError
 
 
@@ -71,22 +71,15 @@ def verify_partition(g: Graph, p: MantelPartition) -> bool:
     if len(p.x_side) != p.size or len(p.y_side) != p.size:
         return False
     x_mask = mask_of(p.x_side)
-    y_mask = mask_of(p.y_side)
-    if len(set(p.x_side)) != p.size or len(set(p.y_side)) != p.size:
+    pairs = tuple(Edge(min(x, y), max(x, y)) for x, y in zip(p.x_side, p.y_side))
+    m = MatchingResult(pairs, p.size, x_mask | mask_of(p.y_side))
+    if not m.is_valid_for(g):
         return False
-    if x_mask & y_mask or (x_mask | y_mask) & p.z_side:
+    if m.matched_set & p.z_side or (m.matched_set | p.z_side) != g.vertex_mask:
         return False
-    if (x_mask | y_mask | p.z_side) != g.vertex_mask:
+    if any(g.rows[z] & ~x_mask for z in iter_bits(p.z_side)):
         return False
-    for x, y in zip(p.x_side, p.y_side):
-        if not g.has_edge(x, y):
-            return False
-    for z in iter_bits(p.z_side):
-        if g.rows[z] & ~x_mask:
-            return False
-    if p.size != matching_number(g):
-        return False
-    return True
+    return p.size == matching_number(g)
 
 
 def mantel_edge_bound(g: Graph) -> CertReport:

@@ -48,7 +48,7 @@ from math import prod
 from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
 
-from .canonical import CANONICAL_MAX_N, canonical_bits, canonical_system_bits
+from .canonical import CANONICAL_MAX_N, _twins, canonical_bits, canonical_system_bits
 from .graph import Graph, _check_vertex_count, bits_to_hex, iter_bits, max_edge_count
 from .systems import GraphSystem, load_json
 
@@ -263,10 +263,10 @@ def _children(q: int, h: int, fewest: int) -> list[int]:
       the least degree of h and M the set of its vertices of that degree,
       s is skipped when |s| > d + (M <= s);
     - s is skipped when |h| + |s| < fewest;
-    - twins u < v of h, vertices with the same neighbours apart from each
-      other, can be swapped without changing h, so s is skipped when it
-      holds v but not u: the swap maps it to a smaller s of the same
-      class, and the least s of its orbit under these swaps is kept.
+    - twins u < v of h (`_twins`, shared with the labeling search), with
+      the same neighbours apart from each other, can be swapped without
+      changing h, so s is skipped when it holds v but not u: the swap maps
+      it to a smaller s of the same class; the least s of its orbit is kept.
     Canonicalizing h | s << C(q-1, 2) gives a form c, kept when its parent
     is h; a class reached twice from h is kept once.
     """
@@ -279,11 +279,7 @@ def _children(q: int, h: int, fewest: int) -> list[int]:
     argmin = sum(1 << v for v, d in enumerate(degrees) if d == least)
     need = fewest - h.bit_count()
     # per vertex v with twins below it, v's bit and the bits of those twins
-    twins = []
-    for v in range(p):
-        below = sum(1 << u for u in range(v) if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
-        if below:
-            twins.append((1 << v, below))
+    twins = [(1 << v, below) for v, below in enumerate(_twins(p, [rows])) if below]
     seen: set[int] = set()
     kids = []
     for s in range(1 << p):

@@ -44,11 +44,7 @@ class GraphSystem:
         return len(self.graphs)
 
     def union(self) -> Graph:
-        rows = [0] * self.n
-        for g in self.graphs:
-            for v, row in enumerate(g.rows):
-                rows[v] |= row
-        return Graph._trusted(self.n, rows)
+        return Graph._trusted(self.n, _multiplicity_levels([g.rows for g in self.graphs], 1)[0])
 
     def edge_membership(self, u: int, v: int) -> int:
         """Bitmask of graph indices containing edge (u, v)."""
@@ -356,14 +352,16 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def load_json(text: str) -> Any:
-    """Decode a JSON document; malformed text, or a key given twice in one
-    object, raises ValueError naming the position or the key."""
+    """Decode a JSON document; malformed or too deeply nested text, or a key
+    given twice in one object, raises ValueError naming what is wrong."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def system_from_json(text: str) -> GraphSystem:

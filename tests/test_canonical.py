@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from rbt_lab import Graph, bipartite_triple, max_edge_count
-from rbt_lab.canonical import canonical_bits, canonical_system_bits
+from rbt_lab.canonical import _twins, canonical_bits, canonical_system_bits
 from rbt_lab.graph import edge_at, iter_bits
 
 
@@ -108,3 +108,46 @@ def test_canonical_form_is_invariant_under_relabeling_n8():
             perm = list(range(8))
             rng.shuffle(perm)
             assert canonical_system_bits(8, relabel(8, graphs, perm)) == form
+
+
+def random_typed_edge_lists(rng, n, t):
+    """Edge lists of t graphs, most with each pair's edge set by its vertices' types.
+
+    With few types many vertices are twins, joined or not; a graph with
+    random edges among them breaks some of those twins again.
+    """
+    types = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    edge_lists = []
+    for _ in range(t):
+        if rng.random() < 0.25:
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
+        else:
+            rule = {}
+            edges = [(u, v) for v in range(n) for u in range(v)
+                     if rule.setdefault(tuple(sorted((types[u], types[v]))), rng.random() < 0.5)]
+        edge_lists.append(edges)
+    return edge_lists
+
+
+def test_twins_match_the_swap_oracle():
+    rng = random.Random(27)
+    seen = {"joined twins": 0, "unjoined twins": 0, "not twins": 0}
+    for _ in range(400):
+        n, t = rng.randint(1, 8), rng.randint(1, 3)
+        edge_lists = random_typed_edge_lists(rng, n, t)
+        twins = _twins(n, [Graph.from_edges(n, edges).rows for edges in edge_lists])
+        assert len(twins) == n
+        for v in range(n):
+            assert twins[v] >> v == 0
+            for u in range(v):
+                swap = {u: v, v: u}
+                fixed = all(
+                    {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in edges}
+                    == set(edges)
+                    for edges in edge_lists
+                )
+                assert bool(twins[v] >> u & 1) == fixed, (n, edge_lists, u, v)
+                joined = any((u, v) in edges for edges in edge_lists)
+                seen["not twins" if not fixed else "joined twins" if joined
+                     else "unjoined twins"] += 1
+    assert min(seen.values()) >= 100, seen

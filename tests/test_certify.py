@@ -7,6 +7,7 @@ import pytest
 from rbt_lab import (
     Graph,
     GraphSystem,
+    MatchingResult,
     alpha_beta_inequality_holds,
     certify_nearly_matchable,
     certify_partition_bounds,
@@ -223,6 +224,22 @@ def test_cross_degree_examples():
         check_unmatched_cross_degree(b, c, d, m, 0)  # matched vertex
     with pytest.raises(PreconditionError):
         check_unmatched_cross_degree(c, b, d, maximum_matching(b), 2)  # edges not in first
+
+
+def test_cross_degree_refuses_a_forged_matching():
+    # a MatchingResult whose size or matched set disagrees with its edges is
+    # not a matching of B, so no verdict is given for it
+    b = Graph.from_edges(4, [(0, 1)])
+    c = Graph.from_edges(4, [(0, 3)])
+    d = Graph.empty(4)
+    honest = maximum_matching(b)
+    assert check_unmatched_cross_degree(b, c, d, honest, 3)
+    for forged in (
+        MatchingResult(honest.edges, 0, honest.matched_set),
+        MatchingResult(honest.edges, honest.size, honest.matched_set | 1 << 2),
+    ):
+        with pytest.raises(PreconditionError, match="not a matching of the first graph"):
+            check_unmatched_cross_degree(b, c, d, forged, 3)
 
 
 def test_lpq_examples():

@@ -532,6 +532,26 @@ def test_search_forged_checkpoint_document_exits_2(tmp_path, capsys, forge, mess
     assert ckpt.read_bytes() == before
 
 
+DEEP_JSON = "[" * 100_000
+
+
+def test_check_rbt_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "deep.json", DEEP_JSON)
+    code, out, err = run(capsys, ["check-rbt", "--input", path])
+    assert (code, out) == (2, "")
+    assert "error: JSON nested too deeply" in err
+
+
+def test_search_deeply_nested_checkpoint_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "run.json"
+    ckpt.write_text(DEEP_JSON)
+    code, out, err = run(capsys, ["search", "--objective", "sum", "--n", "4", "--t", "3",
+                                  "--checkpoint", str(ckpt), "--output", "json"])
+    assert (code, out) == (2, "")
+    assert f"cannot use checkpoint {ckpt}: JSON nested too deeply" in err
+    assert ckpt.read_text() == DEEP_JSON
+
+
 def test_search_unusable_checkpoint_path_exits_2(tmp_path, monkeypatch, capsys):
     # a directory cannot be read, and a file in a missing directory cannot be
     # written; both are refused before any chunk is searched

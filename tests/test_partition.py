@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -89,6 +90,54 @@ def test_verify_rejects_wrong_matching_size():
     g = Graph.from_edges(6, [(0, 2), (1, 3), (2, 3), (4, 0), (5, 1)])
     bogus = MantelPartition(x_side=(0, 1), y_side=(2, 3), z_side=mask_of([4, 5]), size=2)
     assert maximum_matching(g).size == 3
+    assert not verify_partition(g, bogus)
+
+
+def partition_mutations(g, p):
+    """(invariant, partition) for each one-way break of a valid partition p of g."""
+    xs, ys, z = p.x_side, p.y_side, p.z_side
+    yield "size", replace(p, size=p.size + 1)
+    yield "size", replace(p, size=p.size - 1)
+    yield "repeated vertex", replace(p, y_side=(ys[1],) + ys[1:])
+    yield "x = y", replace(p, y_side=(xs[0],) + ys[1:])
+    misfits = [(i, j) for i in range(p.size) for j in range(p.size)
+               if not g.has_edge(xs[i], ys[j])]
+    if misfits:
+        i, j = misfits[0]
+        swapped = list(ys)
+        swapped[i], swapped[j] = ys[j], ys[i]
+        yield "not an edge", replace(p, y_side=tuple(swapped))
+    yield "z meets x or y", replace(p, z_side=z | 1 << xs[-1])
+    yield "z meets x or y", replace(p, z_side=z | 1 << ys[-1])
+    if z:
+        yield "uncovered vertex", replace(p, z_side=z & (z - 1))
+
+
+def test_verify_rejects_each_broken_invariant():
+    rng = random.Random(2718)
+    seen = dict.fromkeys(["size", "repeated vertex", "x = y", "not an edge",
+                          "z meets x or y", "uncovered vertex"], 0)
+    graphs = 0
+    while graphs < 200:
+        g = random_triangle_free(rng, rng.randint(4, 14))
+        p = mantel_partition(g)
+        if p.size < 2:
+            continue
+        graphs += 1
+        assert verify_partition(g, p)
+        for invariant, bad in partition_mutations(g, p):
+            assert not verify_partition(g, bad), (invariant, g.edges(), bad)
+            seen[invariant] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_verify_rejects_a_repeated_vertex_alone():
+    # y = (2, 2) repeats a vertex; every other invariant holds: (0, 2) and
+    # (1, 2) are edges, {0, 1, 2} and Z = {3} cover the graph, 3 sends its
+    # only edge into X, and the matching number is 2 (0-3, 1-2)
+    g = Graph.from_edges(4, [(0, 2), (1, 2), (0, 3)])
+    bogus = MantelPartition(x_side=(0, 1), y_side=(2, 2), z_side=mask_of([3]), size=2)
+    assert maximum_matching(g).size == 2
     assert not verify_partition(g, bogus)
 
 
