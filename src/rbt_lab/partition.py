@@ -70,6 +70,8 @@ def verify_partition(g: Graph, p: MantelPartition) -> bool:
     """Check every invariant of a claimed partition against the graph."""
     if len(p.x_side) != p.size or len(p.y_side) != p.size:
         return False
+    if not all(0 <= v < g.n for side in (p.x_side, p.y_side) for v in side):
+        return False
     x_mask = mask_of(p.x_side)
     pairs = tuple(Edge(min(x, y), max(x, y)) for x, y in zip(p.x_side, p.y_side))
     m = MatchingResult(pairs, p.size, x_mask | mask_of(p.y_side))

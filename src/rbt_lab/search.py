@@ -33,8 +33,9 @@ chunks run, or on which chunks a checkpoint resume replays.
 
 Local search for the product objective takes the balanced bipartite
 triple plus seeded random maximal fills and keeps the best; it does not
-climb from them.  The fills do not use `_cross`: they keep each graph's
-adjacency rows and a forbidden row per vertex, updated per added edge.
+climb from them.  The fills do not use `_cross`: they keep one flat list
+of adjacency rows and one of forbidden rows, a row per (graph, vertex),
+updated per added edge from a cached table of the moves.
 """
 
 from __future__ import annotations
@@ -708,31 +709,63 @@ def exhaustive_max_product(n: int, *, threads: int = 1, witness_cap: int = 64,
 # -- local search --------------------------------------------------------------------
 
 
+def _shuffle(items: list, rng: random.Random) -> None:
+    """Fisher-Yates shuffle in place, drawing exactly what `rng.shuffle(items)` draws.
+
+    Each i from the top down swaps with r <= i, drawn by rejection on
+    (i + 1).bit_length() bits, a count taken once per power-of-two band.
+    """
+    getrandbits = rng.getrandbits
+    i = len(items) - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        stop = (1 << (k - 1)) - 2
+        for i in range(i, stop, -1):
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            items[i], items[r] = items[r], items[i]
+        i = stop
+
+
+@lru_cache(maxsize=1)
+def _fill_moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """The fill's moves by graph, then colex edge, as `_random_rbt_free_triple` unpacks them."""
+    bits = [1 << v for v in range(n)]
+    moves = []
+    for g in range(3):
+        i, j, k = g * n, (g + 1) % 3 * n, (g + 2) % 3 * n
+        moves += [(i + a, i + b, bits[b], bits[a], j + a, j + b, k + a, k + b)
+                  for b in range(n) for a in range(b)]
+    return tuple(moves)
+
+
 def _random_rbt_free_triple(n: int, rng: random.Random) -> list[int]:
     """Random maximal fill: walk all (graph, edge) moves in shuffled order.
 
-    adj[i][v] is v's neighbour row in G_i.  forb[i][v] holds vertices w such
-    that the edge vw would close a triangle whose other two edges lie in the
-    two other graphs; each forbidden edge is recorded at one or both of its
-    ends, so a move is refused iff either end records it.  Each move is
-    visited once, so every refused edge stays refused and the result is
-    maximal.  The moves are listed in colex edge order, which fixes the
-    fill each seed gives.
+    adj and forb hold 3n rows, row i*n + v for vertex v of G_i: adj's is
+    v's neighbour row in G_i, forb's the vertices w such that the edge vw
+    would close a triangle whose other two edges lie in the two other
+    graphs.  Each forbidden edge is recorded at one or both of its ends,
+    so a move is refused iff either end records it.  Each move is visited
+    once, so every refused edge stays refused and the result is maximal.
+    The moves are `_fill_moves(n)` shuffled as `rng.shuffle` would; that
+    order fixes the fill each seed gives.
     """
-    adj = [[0] * n for _ in range(3)]
-    forb = [[0] * n for _ in range(3)]
-    moves = [(i, a, b) for i in range(3) for b in range(n) for a in range(b)]
-    rng.shuffle(moves)
-    for i, a, b in moves:
-        if forb[i][a] >> b & 1 or forb[i][b] >> a & 1:
+    adj, forb = [0] * (3 * n), [0] * (3 * n)
+    moves = list(_fill_moves(n))
+    _shuffle(moves, rng)
+    for ia, ib, bit_b, bit_a, ja, jb, ka, kb in moves:
+        if forb[ia] & bit_b or forb[ib] & bit_a:
             continue
-        adj[i][a] |= 1 << b
-        adj[i][b] |= 1 << a
+        adj[ia] |= bit_b
+        adj[ib] |= bit_a
         # a new rainbow triangle abc puts ab in G_i and ac, bc in G_j, G_k
-        for j, k in ((i + 1) % 3, (i + 2) % 3), ((i + 2) % 3, (i + 1) % 3):
-            forb[j][b] |= adj[k][a]
-            forb[j][a] |= adj[k][b]
-    return [Graph._trusted(n, rows).to_bits() for rows in adj]
+        forb[jb] |= adj[ka]
+        forb[ja] |= adj[kb]
+        forb[kb] |= adj[ja]
+        forb[ka] |= adj[jb]
+    return [Graph._trusted(n, adj[i * n:i * n + n]).to_bits() for i in range(3)]
 
 
 def _local_restart(n: int, seed: int, restart_index: int) -> dict[str, Any]:

@@ -141,6 +141,13 @@ def test_verify_rejects_a_repeated_vertex_alone():
     assert not verify_partition(g, bogus)
 
 
+@pytest.mark.parametrize("x_side, y_side", [((-1,), (0,)), ((0,), (-1,)), ((0,), (2,))])
+def test_verify_rejects_a_label_outside_the_graph(x_side, y_side):
+    # a label outside 0..n-1 is refused; a negative one must not reach a mask
+    g = Graph.from_edges(2, [(0, 1)])
+    assert not verify_partition(g, MantelPartition(x_side, y_side, 0, 1))
+
+
 def test_partition_exhaustive_small():
     for n in range(1, 7):
         for bits in range(1 << max_edge_count(n)):

@@ -31,6 +31,7 @@ from rbt_lab.search import (
     _random_rbt_free_triple,
     _search_chunk,
     _seed_value,
+    _shuffle,
     _through_pairs,
     _value,
     rbt_free_bits,
@@ -677,6 +678,46 @@ def test_random_fill_guard_is_exact_and_maximal():
                 for i in range(3):
                     others = [graphs[j] for j in range(3) if j != i]
                     assert graphs[i] == allowed_last_graph_mask(n, others)
+
+
+def reference_fill(n, rng):
+    """The fill as first written: nested rows, `rng.shuffle` and a `% 3` loop."""
+    adj = [[0] * n for _ in range(3)]
+    forb = [[0] * n for _ in range(3)]
+    moves = [(i, a, b) for i in range(3) for b in range(n) for a in range(b)]
+    rng.shuffle(moves)
+    for i, a, b in moves:
+        if forb[i][a] >> b & 1 or forb[i][b] >> a & 1:
+            continue
+        adj[i][a] |= 1 << b
+        adj[i][b] |= 1 << a
+        for j, k in ((i + 1) % 3, (i + 2) % 3), ((i + 2) % 3, (i + 1) % 3):
+            forb[j][b] |= adj[k][a]
+            forb[j][a] |= adj[k][b]
+    return [Graph._trusted(n, rows).to_bits() for rows in adj]
+
+
+def test_shuffle_draws_what_random_shuffle_draws():
+    # 3384 and 6048 are the move counts 3 * C(n,2) at n = 48 and 64
+    for length in [*range(301), 3384, 6048]:
+        for seed in (0, 1, 2, 1 << 20 ^ 7):
+            expected, reference = list(range(length)), random.Random(seed)
+            reference.shuffle(expected)
+            items, rng = list(range(length)), random.Random(seed)
+            _shuffle(items, rng)
+            assert items == expected, (length, seed)
+            # the same draws, so the generator ends in the same state
+            assert rng.getstate() == reference.getstate(), (length, seed)
+
+
+@pytest.mark.parametrize("n, seeds", [(n, range(8)) for n in range(1, 13)]
+                         + [(48, range(3)), (64, range(3))])
+def test_random_fill_matches_the_reference_fill(n, seeds):
+    for seed in seeds:
+        for restart in (1, 2, 7):
+            key = (seed << 20) ^ restart
+            got = _random_rbt_free_triple(n, random.Random(key))
+            assert got == reference_fill(n, random.Random(key)), (n, seed, restart)
 
 
 def test_constructors_attain_bounds():
