@@ -3,7 +3,9 @@
 Exit codes are a contract: 0 means every requested check passed (or the
 search completed clean), 1 means a certified bound was violated or a rainbow
 triangle was found where freeness was asserted, 2 means usage or input
-error.  JSON mode emits exactly one JSON document on stdout.
+error.  JSON mode emits exactly one JSON document on stdout, byte for byte
+as json.dumps(doc, indent=2) writes it; `_indented` writes each int list
+and edge list in one join, where json's indenting encoder steps per token.
 
 Each command's options are defined once, in `_COMMANDS`.  A call led by a
 command name builds and runs that command's parser alone; any other call,
@@ -18,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Any
 
 from . import certify as cert
@@ -58,8 +61,50 @@ def _mode_flag(args, name: str, used: bool, default: Any, scope: str) -> Any:
     return value
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _indented(value: Any, indent: str) -> str:
+    """`value` as json.dumps(value, indent=2) writes it, nested at `indent`.
+
+    json.dumps with an indent walks the document one token per generator
+    step in pure Python; here a flat list of ints, or of int pairs (every
+    edge list), is one join.  `type(x) is int` keeps bools off the int
+    paths; whatever has no path of its own goes to json.dumps itself.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            body = sep.join(map(int.__repr__, value))
+        elif all(type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+                 for x in value):
+            pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+            body = sep.join([pair] * len(value)) % tuple(chain.from_iterable(value))
+        else:
+            body = sep.join([_indented(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        body = sep.join([_encode_str(k) + ": " + _indented(v, inner) for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    # json escapes every newline inside a string, so each one here starts a line
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit_json(doc: Any) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_indented(doc, ""))
 
 
 def _fmt_edges(g: Graph) -> str:

@@ -61,7 +61,7 @@ _MAX_T = 32
 _CHUNK_SIZE = 64
 # bumped whenever the stored chunk record or the meaning of its counters
 # changes, so older files are refused
-_CHECKPOINT_FORMAT = 9
+_CHECKPOINT_FORMAT = 10
 
 
 def _require_positive(**options: int) -> None:
@@ -413,8 +413,9 @@ def _search_chunk(objective: str, n: int, t: int, incumbent: int, tie_cap: int,
     mask (see `_cross`), so its admissible children are exactly the
     subsets of the complement `avail` of that mask.  Above the last two
     graphs the children are walked depth first, adding edges of avail in
-    ascending order up to cap; room only shrinks as a child grows, which
-    bounds its whole subtree.  The last two graphs are listed as closed
+    ascending order up to cap; room only shrinks as a child grows, and no
+    later graph has more edges than the child can reach, which bounds its
+    whole subtree.  The last two graphs are listed as closed
     pairs by `_close_pairs`.  Every cut compares `_optimistic` with the
     best value.
 
@@ -480,8 +481,10 @@ def _search_chunk(objective: str, n: int, t: int, incumbent: int, tie_cap: int,
             free = avail & -above
             if gc == cap or not free:
                 return
-            # the graphs in g's subtree add edges of free only, and room only shrinks
-            if bound(min(cap, gc + free.bit_count()), min(room, cap)) < best:
+            # the graphs in g's subtree add edges of free only, so have at most
+            # top edges, as has every later graph; room only shrinks
+            top = min(cap, gc + free.bit_count())
+            if bound(top, min(room, top)) < best:
                 pruned += 1
                 return
             while free:

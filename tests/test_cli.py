@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,10 +13,12 @@ import pytest
 import rbt_lab
 from rbt_lab import (
     Graph,
+    GraphSystem,
     balanced_bipartite_system,
     bipartite_triple,
     exhaustive_max_product,
     exhaustive_max_sum,
+    nest_reduce,
     search,
     system_from_json,
     two_complete_one_empty,
@@ -374,7 +377,7 @@ def test_search_old_checkpoint_format_exits_2(tmp_path, capsys):
     # a fresh file carries the format version that refused the old one
     fresh = tmp_path / "new.json"
     exhaustive_max_product(4, checkpoint=str(fresh))
-    assert json.loads(fresh.read_text())["header"]["format"] == 9
+    assert json.loads(fresh.read_text())["header"]["format"] == 10
 
 
 def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
@@ -386,13 +389,14 @@ def test_search_format_2_checkpoint_exits_2(tmp_path, capsys):
     # iso-pruned chunk was a run of classes, not of their parent classes,
     # a format 7 chunk without iso-pruning was a run of first graphs, and
     # a format 8 chunk's parents and pruned count took in the classes with
-    # too few edges to reach the seed value
+    # too few edges to reach the seed value, and a format 9 chunk's pruned
+    # count bounded a G2 subtree by |G1| rather than by its own largest graph
     path = tmp_path / "run.json"
     argv = ["search", "--objective", "product", "--n", "4", "--checkpoint", str(path),
             "--output", "json"]
     assert run(capsys, argv)[0] == 0
     fresh = json.loads(path.read_text())
-    for old_format in (2, 3, 4, 5, 6, 7, 8):
+    for old_format in (2, 3, 4, 5, 6, 7, 8, 9):
         path.write_text(json.dumps({**fresh, "header": {**fresh["header"], "format": old_format}}))
         before = path.read_bytes()
         code, out, err = run(capsys, argv)
@@ -820,3 +824,84 @@ def test_single_threaded_commands_never_load_the_pool():
     assert (one["config"].pop("threads"), two["config"].pop("threads")) == (1, 2)
     del one["wall_time"], two["wall_time"]
     assert one == two
+
+
+# pieces of the random documents: every JSON escape, non-ASCII text and the
+# numbers whose spelling json.dumps decides
+TEXT_PIECES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "漢", "\U0001f600",
+               "a", "key", " "]
+FLOATS = [-0.0, 1e-7, 1e16, 0.1, 2.5]
+INTS = [0, 7, -1, -3000, 2**63, 2**64 + 1, -(2**64) - 5, 10**30]
+
+
+def random_json(rng, depth=0):
+    """One random document json.dumps can write, biased to the writer's join paths."""
+    kind = rng.randrange(11 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(INTS + [rng.randint(-100, 100)])
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.choice(FLOATS)
+    if kind in (3, 4):
+        return "".join(rng.choices(TEXT_PIECES, k=rng.randrange(5)))
+    if kind == 5:
+        # a list of ints, now and then with a bool among them
+        items = [rng.choice(INTS) for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.3:
+            items.insert(rng.randrange(len(items) + 1), rng.choice([True, False]))
+        return items
+    if kind == 6:
+        # an edge list, now and then with a member off the pair path
+        pairs = [[rng.randrange(64), rng.choice(INTS)] for _ in range(rng.randrange(1, 6))]
+        odd = rng.randrange(5)
+        if odd == 1:
+            pairs[rng.randrange(len(pairs))][rng.randrange(2)] = rng.choice([True, False])
+        elif odd == 2:
+            pairs[rng.randrange(len(pairs))][rng.randrange(2)] = rng.choice(FLOATS)
+        elif odd == 3:
+            pairs[rng.randrange(len(pairs))].append(rng.randrange(64))
+        return pairs
+    if kind == 7:
+        return rng.choice([[], {}, [[]], [{}], {"": []}])
+    if kind in (8, 9):
+        return {"".join(rng.choices(TEXT_PIECES, k=rng.randrange(4))): random_json(rng, depth + 1)
+                for _ in range(rng.randrange(1, 5))}
+    return [random_json(rng, depth + 1) for _ in range(rng.randrange(1, 5))]
+
+
+def test_json_writer_matches_json_dumps_indent_2(capsys):
+    rng = random.Random(2929)
+    for _ in range(3000):
+        doc = random_json(rng)
+        assert cli._indented(doc, "") == json.dumps(doc, indent=2), doc
+    doc = {"graphs": [[[0, 1], [1, 2]], []], "rbt_free": True, "wall_time": 0.25}
+    cli._emit_json(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_writer_falls_back_to_json_dumps_off_its_paths():
+    # tuples and dicts with non-str keys go to json.dumps; a pair holding a
+    # bool or a float, to the member-by-member path
+    for doc in [{"a": (1, 2), 3: [True]}, [[(0, 1)], {"x": {False: None}}], [[1, 2], (3, 4)],
+                {"flag": [[1, True]], "v": [1.0, 2]}]:
+        assert cli._indented(doc, "") == json.dumps(doc, indent=2)
+
+
+def random_system(rng, n, t):
+    m = n * (n - 1) // 2
+    return GraphSystem.of(*(Graph.from_bits(n, rng.getrandbits(m) & rng.getrandbits(m))
+                            for _ in range(t)))
+
+
+@pytest.mark.parametrize("compact_in", [False, True])
+@pytest.mark.parametrize("compact_out", [False, True])
+def test_reduce_at_n64_prints_json_dumps_indent_2(tmp_path, capsys, compact_in, compact_out):
+    system = random_system(random.Random(6464), 64, 4)
+    path = write(tmp_path, "s.json", system.to_json(compact=compact_in))
+    argv = ["reduce", "-i", path, "--output", "json"] + ["--compact"] * compact_out
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert doc == nest_reduce(system).to_json_dict(compact=compact_out)

@@ -1,6 +1,10 @@
-"""Every `rbt-lab` command in README's `sh` blocks runs with its documented exit code."""
+"""Every `rbt-lab` command in README's `sh` blocks runs with its documented exit code.
+
+With `--output json` each prints its document as json.dumps(doc, indent=2) writes it.
+"""
 
 import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -36,16 +40,31 @@ def test_readme_command_parses_as_in_the_full_parser(line):
     assert (vars(args), rest) == (full, [])
 
 
-@pytest.mark.parametrize("line", COMMANDS)
-def test_readme_command_exit_code(line, monkeypatch, capsys):
+def readme_argv(line, monkeypatch):
+    """The argv of a README line, with the text it echoes put on stdin."""
     stdin = ""
     if " | " in line:
         echo, line = line.split(" | ", 1)
         stdin = shlex.split(echo)[1]
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    argv = shlex.split(line)[1:]
+    return shlex.split(line)[1:]
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_exit_code(line, monkeypatch, capsys):
+    argv = readme_argv(line, monkeypatch)
     # the README's check-rbt example is a rainbow triangle, reported with exit 1
     expected = 1 if argv[0] == "check-rbt" else 0
     assert main(argv) == expected
     out = capsys.readouterr().out
     assert out
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_json_is_json_dumps_indent_2(line, monkeypatch, capsys):
+    argv = readme_argv(line, monkeypatch)
+    if "--output" not in argv:
+        argv += ["--output", "json"]
+    main(argv)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

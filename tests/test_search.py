@@ -440,6 +440,14 @@ def test_exhaustive_n5_pinned():
     assert (wide.nodes, wide.pruned) == (7, 83)
 
 
+def test_exhaustive_t4_subtree_bound_pinned():
+    # counters, not results: a G2 subtree is cut when even its largest
+    # graph, with every later graph as large, cannot reach the best value
+    report = exhaustive_max_sum(5, 4)
+    assert report.best_value == 24
+    assert (report.nodes, report.pruned) == (16, 1_332)
+
+
 @pytest.mark.parametrize("n, t, space_bits", [
     (5, 5, 40), (5, 6, 50), (6, 4, 45), (6, 5, 60),
     (6, 8, 105), (7, 5, 84), (7, 6, 105), (6, 16, 225),
