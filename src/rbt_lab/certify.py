@@ -12,14 +12,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, lcm, prod
 from typing import Callable, Iterator
 
 from .graph import Graph, max_edge_count
-from .matching import MatchingResult, matching_number
+from .matching import MatchingResult, _nearly_matchable, matching_number
 from .partition import mantel_partition
 from .reports import CertReport, PreconditionError, RainbowFoundError
-from .systems import GraphSystem, find_rainbow_triangle, triangle_incidence
+from .systems import GraphSystem, find_rainbow_triangle
 
 
 def floor_quarter_sq(n: int) -> int:
@@ -118,20 +119,17 @@ def certify_weighted_sum(b: Graph, c: Graph, d: Graph) -> CertReport:
     """2|B| + |C| + |D| <= 4*floor(n^2/4) when B is triangle-free."""
     if not b.is_triangle_free():
         raise PreconditionError("weighted: first graph contains a triangle")
-    _triple(b, c, d, "weighted")
-    value = 2 * b.edge_count() + c.edge_count() + d.edge_count()
+    counts = _triple(b, c, d, "weighted").edge_counts()
+    value = 2 * counts[0] + counts[1] + counts[2]
     bound = 4 * floor_quarter_sq(b.n)
-    witness = {"edge_counts": [b.edge_count(), c.edge_count(), d.edge_count()]}
-    return CertReport("weighted", value, bound, witness)
+    return CertReport("weighted", value, bound, {"edge_counts": list(counts)})
 
 
 def certify_nearly_matchable(b: Graph, c: Graph, d: Graph) -> CertReport:
     """|C| + |D| <= 2*floor(n^2/4) when B has a matching of size >= (n-2)/2."""
     ell = matching_number(b)
-    if 2 * ell < b.n - 2:
-        raise PreconditionError(
-            f"nearly-matchable: matching number {ell} too small for n={b.n}"
-        )
+    if not _nearly_matchable(ell, b.n):
+        raise PreconditionError(f"nearly-matchable: matching number {ell} too small for n={b.n}")
     _triple(b, c, d, "nearly-matchable")
     value = c.edge_count() + d.edge_count()
     bound = 2 * floor_quarter_sq(b.n)
@@ -141,14 +139,10 @@ def certify_nearly_matchable(b: Graph, c: Graph, d: Graph) -> CertReport:
 def certify_product_nested(b: Graph, c: Graph, d: Graph) -> CertReport:
     """|B||C||D| <= floor(n^2/4)^3 under the containment B <= C intersect D."""
     if not b.is_subgraph_of(c & d):
-        raise PreconditionError(
-            "product-nested: first graph is not contained in the other two"
-        )
-    _triple(b, c, d, "product-nested")
-    value = b.edge_count() * c.edge_count() * d.edge_count()
+        raise PreconditionError("product-nested: first graph is not contained in the other two")
+    counts = _triple(b, c, d, "product-nested").edge_counts()
     bound = theory_bound("product", b.n, 3)
-    witness = {"edge_counts": [b.edge_count(), c.edge_count(), d.edge_count()]}
-    return CertReport("product-nested", value, bound, witness)
+    return CertReport("product-nested", prod(counts), bound, {"edge_counts": list(counts)})
 
 
 def conjecture_margin(b: Graph, c: Graph, d: Graph) -> CertReport:
@@ -158,10 +152,11 @@ def conjecture_margin(b: Graph, c: Graph, d: Graph) -> CertReport:
     comes back with negative slack and a full witness for later scrutiny.
     """
     s = _triple(b, c, d, "conjecture")
-    value = b.edge_count() * c.edge_count() * d.edge_count()
+    counts = s.edge_counts()
+    value = prod(counts)
     bound = theory_bound("product", b.n, 3)
     witness = {
-        "edge_counts": [b.edge_count(), c.edge_count(), d.edge_count()],
+        "edge_counts": list(counts),
         "system_hex": [g.to_hex() for g in s.graphs],
         "counterexample": value > bound,
     }
@@ -173,16 +168,13 @@ def certify_triangle_incidence(s: GraphSystem) -> CertReport:
     if s.t != 3:
         raise PreconditionError(f"triangle-incidence needs 3 graphs, got {s.t}")
     _require_rbt_free(s, "triangle-incidence")
-    worst = 0
-    worst_z: list[int] = []
     n = s.n
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                count = triangle_incidence(s, (a, b, c))
-                if count > worst:
-                    worst = count
-                    worst_z = [a, b, c]
+    mult = [[s.edge_membership(u, v).bit_count() for v in range(n)] for u in range(n)]
+    worst, worst_z = 0, []
+    for a, b, c in combinations(range(n), 3):
+        count = mult[a][b] + mult[a][c] + mult[b][c]
+        if count > worst:
+            worst, worst_z = count, [a, b, c]
     return CertReport("triangle-incidence", worst, 6, {"worst_3set": worst_z})
 
 
@@ -202,14 +194,6 @@ class PartitionBoundParams:
     alpha: Fraction | None
     beta: Fraction | None
 
-    def __post_init__(self):
-        if not 0 <= self.p <= self.q:
-            raise ValueError(f"need 0 <= p <= q, got p={self.p}, q={self.q}")
-        if (self.alpha is None) != (self.beta is None):
-            raise ValueError("alpha and beta must be formed together")
-        if self.alpha is not None and self.alpha > self.beta:
-            raise ValueError(f"alpha={self.alpha} exceeds beta={self.beta}")
-
 
 def partition_bound_params(b: Graph) -> PartitionBoundParams:
     """Derive (l, p, q) from the matching partition of a triangle-free graph."""
@@ -217,11 +201,7 @@ def partition_bound_params(b: Graph) -> PartitionBoundParams:
     ell = part.size
     q = part.z_side.bit_count()
     p = max((b.degree_into(x, part.z_side) for x in part.x_side), default=0)
-    if ell >= 1:
-        alpha: Fraction | None = Fraction(p, 2 * ell)
-        beta: Fraction | None = Fraction(q, 2 * ell)
-    else:
-        alpha = beta = None
+    alpha, beta = (Fraction(p, 2 * ell), Fraction(q, 2 * ell)) if ell else (None, None)
     return PartitionBoundParams(ell=ell, p=p, q=q, alpha=alpha, beta=beta)
 
 
@@ -236,17 +216,16 @@ def certify_partition_bounds(b: Graph, c: Graph, d: Graph) -> CertReport:
         raise PreconditionError("prop31: first graph is not contained in the other two")
     if not b.is_triangle_free():
         raise PreconditionError("prop31: first graph contains a triangle")
-    _triple(b, c, d, "prop31")
+    b_value, c_value, d_value = _triple(b, c, d, "prop31").edge_counts()
     params = partition_bound_params(b)
     ell, p, q = params.ell, params.p, params.q
-    if b.n <= 2 * ell + 2:
+    if _nearly_matchable(ell, b.n):
         raise PreconditionError(
             f"prop31: needs n > 2l + 2 (n={b.n}, l={ell}); "
             "the nearly-matchable bound applies instead"
         )
-    b_value = b.edge_count()
     b_bound = ell * ell + ell * p
-    cd_value = c.edge_count() + d.edge_count()
+    cd_value = c_value + d_value
     cd_bound = 2 * (ell * ell + ell * q + comb(q, 2) - comb(p, 2))
     witness = {
         "matching_size": ell,
@@ -282,6 +261,13 @@ def check_unmatched_cross_degree(
 # -- standalone inequalities -----------------------------------------------------
 
 
+def _lpq_row(ell: int, q: int) -> tuple[Callable[[int], int], int]:
+    """Row (l, q) of lpq_inequality_sides: the left side as a function of p, and the right side."""
+    d = 2 * ell * ell + 2 * ell * q + q * q
+    rhs = 4 * floor_quarter_sq(2 * ell + q) ** 3
+    return (lambda p: (ell * ell + ell * p) * (d - p * p) ** 2), rhs
+
+
 def lpq_inequality_sides(ell: int, p: int, q: int) -> tuple[int, int]:
     """Both sides of (l^2+lp) * (l^2+lq+q^2/2-p^2/2)^2 <= floor((2l+q)^2/4)^3.
 
@@ -292,16 +278,20 @@ def lpq_inequality_sides(ell: int, p: int, q: int) -> tuple[int, int]:
         raise PreconditionError("l, p, q must be nonnegative")
     if p > q:
         raise PreconditionError(f"need p <= q, got p={p}, q={q}")
-    doubled = 2 * ell * ell + 2 * ell * q + q * q - p * p
-    lhs = (ell * ell + ell * p) * doubled * doubled
-    rhs = 4 * ((2 * ell + q) ** 2 // 4) ** 3
-    return lhs, rhs
+    lhs, rhs = _lpq_row(ell, q)
+    return lhs(p), rhs
 
 
 def lpq_inequality_holds(ell: int, p: int, q: int) -> bool:
     """Exact floor-form check; see lpq_inequality_sides for the arithmetic."""
     lhs, rhs = lpq_inequality_sides(ell, p, q)
     return lhs <= rhs
+
+
+def _alpha_beta_row(v: int, b: int) -> tuple[Callable[[int], int], int]:
+    """Both sides of (v+a)(v^2+2bv+2b^2-2a^2) <= (v+b)^3, the left as a function of a."""
+    b_terms = v * v + 2 * b * v + 2 * b * b
+    return (lambda a: (v + a) * (b_terms - 2 * a * a)), (v + b) ** 3
 
 
 def alpha_beta_inequality_holds(alpha: Fraction, beta: Fraction) -> bool:
@@ -312,9 +302,9 @@ def alpha_beta_inequality_holds(alpha: Fraction, beta: Fraction) -> bool:
         raise PreconditionError(f"alpha must be nonnegative, got {alpha}")
     if alpha > beta:
         raise PreconditionError(f"need alpha <= beta, got {alpha} > {beta}")
-    lhs = (1 + alpha) * (1 + 2 * beta + 2 * beta * beta - 2 * alpha * alpha)
-    rhs = (1 + beta) ** 3
-    return lhs <= rhs
+    v = lcm(alpha.denominator, beta.denominator)
+    lhs, rhs = _alpha_beta_row(v, beta.numerator * (v // beta.denominator))
+    return lhs(alpha.numerator * (v // alpha.denominator)) <= rhs
 
 
 def _run_above(f: Callable[[int], int], hi: int, bar: int) -> range:
@@ -341,8 +331,8 @@ def scan_lpq_inequality(
     Both parities of q are covered.  An empty iterator means the inequality
     held everywhere on the grid.  Violators come in (l, q, p) order.  Each
     row (l, q) is decided at its peak (see `_run_above`): with D = 2l^2 +
-    2lq + q^2 the scaled left side (l^2 + lp)(D - p^2)^2 of
-    `lpq_inequality_sides` is strictly log-concave in p, a positive linear
+    2lq + q^2 the scaled left side (l^2 + lp)(D - p^2)^2 of `_lpq_row`,
+    which `lpq_inequality_sides` evaluates too, is strictly log-concave in p, a positive linear
     factor times the square of D - p^2, which is strictly concave and
     positive since D > q^2 >= p^2.
     """
@@ -350,10 +340,8 @@ def scan_lpq_inequality(
         raise PreconditionError("empty scan range")
     for ell in range(1, ell_max + 1):
         for q in range(q_max + 1):
-            d = 2 * ell * ell + 2 * ell * q + q * q
-            rhs = 4 * ((2 * ell + q) ** 2 // 4) ** 3
-            row = _run_above(lambda p: (ell * ell + ell * p) * (d - p * p) ** 2, q, rhs)
-            yield from ((ell, p, q) for p in row)
+            lhs, rhs = _lpq_row(ell, q)
+            yield from ((ell, p, q) for p in _run_above(lhs, q, rhs))
 
 
 def scan_alpha_beta_inequality(
@@ -364,8 +352,8 @@ def scan_alpha_beta_inequality(
     Runs the denominator-cleared form of the same comparison: with step u/v
     and grid numerators a, b the inequality is equivalent to
     (v+a)(v^2+2bv+2b^2-2a^2) <= (v+b)^3.  Point queries through
-    alpha_beta_inequality_holds agree by construction (same rational
-    inequality, multiplied by v^3).  Violators come in (beta, alpha) order.
+    alpha_beta_inequality_holds agree by construction: both evaluate the
+    row `_alpha_beta_row`.  Violators come in (beta, alpha) order.
     Each row b is decided at its peak (see `_run_above`): with B = v^2 + 2bv
     + 2b^2 the left side f(a) = (v+a)(B - 2a^2) has f'' = -12a - 4v < 0, so
     it is strictly concave in a and in the grid index a/u.
@@ -379,7 +367,6 @@ def scan_alpha_beta_inequality(
         raise PreconditionError("max_value must be a multiple of step")
     u, v = step.numerator, step.denominator
     for kb in range(int(count) + 1):
-        b = kb * u
-        b_terms = v * v + 2 * b * v + 2 * b * b
-        row = _run_above(lambda ka: (v + ka * u) * (b_terms - 2 * (ka * u) ** 2), kb, (v + b) ** 3)
-        yield from ((Fraction(ka * u, v), Fraction(b, v)) for ka in row)
+        lhs, rhs = _alpha_beta_row(v, kb * u)
+        row = _run_above(lambda ka: lhs(ka * u), kb, rhs)
+        yield from ((Fraction(ka * u, v), Fraction(kb * u, v)) for ka in row)

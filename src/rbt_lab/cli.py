@@ -3,9 +3,10 @@
 Exit codes are a contract: 0 means every requested check passed (or the
 search completed clean), 1 means a certified bound was violated or a rainbow
 triangle was found where freeness was asserted, 2 means usage or input
-error.  JSON mode emits exactly one JSON document on stdout, byte for byte
-as json.dumps(doc, indent=2) writes it; `_indented` writes each int list
-and edge list in one join, where json's indenting encoder steps per token.
+error, or a report that could not be written.  JSON mode emits exactly one
+JSON document on stdout, byte for byte as json.dumps(doc, indent=2) writes
+it; `_indented` writes each int list and edge list in one join, where
+json's indenting encoder steps per token.
 
 Each command's options are defined once, in `_COMMANDS`.  A call led by a
 command name builds and runs that command's parser alone; any other call,
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from math import prod
 from typing import Any
 
 from . import certify as cert
@@ -264,17 +267,13 @@ def _cmd_extremal(args) -> int:
     copies = _mode_flag(args, "t", args.kind == "bipartite-k", 4, "--kind bipartite-k")
     if args.kind == "two-complete":
         system = se.two_complete_one_empty(args.n)
-        value = system.total_edges()
-        label = "sum"
     elif args.kind == "bipartite-k":
         system = se.balanced_bipartite_system(args.n, copies)
-        value = system.total_edges()
-        label = "sum"
     else:
         system = se.bipartite_triple(args.n)
-        counts = system.edge_counts()
-        value = counts[0] * counts[1] * counts[2]
-        label = "product"
+    counts = system.edge_counts()
+    label = "product" if args.kind == "bipartite-triple" else "sum"
+    value = prod(counts) if label == "product" else sum(counts)
     rbt_free = find_rainbow_triangle(system) is None
     if args.output == "json":
         doc = system.to_json_dict(compact=args.compact)
@@ -446,7 +445,15 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed a usage message
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # devnull takes what is still buffered, so the interpreter's last flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 2
     except RainbowFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         witness = getattr(exc, "witness", None)

@@ -218,6 +218,7 @@ class Graph:
     @classmethod
     def from_hex(cls, n: int, text: str) -> Graph:
         """Parse the compact hex form: colex edge bits packed little-endian."""
+        _check_vertex_count(n)
         nbytes = (max_edge_count(n) + 7) // 8
         try:
             raw = bytes.fromhex(text)
@@ -258,26 +259,24 @@ class Graph:
                 out.append(Edge(u, v))
         return out
 
+    def _iter_triangles(self) -> Iterator[Triangle]:
+        """Triangles a < b < c in (b, a, c) order, one b at a time."""
+        rows = self.rows
+        for b, row in enumerate(rows):
+            up = row >> (b + 1) << (b + 1)
+            if not up:
+                continue
+            for a in iter_bits(row & ((1 << b) - 1)):
+                if common := rows[a] & up:
+                    for c in iter_bits(common):
+                        yield Triangle(a, b, c)
+
     def triangles(self) -> list[Triangle]:
         """All vertex triples inducing a triangle, each reported once."""
-        out = []
-        rows = self.rows
-        for b in range(self.n):
-            below = rows[b] & ((1 << b) - 1)
-            for a in iter_bits(below):
-                above = rows[a] & rows[b] & ~((1 << (b + 1)) - 1)
-                for c in iter_bits(above):
-                    out.append(Triangle(a, b, c))
-        return out
+        return list(self._iter_triangles())
 
     def is_triangle_free(self) -> bool:
-        rows = self.rows
-        for b in range(self.n):
-            below = rows[b] & ((1 << b) - 1)
-            for a in iter_bits(below):
-                if rows[a] & rows[b] & ~((1 << (b + 1)) - 1):
-                    return False
-        return True
+        return next(self._iter_triangles(), None) is None
 
     # -- algebra -----------------------------------------------------------
 

@@ -147,9 +147,14 @@ def greedy_maximal_matching(g: Graph) -> MatchingResult:
     return MatchingResult(edges=tuple(edges), size=len(edges), matched_set=taken)
 
 
+def _nearly_matchable(ell: int, n: int) -> bool:
+    """The threshold 2l >= n - 2 on a matching number l of a graph on n vertices."""
+    return 2 * ell >= n - 2
+
+
 def is_nearly_matchable(g: Graph) -> bool:
     """True iff some matching of size l satisfies 2l >= n - 2."""
-    return 2 * matching_number(g) >= g.n - 2
+    return _nearly_matchable(matching_number(g), g.n)
 
 
 def bipartite_deficiency_check(b: Graph, left: int, right: int) -> CertReport:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .graph import Edge, Graph, Triangle, iter_bits
+from .graph import MAX_VERTICES, Edge, Graph, Triangle, iter_bits
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,8 @@ def system_from_json_dict(doc: Any) -> GraphSystem:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError('"n" must be an integer')
-    if not 1 <= n <= 64:
-        raise ValueError(f"n must be in 1..64, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {n}")
     if "graphs" in doc and "hex" in doc:
         raise ValueError('system document has both "graphs" and "hex"')
     if "graphs" in doc:

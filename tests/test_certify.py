@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, lcm
 
 import pytest
 
@@ -28,8 +29,9 @@ from rbt_lab import (
     partition_bound_params,
     scan_alpha_beta_inequality,
     scan_lpq_inequality,
+    triangle_incidence,
 )
-from rbt_lab.certify import _run_above
+from rbt_lab.certify import _alpha_beta_row, _run_above
 from rbt_lab.reports import CertReport, PreconditionError, RainbowFoundError
 
 K5 = Graph.complete(5)
@@ -283,6 +285,63 @@ def test_alpha_beta_examples():
         alpha_beta_inequality_holds(Fraction(2), Fraction(1))
     with pytest.raises(PreconditionError):
         alpha_beta_inequality_holds(Fraction(-1), Fraction(1))
+
+
+def fraction_sides_32(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
+    return (1 + alpha) * (1 + 2 * beta + 2 * beta * beta - 2 * alpha * alpha), (1 + beta) ** 3
+
+
+def test_alpha_beta_row_matches_fraction_form():
+    # the inequality holds on its whole domain, so only the sides can show a wrong row
+    rng = random.Random(32)
+    checked = 0
+    while checked < 500:
+        x = Fraction(rng.randint(0, 300), rng.randint(1, 40))
+        y = Fraction(rng.randint(0, 300), rng.randint(1, 40))
+        alpha, beta = min(x, y), max(x, y)
+        if alpha.denominator == beta.denominator:
+            continue
+        checked += 1
+        lhs, rhs = fraction_sides_32(alpha, beta)
+        # any common multiple of the denominators works, as the scan's steps need
+        v = lcm(alpha.denominator, beta.denominator) * rng.randint(1, 3)
+        row_lhs, row_rhs = _alpha_beta_row(v, int(beta * v))
+        assert Fraction(row_lhs(int(alpha * v)), v**3) == lhs
+        assert Fraction(row_rhs, v**3) == rhs
+        assert alpha_beta_inequality_holds(alpha, beta) == (lhs <= rhs)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (0, 3), (2, 2), (0.5, 1.0), (0.1, 0.3),
+                                         (1, 2.5), (0.75, 4), (1e-9, 1e9)])
+def test_alpha_beta_point_query_takes_ints_and_floats(alpha, beta):
+    lhs, rhs = fraction_sides_32(Fraction(alpha), Fraction(beta))
+    assert alpha_beta_inequality_holds(alpha, beta) == (lhs <= rhs)
+    with pytest.raises(PreconditionError):
+        alpha_beta_inequality_holds(beta + 1, beta)
+
+
+def reference_triangle_incidence(s: GraphSystem) -> tuple[int, list[int]]:
+    """The first 3-set of greatest incidence, one triangle_incidence call per 3-set."""
+    worst, worst_z = 0, []
+    for z in combinations(range(s.n), 3):
+        count = triangle_incidence(s, z)
+        if count > worst:
+            worst, worst_z = count, list(z)
+    return worst, worst_z
+
+
+def test_triangle_incidence_matches_per_3set_reference():
+    rng = random.Random(3303)
+    checked = 0
+    while checked < 300:
+        s = random_free_triple(rng, rng.randint(3, 9))
+        if s is None:
+            continue
+        checked += 1
+        r = certify_triangle_incidence(s)
+        assert (r.value, r.witness["worst_3set"]) == reference_triangle_incidence(s)
+    e2 = Graph.empty(2)
+    assert certify_triangle_incidence(GraphSystem.of(e2, e2, e2)).witness == {"worst_3set": []}
 
 
 def test_scan_lpq_small():

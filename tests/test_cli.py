@@ -826,6 +826,20 @@ def test_single_threaded_commands_never_load_the_pool():
     assert one == two
 
 
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the report is far larger than a pipe's buffer, so writing it meets the closed end
+    env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))
+    argv = ["extremal", "--kind", "bipartite-k", "--n", "64", "--t", "8", "--output", "json"]
+    proc = subprocess.Popen([sys.executable, "-c", "from rbt_lab.cli import entry; entry()", *argv],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.read(100).startswith("{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == ["error: stdout was closed before the report was written"]
+
+
 # pieces of the random documents: every JSON escape, non-ASCII text and the
 # numbers whose spelling json.dumps decides
 TEXT_PIECES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "漢", "\U0001f600",

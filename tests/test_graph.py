@@ -160,6 +160,12 @@ def test_hex_rejects_bad_input():
             Graph.from_hex(n, text)
 
 
+def test_hex_checks_the_vertex_count_before_the_bytes():
+    for n in (0, 65, 70):
+        with pytest.raises(ValueError, match=f"vertex count must be in 1..64, got {n}"):
+            Graph.from_hex(n, "")
+
+
 @pytest.mark.parametrize(
     "pairs, message",
     [
