@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm, prod
+from math import comb, isqrt, lcm, prod
 from typing import Callable, Iterator
 
 from .graph import Graph, max_edge_count
@@ -261,11 +261,14 @@ def check_unmatched_cross_degree(
 # -- standalone inequalities -----------------------------------------------------
 
 
-def _lpq_row(ell: int, q: int) -> tuple[Callable[[int], int], int]:
-    """Row (l, q) of lpq_inequality_sides: the left side as a function of p, and the right side."""
+def _lpq_row(ell: int, q: int) -> tuple[Callable[[int], int], int, int]:
+    """Row (l, q) of lpq_inequality_sides: the left side as a function of p, the right side,
+    and the floor of the left side's real maximizer over p >= 0 (see scan_lpq_inequality).
+    """
     d = 2 * ell * ell + 2 * ell * q + q * q
     rhs = 4 * floor_quarter_sq(2 * ell + q) ** 3
-    return (lambda p: (ell * ell + ell * p) * (d - p * p) ** 2), rhs
+    peak = (isqrt(4 * ell * ell + 5 * d) - 2 * ell) // 5
+    return (lambda p: (ell * ell + ell * p) * (d - p * p) ** 2), rhs, peak
 
 
 def lpq_inequality_sides(ell: int, p: int, q: int) -> tuple[int, int]:
@@ -278,7 +281,7 @@ def lpq_inequality_sides(ell: int, p: int, q: int) -> tuple[int, int]:
         raise PreconditionError("l, p, q must be nonnegative")
     if p > q:
         raise PreconditionError(f"need p <= q, got p={p}, q={q}")
-    lhs, rhs = _lpq_row(ell, q)
+    lhs, rhs, _ = _lpq_row(ell, q)
     return lhs(p), rhs
 
 
@@ -288,10 +291,13 @@ def lpq_inequality_holds(ell: int, p: int, q: int) -> bool:
     return lhs <= rhs
 
 
-def _alpha_beta_row(v: int, b: int) -> tuple[Callable[[int], int], int]:
-    """Both sides of (v+a)(v^2+2bv+2b^2-2a^2) <= (v+b)^3, the left as a function of a."""
+def _alpha_beta_row(v: int, b: int) -> tuple[Callable[[int], int], int, int]:
+    """Both sides of (v+a)(v^2+2bv+2b^2-2a^2) <= (v+b)^3, the left as a function of a,
+    and the floor of the left side's real maximizer over a >= 0 (see scan_alpha_beta_inequality).
+    """
     b_terms = v * v + 2 * b * v + 2 * b * b
-    return (lambda a: (v + a) * (b_terms - 2 * a * a)), (v + b) ** 3
+    peak = (isqrt(4 * v * v + 6 * b_terms) - 2 * v) // 6
+    return (lambda a: (v + a) * (b_terms - 2 * a * a)), (v + b) ** 3, peak
 
 
 def alpha_beta_inequality_holds(alpha: Fraction, beta: Fraction) -> bool:
@@ -303,7 +309,7 @@ def alpha_beta_inequality_holds(alpha: Fraction, beta: Fraction) -> bool:
     if alpha > beta:
         raise PreconditionError(f"need alpha <= beta, got {alpha} > {beta}")
     v = lcm(alpha.denominator, beta.denominator)
-    lhs, rhs = _alpha_beta_row(v, beta.numerator * (v // beta.denominator))
+    lhs, rhs, _ = _alpha_beta_row(v, beta.numerator * (v // beta.denominator))
     return lhs(alpha.numerator * (v // alpha.denominator)) <= rhs
 
 
@@ -323,6 +329,18 @@ def _run_above(f: Callable[[int], int], hi: int, bar: int) -> range:
     return range(first, peak + end)
 
 
+def _row_max(f: Callable[[int], int], peak: int, hi: int) -> int:
+    """Max of f over 0..hi, for a row f that rises up to a real maximizer x* and falls after it.
+
+    `peak` is floor(x*) with x* >= 0, so on the integers f rises up to peak
+    and falls from peak + 1 on: the max is f(peak) or f(peak + 1), or f(hi)
+    when the whole range lies below x*.
+    """
+    if peak >= hi:
+        return f(hi)
+    return max(f(peak), f(peak + 1))
+
+
 def scan_lpq_inequality(
     ell_max: int = 30, q_max: int = 60
 ) -> Iterator[tuple[int, int, int]]:
@@ -330,18 +348,24 @@ def scan_lpq_inequality(
 
     Both parities of q are covered.  An empty iterator means the inequality
     held everywhere on the grid.  Violators come in (l, q, p) order.  Each
-    row (l, q) is decided at its peak (see `_run_above`): with D = 2l^2 +
-    2lq + q^2 the scaled left side (l^2 + lp)(D - p^2)^2 of `_lpq_row`,
-    which `lpq_inequality_sides` evaluates too, is strictly log-concave in p, a positive linear
-    factor times the square of D - p^2, which is strictly concave and
-    positive since D > q^2 >= p^2.
+    row (l, q) is decided at its closed-form peak: with D = 2l^2 + 2lq + q^2
+    the scaled left side f(p) = (l^2 + lp)(D - p^2)^2 of `_lpq_row`, which
+    `lpq_inequality_sides` evaluates too, is positive and strictly
+    log-concave on 0 <= p <= q, since D > q^2 >= p^2.  Its log has
+    derivative 1/(l + p) - 4p/(D - p^2), which falls through zero once, where
+    5p^2 + 4lp = D, at x* = (sqrt(4l^2 + 5D) - 2l)/5.  So f rises up to x*
+    and falls after it, the row's integer max is f(floor(x*)) or
+    f(floor(x*) + 1), or f(q) when q <= floor(x*), and floor(x*) is
+    (isqrt(4l^2 + 5D) - 2l) // 5.  Only a row whose max exceeds the right
+    side is searched for its violators (see `_run_above`).
     """
     if ell_max < 1 or q_max < 0:
         raise PreconditionError("empty scan range")
     for ell in range(1, ell_max + 1):
         for q in range(q_max + 1):
-            lhs, rhs = _lpq_row(ell, q)
-            yield from ((ell, p, q) for p in _run_above(lhs, q, rhs))
+            lhs, rhs, peak = _lpq_row(ell, q)
+            if _row_max(lhs, peak, q) > rhs:
+                yield from ((ell, p, q) for p in _run_above(lhs, q, rhs))
 
 
 def scan_alpha_beta_inequality(
@@ -354,9 +378,14 @@ def scan_alpha_beta_inequality(
     (v+a)(v^2+2bv+2b^2-2a^2) <= (v+b)^3.  Point queries through
     alpha_beta_inequality_holds agree by construction: both evaluate the
     row `_alpha_beta_row`.  Violators come in (beta, alpha) order.
-    Each row b is decided at its peak (see `_run_above`): with B = v^2 + 2bv
-    + 2b^2 the left side f(a) = (v+a)(B - 2a^2) has f'' = -12a - 4v < 0, so
-    it is strictly concave in a and in the grid index a/u.
+    Each row b is decided at its closed-form peak: with B = v^2 + 2bv + 2b^2
+    the left side f(a) = (v+a)(B - 2a^2) has f'(a) = B - 6a^2 - 4va and
+    f'' = -12a - 4v < 0, so it is strictly concave and rises up to the root
+    of 6a^2 + 4va = B, a* = (sqrt(4v^2 + 6B) - 2v)/6, and falls after it.
+    On the grid index k = a/u the peak is k* = a*/u, whose floor is
+    floor(a*) // u, and the row's integer max is at floor(k*) or
+    floor(k*) + 1, or at kb when kb <= floor(k*).  Only a row whose max
+    exceeds the right side is searched for its violators (see `_run_above`).
     """
     step = Fraction(step)
     max_value = Fraction(max_value)
@@ -367,6 +396,11 @@ def scan_alpha_beta_inequality(
         raise PreconditionError("max_value must be a multiple of step")
     u, v = step.numerator, step.denominator
     for kb in range(int(count) + 1):
-        lhs, rhs = _alpha_beta_row(v, kb * u)
-        row = _run_above(lambda ka: lhs(ka * u), kb, rhs)
-        yield from ((Fraction(ka * u, v), Fraction(kb * u, v)) for ka in row)
+        lhs, rhs, peak = _alpha_beta_row(v, kb * u)
+
+        def row(ka: int) -> int:
+            return lhs(ka * u)
+
+        if _row_max(row, peak // u, kb) > rhs:
+            ka_run = _run_above(row, kb, rhs)
+            yield from ((Fraction(ka * u, v), Fraction(kb * u, v)) for ka in ka_run)

@@ -29,7 +29,7 @@ from typing import Any
 from . import certify as cert
 from . import search as se
 from .graph import Graph
-from .partition import mantel_edge_bound, mantel_partition, verify_partition
+from .partition import _edge_bound, mantel_partition, verify_partition
 from .reports import CertReport, PreconditionError, RainbowFoundError
 from .systems import (
     GraphSystem,
@@ -165,7 +165,8 @@ def _cmd_partition(args) -> int:
     g = system.graphs[args.index]
     part = mantel_partition(g)
     ok = verify_partition(g, part)
-    bound = mantel_edge_bound(g)
+    # the partition has checked g triangle-free and matched it maximally
+    bound = _edge_bound(g, part.size)
     if args.output == "json":
         _emit_json(
             {
@@ -444,10 +445,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse already printed a usage message
         return 2 if exc.code not in (0, None) else 0
+    if sys.stdout is None:  # started with fd 1 closed
+        print("error: stdout is closed, so no report can be written", file=sys.stderr)
+        return 2
     try:
         code = args.func(args)
-        if sys.stdout is not None:  # None when started with fd 1 closed
-            sys.stdout.flush()
+        sys.stdout.flush()
         return code
     except BrokenPipeError:
         # devnull takes what is still buffered, so the interpreter's last flush passes

@@ -84,10 +84,14 @@ def verify_partition(g: Graph, p: MantelPartition) -> bool:
     return p.size == matching_number(g)
 
 
+def _edge_bound(g: Graph, ell: int) -> CertReport:
+    """The report |E| <= l(n - l) for a triangle-free g whose matching number is ell."""
+    return CertReport("mantel-edge-bound", g.edge_count(), ell * (g.n - ell),
+                      witness={"matching_size": ell, "n": g.n})
+
+
 def mantel_edge_bound(g: Graph) -> CertReport:
     """Certify |E| <= l(n - l) for a triangle-free graph with matching number l."""
     if not g.is_triangle_free():
         raise PreconditionError("graph contains a triangle")
-    ell = matching_number(g)
-    return CertReport("mantel-edge-bound", g.edge_count(), ell * (g.n - ell),
-                      witness={"matching_size": ell, "n": g.n})
+    return _edge_bound(g, matching_number(g))

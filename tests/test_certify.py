@@ -31,7 +31,8 @@ from rbt_lab import (
     scan_lpq_inequality,
     triangle_incidence,
 )
-from rbt_lab.certify import _alpha_beta_row, _run_above
+from rbt_lab import certify
+from rbt_lab.certify import _alpha_beta_row, _lpq_row, _row_max, _run_above
 from rbt_lab.reports import CertReport, PreconditionError, RainbowFoundError
 
 K5 = Graph.complete(5)
@@ -305,7 +306,7 @@ def test_alpha_beta_row_matches_fraction_form():
         lhs, rhs = fraction_sides_32(alpha, beta)
         # any common multiple of the denominators works, as the scan's steps need
         v = lcm(alpha.denominator, beta.denominator) * rng.randint(1, 3)
-        row_lhs, row_rhs = _alpha_beta_row(v, int(beta * v))
+        row_lhs, row_rhs, _ = _alpha_beta_row(v, int(beta * v))
         assert Fraction(row_lhs(int(alpha * v)), v**3) == lhs
         assert Fraction(row_rhs, v**3) == rhs
         assert alpha_beta_inequality_holds(alpha, beta) == (lhs <= rhs)
@@ -392,13 +393,72 @@ def test_scan_lpq_matches_reference(ell_max, q_max):
     assert list(scan_lpq_inequality(ell_max, q_max)) == reference_scan_lpq(ell_max, q_max)
 
 
-@pytest.mark.parametrize(
-    "step, top",
-    [("1/100", "10"), ("1/10", "2"), ("3/7", "30"), ("2", "40"), ("1/3", "0"), ("1/1000", "1")],
-)
+ALPHA_BETA_GRIDS = [("1/100", "10"), ("1/10", "2"), ("3/7", "30"), ("2", "40"), ("1/3", "0"),
+                    ("1/1000", "1")]
+
+
+@pytest.mark.parametrize("step, top", ALPHA_BETA_GRIDS)
 def test_scan_alpha_beta_matches_reference(step, top):
     step, top = Fraction(step), Fraction(top)
     assert list(scan_alpha_beta_inequality(step, top)) == reference_scan_alpha_beta(step, top)
+
+
+def test_lpq_row_max_is_the_brute_force_max():
+    for ell in range(1, 61):
+        for q in range(121):
+            lhs, _, peak = _lpq_row(ell, q)
+            assert _row_max(lhs, peak, q) == max(lhs(p) for p in range(q + 1)), (ell, q)
+
+
+@pytest.mark.parametrize("step, top", ALPHA_BETA_GRIDS)
+def test_alpha_beta_row_max_is_the_brute_force_max(step, top):
+    step = Fraction(step)
+    u, v = step.numerator, step.denominator
+    for kb in range(int(Fraction(top) / step) + 1):
+        lhs, _, peak = _alpha_beta_row(v, kb * u)
+        row = [lhs(ka * u) for ka in range(kb + 1)]
+        assert _row_max(lambda ka: row[ka], peak // u, kb) == max(row), kb
+
+
+def lowered_lpq_row(ell: int, q: int):
+    """Row (l, q) with its right side moved to a value the row takes, less 0 or 1."""
+    lhs, _, peak = _lpq_row(ell, q)
+    return lhs, lhs((7 * ell + 3 * q) % (q + 1)) - (ell + q) % 2, peak
+
+
+def lowered_alpha_beta_row(u: int):
+    def row(v: int, b: int):
+        lhs, _, peak = _alpha_beta_row(v, b)
+        kb = b // u
+        return lhs, lhs((5 * kb + 1) % (kb + 1) * u) - kb % 2, peak
+
+    return row
+
+
+def test_scans_list_the_violators_of_lowered_rows(monkeypatch):
+    # the real grids have no violators; rows whose right side cuts through
+    # the left side run the scans' violator branch
+    monkeypatch.setattr(certify, "_lpq_row", lowered_lpq_row)
+    for ell_max, q_max in [(1, 0), (5, 10), (12, 40), (30, 60)]:
+        expected = []
+        for ell in range(1, ell_max + 1):
+            for q in range(q_max + 1):
+                lhs, rhs, _ = lowered_lpq_row(ell, q)
+                expected += [(ell, p, q) for p in range(q + 1) if lhs(p) > rhs]
+        assert expected
+        assert list(scan_lpq_inequality(ell_max, q_max)) == expected
+    for step, top in [("1/10", "2"), ("3/7", "30"), ("2", "40"), ("1/100", "3")]:
+        step, top = Fraction(step), Fraction(top)
+        u, v = step.numerator, step.denominator
+        row = lowered_alpha_beta_row(u)
+        monkeypatch.setattr(certify, "_alpha_beta_row", row)
+        expected = []
+        for kb in range(int(top / step) + 1):
+            lhs, rhs, _ = row(v, kb * u)
+            expected += [(Fraction(ka * u, v), Fraction(kb * u, v))
+                         for ka in range(kb + 1) if lhs(ka * u) > rhs]
+        assert expected
+        assert list(scan_alpha_beta_inequality(step, top)) == expected
 
 
 def test_run_above_matches_brute_force():

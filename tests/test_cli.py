@@ -840,6 +840,17 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert err.splitlines() == ["error: stdout was closed before the report was written"]
 
 
+def test_stdout_closed_at_start_exits_2():
+    # with fd 1 closed at start the interpreter sets sys.stdout to None
+    env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))
+    argv = ["extremal", "--kind", "bipartite-k", "--n", "8", "--output", "json"]
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-c",
+                           "from rbt_lab.cli import entry; entry()", *argv],
+                          env=env, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: stdout is closed, so no report can be written"]
+
+
 # pieces of the random documents: every JSON escape, non-ASCII text and the
 # numbers whose spelling json.dumps decides
 TEXT_PIECES = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "漢", "\U0001f600",

@@ -15,6 +15,7 @@ from rbt_lab import (
     verify_partition,
 )
 from rbt_lab.graph import iter_bits
+from rbt_lab.partition import _edge_bound
 from rbt_lab.reports import PreconditionError
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -218,3 +219,11 @@ def test_edge_bound_random():
         n = rng.randint(2, 24)
         g = random_triangle_free(rng, n)
         assert mantel_edge_bound(g).slack >= 0
+
+
+def test_edge_bound_from_the_partition_size_matches_mantel_edge_bound():
+    # the partition command builds its edge-bound report from the partition's own size
+    rng = random.Random(31)
+    for _ in range(300):
+        g = random_triangle_free(rng, rng.randint(1, 40))
+        assert _edge_bound(g, mantel_partition(g).size) == mantel_edge_bound(g)
