@@ -49,7 +49,7 @@ from math import prod
 from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
 
-from .canonical import CANONICAL_MAX_N, _twins, canonical_bits, canonical_system_bits
+from .canonical import CANONICAL_MAX_N, _rows, _twins, canonical_bits, canonical_system_bits
 from .graph import Graph, _check_vertex_count, bits_to_hex, iter_bits, max_edge_count
 from .systems import GraphSystem, load_json
 
@@ -274,7 +274,7 @@ def _children(q: int, h: int, fewest: int) -> list[int]:
     p = q - 1
     top = max_edge_count(p)
     low = (1 << top) - 1
-    rows = Graph.from_bits(p, h).rows if p else ()
+    rows = _rows(p, h)
     degrees = [row.bit_count() for row in rows]
     least = min(degrees, default=0)
     argmin = sum(1 << v for v, d in enumerate(degrees) if d == least)

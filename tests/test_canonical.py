@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -88,6 +88,39 @@ def test_seeded_graphs_and_triples_match_the_scan(n, count):
         triple = (rng.getrandbits(m) | rng.getrandbits(m), rng.getrandbits(m) & rng.getrandbits(m),
                   rng.getrandbits(m))
         assert canonical_system_bits(n, triple) == reference_canonical(n, triple)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_system_of_up_to_four_graphs_matches_the_scan(n):
+    # each graph's field of the packed bound is C(n, 2) = 0, 1 or 3 bits wide
+    graphs = range(1 << max_edge_count(n))
+    for t in range(1, 5):
+        for system in product(graphs, repeat=t):
+            assert canonical_system_bits(n, system) == reference_canonical(n, system)
+
+
+def test_five_graph_systems_on_four_vertices_match_the_scan():
+    # the t = 5 sum's witness, five copies of the 4-cycle 0x1e, every
+    # relabeling of it, and seeded systems with repeats and empty graphs
+    witness = (0x1E,) * 5
+    systems = {witness} | {relabel(4, witness, perm) for perm in permutations(range(4))}
+    rng = random.Random(45)
+    for _ in range(300):
+        systems.add(tuple(rng.choice([0, 0x3F, rng.getrandbits(6)]) for _ in range(5)))
+    for graphs in systems:
+        assert canonical_system_bits(4, graphs) == reference_canonical(4, graphs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_bits_out_of_range_raise_without_building_a_graph(monkeypatch, n):
+    monkeypatch.setattr(Graph, "from_bits", lambda *args: pytest.fail("built a Graph"))
+    m = max_edge_count(n)
+    for bad in (1 << m, (1 << (m + 1)) - 1, -1):
+        with pytest.raises(ValueError, match="edge bits out of range"):
+            canonical_bits(n, bad)
+        for system in ((bad,), (0, bad), (bad, 0, 0)):
+            with pytest.raises(ValueError, match="edge bits out of range"):
+                canonical_system_bits(n, system)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURED_8))

@@ -2,7 +2,9 @@ import concurrent.futures
 import json
 import os
 import random
+from collections import Counter
 from itertools import combinations, permutations
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -330,6 +332,75 @@ def test_witnesses_reset_when_the_best_rises_above_the_seed(monkeypatch):
         assert report.references["seed_value"] == 2
         assert report.best_value == 3
         assert report.witnesses == [(1, 1, 1)]
+
+
+def cycle_types(n, most=None):
+    """Every partition of n, largest part first: the cycle types of S_n."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, n if most is None else most), 0, -1):
+        for rest in cycle_types(n - k, k):
+            yield [k] + rest
+
+
+def burnside_class_counts(n):
+    """counts[e]: the classes of graphs on n vertices with e edges, by Burnside's lemma.
+
+    A permutation of cycle type c fixes the graphs that are unions of its
+    cycles on pairs (Harary and Palmer, Graphical Enumeration, 1973): a
+    k-cycle of vertices holds floor((k-1)/2) pair cycles of length k and,
+    for even k, one of length k/2; cycles of lengths a and b join in
+    gcd(a, b) pair cycles of length lcm(a, b).  The fixed graphs with e
+    edges are the coefficient of x^e in the product of (1 + x^len) over
+    those pair cycles; counts[e] is their mean over S_n.
+    """
+    m = max_edge_count(n)
+    total = [0] * (m + 1)
+    for parts in cycle_types(n):
+        perms = factorial(n)
+        for k, mult in Counter(parts).items():
+            perms //= k ** mult * factorial(mult)
+        lengths = []
+        for i, a in enumerate(parts):
+            lengths += [a] * ((a - 1) // 2) + ([a // 2] if a % 2 == 0 else [])
+            for b in parts[:i]:
+                lengths += [lcm(a, b)] * gcd(a, b)
+        fixed = [1] + [0] * m
+        for length in lengths:
+            for e in range(m, length - 1, -1):
+                fixed[e] += fixed[e - length]
+        for e in range(m + 1):
+            total[e] += perms * fixed[e]
+    assert all(x % factorial(n) == 0 for x in total)
+    return [x // factorial(n) for x in total]
+
+
+def test_burnside_counts_sum_to_the_graph_classes():
+    # OEIS A000088, and C(n, 2) + 1 counts
+    totals = [sum(burnside_class_counts(n)) for n in range(1, 10)]
+    assert totals == [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
+    assert all(len(burnside_class_counts(n)) == max_edge_count(n) + 1 for n in range(1, 10))
+
+
+def edge_count_histogram(classes, m):
+    counts = Counter(c.bit_count() for c in classes)
+    return [counts[e] for e in range(m + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_first_level_per_edge_count_is_the_burnside_count(n):
+    m = max_edge_count(n)
+    assert edge_count_histogram(_first_level(n), m) == burnside_class_counts(n)
+
+
+@pytest.mark.parametrize("fewest, classes", [(14, 6_996), (16, 3_793), (22, 100)])
+def test_first_level_n8_per_edge_count_is_the_burnside_count(fewest, classes):
+    # n = 8 is past every full-scan oracle; these are the floors its searches use
+    expected = [x if e >= fewest else 0 for e, x in enumerate(burnside_class_counts(8))]
+    level = _first_level(8, fewest)
+    assert len(level) == len(set(level)) == classes
+    assert edge_count_histogram(level, 28) == expected
 
 
 def test_exhaustive_reference_values():
