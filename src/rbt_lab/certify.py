@@ -10,17 +10,18 @@ violated bound instead of raising.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, lcm, prod
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .graph import Graph, max_edge_count
+from .graph import Graph, Record, max_edge_count
 from .matching import MatchingResult, _nearly_matchable, matching_number
 from .partition import mantel_partition
 from .reports import CertReport, PreconditionError, RainbowFoundError
 from .systems import GraphSystem, find_rainbow_triangle
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def floor_quarter_sq(n: int) -> int:
@@ -181,22 +182,23 @@ def certify_triangle_incidence(s: GraphSystem) -> CertReport:
 # -- matching-partition parameter bounds ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionBoundParams:
+class PartitionBoundParams(Record):
     """Matching size l, peak X-to-Z degree p, |Z| = q, and the normalized ratios.
 
     alpha = p/2l and beta = q/2l are exact rationals, only formed when l >= 1.
     """
 
-    ell: int
-    p: int
-    q: int
-    alpha: Fraction | None
-    beta: Fraction | None
+    __slots__ = ("ell", "p", "q", "alpha", "beta")
+
+    def __init__(self, ell: int, p: int, q: int, alpha: Fraction | None,
+                 beta: Fraction | None):
+        self._fill(ell, p, q, alpha, beta)
 
 
 def partition_bound_params(b: Graph) -> PartitionBoundParams:
     """Derive (l, p, q) from the matching partition of a triangle-free graph."""
+    from fractions import Fraction
+
     part = mantel_partition(b)
     ell = part.size
     q = part.z_side.bit_count()
@@ -302,6 +304,8 @@ def _alpha_beta_row(v: int, b: int) -> tuple[Callable[[int], int], int, int]:
 
 def alpha_beta_inequality_holds(alpha: Fraction, beta: Fraction) -> bool:
     """Exact rational check of (1+a)(1+2b+2b^2-2a^2) <= (1+b)^3 for 0 <= a <= b."""
+    from fractions import Fraction
+
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     if alpha < 0:
@@ -369,7 +373,7 @@ def scan_lpq_inequality(
 
 
 def scan_alpha_beta_inequality(
-    step: Fraction = Fraction(1, 100), max_value: Fraction = Fraction(10)
+    step: Fraction | str = "1/100", max_value: Fraction | str = "10"
 ) -> Iterator[tuple[Fraction, Fraction]]:
     """Yield every violating (alpha, beta) on the grid {0, step, ..., max_value}^2, alpha <= beta.
 
@@ -387,6 +391,8 @@ def scan_alpha_beta_inequality(
     floor(k*) + 1, or at kb when kb <= floor(k*).  Only a row whose max
     exceeds the right side is searched for its violators (see `_run_above`).
     """
+    from fractions import Fraction
+
     step = Fraction(step)
     max_value = Fraction(max_value)
     if step <= 0 or max_value < 0:

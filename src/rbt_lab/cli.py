@@ -17,10 +17,10 @@ so help, usage lines and errors read as from one parser with subcommands.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import prod
@@ -290,6 +290,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_ineq_scan(args) -> int:
+    from fractions import Fraction
+
     lpq = args.which == "31"
     l_max = _mode_flag(args, "l_max", lpq, 30, "--which 31")
     q_max = _mode_flag(args, "q_max", lpq, 60, "--which 31")
@@ -471,6 +473,10 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     sys.exit(main())
 
+
+# the import-time heap lives as long as the process: freezing it spares every
+# collection a rescan of it
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

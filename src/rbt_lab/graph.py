@@ -64,6 +64,45 @@ def _transpose_masks(w: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
+class Record:
+    """Immutable record over its `__slots__`: compared, hashed and shown by field.
+
+    A subclass lists its fields in `__slots__`, in the order its `__init__`
+    takes them, and fills them with `_fill`; assigning or deleting a field
+    afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
 class Edge(NamedTuple):
     u: int
     v: int

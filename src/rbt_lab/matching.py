@@ -8,19 +8,18 @@ bipartite-only matchers are not enough here.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .graph import Edge, Graph, iter_bits
+from .graph import Edge, Graph, Record, iter_bits
 from .reports import CertReport, PreconditionError
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(Record):
     """A matching: pairwise disjoint edges, their count, and the matched vertex mask."""
 
-    edges: tuple[Edge, ...]
-    size: int
-    matched_set: int
+    __slots__ = ("edges", "size", "matched_set")
+
+    def __init__(self, edges: tuple[Edge, ...], size: int, matched_set: int):
+        self._fill(edges, size, matched_set)
 
     def is_valid_for(self, g: Graph) -> bool:
         """Check the structural invariants against a source graph."""
@@ -136,14 +135,19 @@ def matching_number(g: Graph) -> int:
 
 
 def greedy_maximal_matching(g: Graph) -> MatchingResult:
-    """Maximal (not necessarily maximum) matching, scanning edges in colex order."""
+    """Maximal (not necessarily maximum) matching, first fit over the edges in colex order.
+
+    Walks v ascending and matches v to its least untaken neighbour u < v,
+    the first free edge of v's colex block: no edge before that block
+    touches v, so v is still free when it is reached.
+    """
     taken = 0
     edges = []
-    for e in g.edges():
-        pair = (1 << e.u) | (1 << e.v)
-        if not taken & pair:
-            taken |= pair
-            edges.append(e)
+    for v, row in enumerate(g.rows):
+        if free := row & ((1 << v) - 1) & ~taken:
+            low = free & -free
+            taken |= low | 1 << v
+            edges.append(Edge(low.bit_length() - 1, v))
     return MatchingResult(edges=tuple(edges), size=len(edges), matched_set=taken)
 
 

@@ -8,22 +8,21 @@ its edges into the X side only.  The split immediately yields the edge bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from .graph import Edge, Graph, iter_bits, mask_of
+from .graph import Edge, Graph, Record, iter_bits, mask_of
 from .matching import MatchingResult, matching_number, maximum_matching
 from .reports import CertReport, PreconditionError
 
 
-@dataclass(frozen=True)
-class MantelPartition:
+class MantelPartition(Record):
     """Paired sides x_side[i] -- y_side[i] plus the independent remainder z_side."""
 
-    x_side: tuple[int, ...]
-    y_side: tuple[int, ...]
-    z_side: int
-    size: int
+    __slots__ = ("x_side", "y_side", "z_side", "size")
+
+    def __init__(self, x_side: tuple[int, ...], y_side: tuple[int, ...], z_side: int,
+                 size: int):
+        self._fill(x_side, y_side, z_side, size)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

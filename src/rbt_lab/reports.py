@@ -7,8 +7,9 @@ to 53-bit floats never truncate silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
+
+from .graph import Record
 
 
 class PreconditionError(ValueError):
@@ -26,14 +27,14 @@ class RainbowFoundError(PreconditionError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Record):
     """Outcome of one bound check: claim id, exact value vs bound, witness data."""
 
-    claim: str
-    value: int
-    bound: int
-    witness: dict[str, Any] | None = None
+    __slots__ = ("claim", "value", "bound", "witness")
+
+    def __init__(self, claim: str, value: int, bound: int,
+                 witness: dict[str, Any] | None = None):
+        self._fill(claim, value, bound, witness)
 
     @property
     def slack(self) -> int:

@@ -43,14 +43,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import prod
 from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
 
 from .canonical import CANONICAL_MAX_N, _rows, _twins, canonical_bits, canonical_system_bits
-from .graph import Graph, _check_vertex_count, bits_to_hex, iter_bits, max_edge_count
+from .graph import Graph, Record, _check_vertex_count, bits_to_hex, iter_bits, max_edge_count
 from .systems import GraphSystem, load_json
 
 # `extend` and `walk` recurse once per graph and once per added edge, so t
@@ -70,8 +69,7 @@ def _require_positive(**options: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass
-class SearchReport:
+class SearchReport(Record):
     """Search outcome: best objective value, maximizing systems, and counters.
 
     `_report` merges the records of all search units into it.  witnesses
@@ -96,19 +94,22 @@ class SearchReport:
     forbidden-edge mask.
     config records the options that shaped the report under the "mode"
     of the entry point that produced it, which `exhaustive` reads.
+    Unlike the other records its fields can be reassigned, so it has no hash.
     """
 
-    objective: str
-    n: int
-    t: int
-    best_value: int
-    witnesses: list[tuple[int, ...]]
-    witness_overflow: bool
-    nodes: int
-    pruned: int
-    wall_time: float
-    references: dict[str, int] = field(default_factory=dict)
-    config: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("objective", "n", "t", "best_value", "witnesses", "witness_overflow",
+                 "nodes", "pruned", "wall_time", "references", "config")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, objective: str, n: int, t: int, best_value: int,
+                 witnesses: list[tuple[int, ...]], witness_overflow: bool, nodes: int,
+                 pruned: int, wall_time: float, references: dict[str, int] | None = None,
+                 config: dict[str, Any] | None = None):
+        self._fill(objective, n, t, best_value, witnesses, witness_overflow, nodes, pruned,
+                   wall_time, {} if references is None else references,
+                   {} if config is None else config)
 
     @property
     def exhaustive(self) -> bool:

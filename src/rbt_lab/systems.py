@@ -13,25 +13,23 @@ are first cut to those joined to one of the c, read off the rows of the c.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .graph import MAX_VERTICES, Edge, Graph, Triangle, iter_bits
+from .graph import MAX_VERTICES, Edge, Graph, Record, Triangle, iter_bits
 
 
-@dataclass(frozen=True)
-class GraphSystem:
+class GraphSystem(Record):
     """Ordered tuple of graphs sharing one vertex set."""
 
-    n: int
-    graphs: tuple[Graph, ...]
+    __slots__ = ("n", "graphs")
 
-    def __post_init__(self):
-        if not self.graphs:
+    def __init__(self, n: int, graphs: tuple[Graph, ...]):
+        if not graphs:
             raise ValueError("a system needs at least one graph")
-        for i, g in enumerate(self.graphs):
-            if g.n != self.n:
-                raise ValueError(f"graph {i} has n={g.n}, system has n={self.n}")
+        for i, g in enumerate(graphs):
+            if g.n != n:
+                raise ValueError(f"graph {i} has n={g.n}, system has n={n}")
+        self._fill(n, graphs)
 
     @classmethod
     def of(cls, *graphs: Graph) -> GraphSystem:
@@ -76,17 +74,18 @@ class GraphSystem:
         return json.dumps(self.to_json_dict(compact))
 
 
-@dataclass(frozen=True)
-class RainbowWitness:
+class RainbowWitness(Record):
     """A triangle plus the strictly increasing graph indices its edges come from.
 
     edges[j] is the triangle edge assigned to graphs[graph_indices[j]], so the
     three edges are a permutation of the triangle's edge list.
     """
 
-    triangle: Triangle
-    graph_indices: tuple[int, int, int]
-    edges: tuple[Edge, Edge, Edge]
+    __slots__ = ("triangle", "graph_indices", "edges")
+
+    def __init__(self, triangle: Triangle, graph_indices: tuple[int, int, int],
+                 edges: tuple[Edge, Edge, Edge]):
+        self._fill(triangle, graph_indices, edges)
 
     def is_valid_for(self, system: GraphSystem) -> bool:
         i1, i2, i3 = self.graph_indices

@@ -499,6 +499,14 @@ def test_scan_alpha_beta_degenerate():
     assert tight  # 1 <= 1 at the origin
 
 
+def test_scan_alpha_beta_defaults_are_the_rationals_they_spell():
+    # the defaults are strings, so that defining the function forms no Fraction
+    assert certify.scan_alpha_beta_inequality.__defaults__ == ("1/100", "10")
+    assert list(scan_alpha_beta_inequality()) == []
+    with pytest.raises(PreconditionError, match="multiple of step"):
+        list(scan_alpha_beta_inequality("1/7", "1/2"))
+
+
 def test_report_json_schema():
     r = certify_sum_t3(GraphSystem.of(K5, K5, E5))
     doc = r.to_json_dict()

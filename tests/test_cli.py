@@ -826,6 +826,32 @@ def test_single_threaded_commands_never_load_the_pool():
     assert one == two
 
 
+LIGHT_IMPORT = r"""
+import gc, json, sys
+import rbt_lab.cli
+from rbt_lab import Graph, partition_bound_params
+
+HEAVY = ("dataclasses", "inspect", "fractions")
+result = {"import": [m for m in HEAVY if m in sys.modules], "frozen": gc.get_freeze_count()}
+partition_bound_params(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+result["rational"] = "fractions" in sys.modules
+print(json.dumps(result))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_fractions():
+    # -S: no site hook may import either on the module's behalf
+    env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", LIGHT_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["import"] == []
+    assert result["frozen"] > 0
+    # the first rational formed loads fractions
+    assert result["rational"] is True
+
+
 def test_closed_stdout_exits_2_without_a_traceback():
     # the report is far larger than a pipe's buffer, so writing it meets the closed end
     env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))

@@ -4,6 +4,7 @@ import pytest
 
 from rbt_lab import (
     Graph,
+    MatchingResult,
     bipartite_deficiency_check,
     greedy_maximal_matching,
     is_nearly_matchable,
@@ -145,6 +146,26 @@ def test_greedy_is_maximal_and_deterministic():
         for e in g.edges():
             assert res.matched_set & ((1 << e.u) | (1 << e.v))
         assert res == greedy_maximal_matching(g)
+
+
+def greedy_by_edge_scan(g: Graph) -> MatchingResult:
+    """First-fit matching over g.edges() in colex order, one Edge per edge."""
+    taken = 0
+    edges = []
+    for e in g.edges():
+        pair = (1 << e.u) | (1 << e.v)
+        if not taken & pair:
+            taken |= pair
+            edges.append(e)
+    return MatchingResult(edges=tuple(edges), size=len(edges), matched_set=taken)
+
+
+def test_greedy_matches_the_colex_edge_scan():
+    graphs = [Graph.empty(n) for n in range(1, 21)] + [Graph.complete(n) for n in range(1, 21)]
+    rng = random.Random(20)
+    graphs += [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(500)]
+    for g in graphs:
+        assert greedy_maximal_matching(g) == greedy_by_edge_scan(g), g
 
 
 def test_greedy_edges_come_in_colex_order():

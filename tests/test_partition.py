@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -96,22 +95,22 @@ def test_verify_rejects_wrong_matching_size():
 
 def partition_mutations(g, p):
     """(invariant, partition) for each one-way break of a valid partition p of g."""
-    xs, ys, z = p.x_side, p.y_side, p.z_side
-    yield "size", replace(p, size=p.size + 1)
-    yield "size", replace(p, size=p.size - 1)
-    yield "repeated vertex", replace(p, y_side=(ys[1],) + ys[1:])
-    yield "x = y", replace(p, y_side=(xs[0],) + ys[1:])
-    misfits = [(i, j) for i in range(p.size) for j in range(p.size)
+    xs, ys, z, size = p.x_side, p.y_side, p.z_side, p.size
+    yield "size", MantelPartition(xs, ys, z, size + 1)
+    yield "size", MantelPartition(xs, ys, z, size - 1)
+    yield "repeated vertex", MantelPartition(xs, (ys[1],) + ys[1:], z, size)
+    yield "x = y", MantelPartition(xs, (xs[0],) + ys[1:], z, size)
+    misfits = [(i, j) for i in range(size) for j in range(size)
                if not g.has_edge(xs[i], ys[j])]
     if misfits:
         i, j = misfits[0]
         swapped = list(ys)
         swapped[i], swapped[j] = ys[j], ys[i]
-        yield "not an edge", replace(p, y_side=tuple(swapped))
-    yield "z meets x or y", replace(p, z_side=z | 1 << xs[-1])
-    yield "z meets x or y", replace(p, z_side=z | 1 << ys[-1])
+        yield "not an edge", MantelPartition(xs, tuple(swapped), z, size)
+    yield "z meets x or y", MantelPartition(xs, ys, z | 1 << xs[-1], size)
+    yield "z meets x or y", MantelPartition(xs, ys, z | 1 << ys[-1], size)
     if z:
-        yield "uncovered vertex", replace(p, z_side=z & (z - 1))
+        yield "uncovered vertex", MantelPartition(xs, ys, z & (z - 1), size)
 
 
 def test_verify_rejects_each_broken_invariant():
