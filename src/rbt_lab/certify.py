@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
-from math import comb, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .graph import Graph, Record, max_edge_count
@@ -195,14 +195,24 @@ class PartitionBoundParams(Record):
         self._fill(ell, p, q, alpha, beta)
 
 
+def _ell_p_q(b: Graph) -> tuple[int, int, int]:
+    part = mantel_partition(b)
+    q = part.z_side.bit_count()
+    p = max((b.degree_into(x, part.z_side) for x in part.x_side), default=0)
+    return part.size, p, q
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for num >= 0 and den > 0, without forming the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+
+
 def partition_bound_params(b: Graph) -> PartitionBoundParams:
     """Derive (l, p, q) from the matching partition of a triangle-free graph."""
     from fractions import Fraction
 
-    part = mantel_partition(b)
-    ell = part.size
-    q = part.z_side.bit_count()
-    p = max((b.degree_into(x, part.z_side) for x in part.x_side), default=0)
+    ell, p, q = _ell_p_q(b)
     alpha, beta = (Fraction(p, 2 * ell), Fraction(q, 2 * ell)) if ell else (None, None)
     return PartitionBoundParams(ell=ell, p=p, q=q, alpha=alpha, beta=beta)
 
@@ -219,8 +229,7 @@ def certify_partition_bounds(b: Graph, c: Graph, d: Graph) -> CertReport:
     if not b.is_triangle_free():
         raise PreconditionError("prop31: first graph contains a triangle")
     b_value, c_value, d_value = _triple(b, c, d, "prop31").edge_counts()
-    params = partition_bound_params(b)
-    ell, p, q = params.ell, params.p, params.q
+    ell, p, q = _ell_p_q(b)
     if _nearly_matchable(ell, b.n):
         raise PreconditionError(
             f"prop31: needs n > 2l + 2 (n={b.n}, l={ell}); "
@@ -233,8 +242,8 @@ def certify_partition_bounds(b: Graph, c: Graph, d: Graph) -> CertReport:
         "matching_size": ell,
         "p": p,
         "q": q,
-        "alpha": str(params.alpha) if params.alpha is not None else None,
-        "beta": str(params.beta) if params.beta is not None else None,
+        "alpha": _ratio_text(p, 2 * ell) if ell else None,
+        "beta": _ratio_text(q, 2 * ell) if ell else None,
         "b_value": b_value,
         "b_bound": b_bound,
         "cd_value": cd_value,

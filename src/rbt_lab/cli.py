@@ -6,7 +6,8 @@ triangle was found where freeness was asserted, 2 means usage or input
 error, or a report that could not be written.  JSON mode emits exactly one
 JSON document on stdout, byte for byte as json.dumps(doc, indent=2) writes
 it; `_indented` writes each int list and edge list in one join, where
-json's indenting encoder steps per token.
+json's indenting encoder steps per token, and a system's edge lists
+straight from its graphs' rows.
 
 Each command's options are defined once, in `_COMMANDS`.  A call led by a
 command name builds and runs that command's parser alone; any other call,
@@ -73,7 +74,8 @@ def _indented(value: Any, indent: str) -> str:
 
     json.dumps with an indent walks the document one token per generator
     step in pure Python; here a flat list of ints, or of int pairs (every
-    edge list), is one join.  `type(x) is int` keeps bools off the int
+    edge list), is one join, and a `Graph` is written as its colex edge
+    list straight from its rows.  `type(x) is int` keeps bools off the int
     paths; whatever has no path of its own goes to json.dumps itself.
     """
     kind = type(value)
@@ -83,6 +85,8 @@ def _indented(value: Any, indent: str) -> str:
         return int.__repr__(value)
     if kind is bool or value is None:
         return _CONSTANTS[value]
+    if kind is Graph:
+        return _pair_list(value._flat_edges(), indent)
     inner = indent + "  "
     sep = ",\n" + inner
     if kind is list:
@@ -92,8 +96,7 @@ def _indented(value: Any, indent: str) -> str:
             body = sep.join(map(int.__repr__, value))
         elif all(type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
                  for x in value):
-            pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-            body = sep.join([pair] * len(value)) % tuple(chain.from_iterable(value))
+            return _pair_list(list(chain.from_iterable(value)), indent)
         else:
             body = sep.join([_indented(x, inner) for x in value])
         return f"[\n{inner}{body}\n{indent}]"
@@ -104,6 +107,23 @@ def _indented(value: Any, indent: str) -> str:
         return f"{{\n{inner}{body}\n{indent}}}"
     # json escapes every newline inside a string, so each one here starts a line
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _pair_list(flat: list[int], indent: str) -> str:
+    """The pairs [flat[0], flat[1]], [flat[2], flat[3]], ... as one join and one % fill."""
+    if not flat:
+        return "[]"
+    inner = indent + "  "
+    pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+    body = (",\n" + inner).join([pair] * (len(flat) >> 1)) % tuple(flat)
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _system_doc(system: GraphSystem, compact: bool) -> dict[str, Any]:
+    """`system.to_json_dict(compact)`, with each edge list left a `Graph` for `_indented`."""
+    if compact:
+        return system.to_json_dict(compact=True)
+    return {"n": system.n, "graphs": list(system.graphs)}
 
 
 def _emit_json(doc: Any) -> None:
@@ -189,7 +209,7 @@ def _cmd_reduce(args) -> int:
     system = _load_system(args)
     reduced = nest_reduce(system)
     if args.output == "json":
-        _emit_json(reduced.to_json_dict(compact=args.compact))
+        _emit_json(_system_doc(reduced, args.compact))
     else:
         print(f"nested: {is_nested(reduced)}")
         for i, g in enumerate(reduced.graphs):
@@ -277,7 +297,7 @@ def _cmd_extremal(args) -> int:
     value = prod(counts) if label == "product" else sum(counts)
     rbt_free = find_rainbow_triangle(system) is None
     if args.output == "json":
-        doc = system.to_json_dict(compact=args.compact)
+        doc = _system_doc(system, args.compact)
         doc["objective"] = label
         doc["value"] = str(value)
         doc["rbt_free"] = rbt_free
@@ -290,16 +310,11 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_ineq_scan(args) -> int:
-    from fractions import Fraction
-
     lpq = args.which == "31"
     l_max = _mode_flag(args, "l_max", lpq, 30, "--which 31")
     q_max = _mode_flag(args, "q_max", lpq, 60, "--which 31")
-    try:
-        step = Fraction(_mode_flag(args, "step", not lpq, "1/100", "--which 32"))
-        max_value = Fraction(_mode_flag(args, "max", not lpq, "10", "--which 32"))
-    except ZeroDivisionError:
-        raise PreconditionError("--step and --max need a non-zero denominator") from None
+    step = _mode_flag(args, "step", not lpq, "1/100", "--which 32")
+    max_value = _mode_flag(args, "max", not lpq, "10", "--which 32")
     if lpq:
         violations = list(cert.scan_lpq_inequality(l_max, q_max))
         doc: dict[str, Any] = {
@@ -310,6 +325,12 @@ def _cmd_ineq_scan(args) -> int:
         }
         human = [f"(l={v[0]}, p={v[1]}, q={v[2]})" for v in violations]
     else:
+        from fractions import Fraction
+
+        try:
+            step, max_value = Fraction(step), Fraction(max_value)
+        except ZeroDivisionError:
+            raise PreconditionError("--step and --max need a non-zero denominator") from None
         violations = list(cert.scan_alpha_beta_inequality(step, max_value))
         doc = {
             "which": "32",

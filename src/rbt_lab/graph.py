@@ -132,6 +132,14 @@ def edge_at(index: int) -> Edge:
     return Edge(index - v * (v - 1) // 2, v)
 
 
+class PairError(ValueError):
+    """Graph.from_edges met an entry that is not a list or tuple of two int labels at `index`."""
+
+    def __init__(self, index: int, pair: object):
+        super().__init__(f"edge {index} is not a pair of int labels: {pair!r}")
+        self.index = index
+
+
 class Triangle(NamedTuple):
     a: int
     b: int
@@ -213,18 +221,29 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        """Graph from pairs (u, v); one pass checks each, and the first faulty one raises."""
         _check_vertex_count(n)
         lower = [0] * n
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                u = v = None
+            # `type(x) is int` rejects bools and floats
+            if (type(u) is not int or type(v) is not int
+                    or type(pair) is not list and not isinstance(pair, tuple)):
+                # each pair before this one set one bit
+                raise PairError(sum(row.bit_count() for row in lower), pair)
             if u > v:
                 u, v = v, u
             if not 0 <= u < v < n:
                 edge(*pair)  # raises the loop or negative-label error first
                 raise ValueError(f"edge {tuple(pair)} has vertex >= n={n}")
-            if lower[v] >> u & 1:
+            bit = 1 << u
+            row = lower[v]
+            if row & bit:
                 raise ValueError(f"duplicate edge {tuple(pair)}")
-            lower[v] |= 1 << u
+            lower[v] = row | bit
         return cls._from_lower(n, lower)
 
     @classmethod
@@ -291,12 +310,19 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges in ascending colex order."""
-        out = []
-        for v in range(self.n):
-            below = self.rows[v] & ((1 << v) - 1)
-            for u in iter_bits(below):
-                out.append(Edge(u, v))
-        return out
+        flat = self._flat_edges()
+        return list(map(Edge, flat[::2], flat[1::2]))
+
+    def _flat_edges(self) -> list[int]:
+        """u, v of each edge in turn, in ascending colex order: one walk of the set bits."""
+        flat = []
+        for v, row in enumerate(self.rows):
+            below = row & ((1 << v) - 1)
+            while below:
+                low = below & -below
+                flat += (low.bit_length() - 1, v)
+                below ^= low
+        return flat
 
     def _iter_triangles(self) -> Iterator[Triangle]:
         """Triangles a < b < c in (b, a, c) order, one b at a time."""

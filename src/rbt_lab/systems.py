@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Sequence
 
-from .graph import MAX_VERTICES, Edge, Graph, Record, Triangle, iter_bits
+from .graph import MAX_VERTICES, Edge, Graph, PairError, Record, Triangle, iter_bits
 
 
 class GraphSystem(Record):
@@ -61,14 +61,7 @@ class GraphSystem(Record):
     def to_json_dict(self, compact: bool = False) -> dict[str, Any]:
         if compact:
             return {"n": self.n, "hex": [g.to_hex() for g in self.graphs]}
-        return {
-            "n": self.n,
-            # the order of Graph.edges(), ascending colex, without an Edge per edge
-            "graphs": [
-                [[u, v] for v, row in enumerate(g.rows) for u in iter_bits(row & ((1 << v) - 1))]
-                for g in self.graphs
-            ],
-        }
+        return {"n": self.n, "graphs": [[list(e) for e in g.edges()] for g in self.graphs]}
 
     def to_json(self, compact: bool = False) -> str:
         return json.dumps(self.to_json_dict(compact))
@@ -316,12 +309,10 @@ def system_from_json_dict(doc: Any) -> GraphSystem:
         for gi, edge_list in enumerate(entries):
             if not isinstance(edge_list, list):
                 raise ValueError(f"graph {gi}: edge list expected")
-            for ei, pair in enumerate(edge_list):
-                # `type(x) is int` rejects bools and floats
-                if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
-                    raise ValueError(f"graph {gi}, edge {ei}: expected [u, v]")
             try:
                 graphs.append(Graph.from_edges(n, edge_list))
+            except PairError as exc:
+                raise ValueError(f"graph {gi}, edge {exc.index}: expected [u, v]") from None
             except ValueError as exc:
                 raise ValueError(f"graph {gi}: {exc}") from None
         return GraphSystem(n=n, graphs=tuple(graphs))

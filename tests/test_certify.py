@@ -32,7 +32,7 @@ from rbt_lab import (
     triangle_incidence,
 )
 from rbt_lab import certify
-from rbt_lab.certify import _alpha_beta_row, _lpq_row, _row_max, _run_above
+from rbt_lab.certify import _alpha_beta_row, _lpq_row, _ratio_text, _row_max, _run_above
 from rbt_lab.reports import CertReport, PreconditionError, RainbowFoundError
 
 K5 = Graph.complete(5)
@@ -199,6 +199,35 @@ def test_partition_bounds_star_example():
     assert r.witness["cd_value"] == 6 and r.witness["cd_bound"] == 12
     # headline is the b side: its slack 0 is the smaller one
     assert r.value == 3 and r.bound == 3 and r.tight
+
+
+def test_ratio_text_is_the_fractions_spelling():
+    for den in range(1, 61):
+        for num in range(0, 121):
+            assert _ratio_text(num, den) == str(Fraction(num, den)), (num, den)
+
+
+def test_prop31_witness_ratios_are_the_params_fractions():
+    # B bipartite, so triangle-free, and C = D = B keep the triple rainbow-free
+    rng = random.Random(3131)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(3, 16)
+        left = rng.randint(1, n - 1)
+        p = rng.choice([0.0, 0.05, 0.15, 0.3])
+        pairs = [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p]
+        b = Graph.from_edges(n, pairs)
+        try:
+            report = certify_partition_bounds(b, b, b)
+        except PreconditionError:
+            continue
+        params = partition_bound_params(b)
+        for name in ("alpha", "beta"):
+            value = getattr(params, name)
+            assert report.witness[name] == (None if value is None else str(value))
+            seen.add(None if value is None else value.denominator)
+    # the empty B, whole numbers and halves all met
+    assert {None, 1, 2}.issubset(seen) and len(seen) > 4, seen
 
 
 def test_partition_bounds_preconditions():

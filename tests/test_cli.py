@@ -852,6 +852,38 @@ def test_cli_import_loads_neither_dataclasses_nor_fractions():
     assert result["rational"] is True
 
 
+LEAN_RATIOS = r"""
+import contextlib, io, json, sys
+import rbt_lab.cli
+
+STAR = '{"n": 5, "graphs": [[[0, 1], [0, 2], [0, 3]], [[0, 1], [0, 2], [0, 3]], [[0, 1], [0, 2], [0, 3]]]}'
+result = []
+for argv, stdin in ((["certify", "--claim", "prop31"], STAR),
+                    (["ineq-scan", "--which", "31", "--l-max", "6", "--q-max", "12"], "")):
+    for output in ("human", "json"):
+        sys.stdin, out = io.StringIO(stdin), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = rbt_lab.cli.main(argv + ["--output", output])
+        result.append([code, out.getvalue(), "fractions" in sys.modules])
+print(json.dumps(result))
+"""
+
+
+def test_prop31_and_scan_31_never_load_fractions(capsys):
+    # a fresh interpreter, since this one has loaded fractions already
+    env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", LEAN_RATIOS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert [loaded for _, _, loaded in result] == [False] * 4
+    assert result[:2] == [[0, PROP31_STAR_HUMAN, False], [0, PROP31_STAR_JSON, False]]
+    for (code, out, _), output in zip(result[2:], ("human", "json")):
+        expected = run(capsys, ["ineq-scan", "--which", "31", "--l-max", "6", "--q-max", "12",
+                                "--output", output])
+        assert (code, out) == expected[:2]
+
+
 def test_closed_stdout_exits_2_without_a_traceback():
     # the report is far larger than a pipe's buffer, so writing it meets the closed end
     env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))
@@ -956,3 +988,38 @@ def test_reduce_at_n64_prints_json_dumps_indent_2(tmp_path, capsys, compact_in, 
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
     assert doc == nest_reduce(system).to_json_dict(compact=compact_out)
+
+
+def is_colex(pairs):
+    """Each pair [u, v] has u < v, and the pairs ascend by v, then u."""
+    return all(u < v for u, v in pairs) and pairs == sorted(pairs, key=lambda e: (e[1], e[0]))
+
+
+def test_reduce_and_extremal_edge_lists_print_json_dumps_indent_2(tmp_path, capsys):
+    # the writer reads the edge lists off each graph's rows: every n meets it,
+    # each with two t in 1..8, with empty graphs among the random ones
+    rng = random.Random(6565)
+    path = tmp_path / "s.json"
+    for n in range(1, 65):
+        m = n * (n - 1) // 2
+        ts = (1 + n % 8, 8 - n % 8)
+        for t in ts:
+            system = GraphSystem.of(*(Graph.from_bits(n, 0 if rng.random() < 0.2 else
+                                                      rng.getrandbits(m) & rng.getrandbits(m))
+                                      for _ in range(t)))
+            path.write_text(system.to_json())
+            code, out, err = run(capsys, ["reduce", "-i", str(path), "--output", "json"])
+            assert (code, err) == (0, ""), (n, t)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", (n, t)
+            assert system_from_json(out) == nest_reduce(system), (n, t)
+            assert all(is_colex(pairs) for pairs in json.loads(out)["graphs"]), (n, t)
+        built = [(["--kind", "bipartite-k", "--t", str(t)], balanced_bipartite_system(n, t))
+                 for t in ts]
+        built += [(["--kind", "two-complete"], two_complete_one_empty(n)),
+                  (["--kind", "bipartite-triple"], bipartite_triple(n))]
+        for flags, system in built:
+            code, out, err = run(capsys, ["extremal", "--n", str(n), "--output", "json"] + flags)
+            assert (code, err) == (0, ""), (n, flags)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", (n, flags)
+            assert system_from_json(out) == system, (n, flags)
+            assert all(is_colex(pairs) for pairs in json.loads(out)["graphs"]), (n, flags)

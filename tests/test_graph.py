@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rbt_lab import Graph, Triangle, edge, edge_at, iter_bits, mask_of, max_edge_count
-from rbt_lab.graph import bits_to_hex
+from rbt_lab.graph import PairError, bits_to_hex
 
 
 def naive_triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -185,6 +185,52 @@ def test_from_edges_error_messages(pairs, message):
     with pytest.raises(ValueError) as info:
         Graph.from_edges(3, pairs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # a bool is an int subclass, so only `type(x) is int` keeps it out
+        ([(True, 2)], "edge 0 is not a pair of int labels: (True, 2)"),
+        ([(0, 1), (2, False)], "edge 1 is not a pair of int labels: (2, False)"),
+        ([(0, 1.0)], "edge 0 is not a pair of int labels: (0, 1.0)"),
+        ([(0, 1), (1.5, 2)], "edge 1 is not a pair of int labels: (1.5, 2)"),
+        ([(0, 1, 2)], "edge 0 is not a pair of int labels: (0, 1, 2)"),
+        ([[0, 1], [2]], "edge 1 is not a pair of int labels: [2]"),
+        ([()], "edge 0 is not a pair of int labels: ()"),
+        ([(0, "1")], "edge 0 is not a pair of int labels: (0, '1')"),
+        (["01"], "edge 0 is not a pair of int labels: '01'"),
+        ([b"\x00\x01"], "edge 0 is not a pair of int labels: b'\\x00\\x01'"),
+        ([{0, 1}], "edge 0 is not a pair of int labels: {0, 1}"),
+        ([(0, 2), 7], "edge 1 is not a pair of int labels: 7"),
+        ([None], "edge 0 is not a pair of int labels: None"),
+    ],
+)
+def test_from_edges_rejects_what_is_not_a_pair_of_int_labels(pairs, message):
+    with pytest.raises(PairError) as info:
+        Graph.from_edges(3, pairs)
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
+    assert info.value.index == int(message.split()[1])
+
+
+def test_from_edges_names_the_first_faulty_pair_in_order():
+    with pytest.raises(ValueError) as info:
+        Graph.from_edges(3, [(0, 1), (0, 3), (True, 1)])
+    assert str(info.value) == "edge (0, 3) has vertex >= n=3"
+    with pytest.raises(ValueError) as info:
+        Graph.from_edges(3, [(1, 0), (0, 1), (0, 1.0)])
+    assert str(info.value) == "duplicate edge (0, 1)"
+    with pytest.raises(PairError) as info:
+        Graph.from_edges(3, [(0, 1), (True, 1), (0, 3)])
+    assert info.value.index == 1
+
+
+def test_from_edges_takes_lists_tuples_and_one_pass_iterators():
+    ref = Graph(3, [0b110, 0b001, 0b001])
+    assert Graph.from_edges(3, [[0, 1], (2, 0)]) == ref
+    assert Graph.from_edges(3, iter([edge(1, 0), (0, 2)])) == ref
+    assert Graph.from_edges(3, ((u, v) for u, v in [(0, 1), (0, 2)])) == ref
 
 
 def reference_from_bits(n: int, bits: int) -> Graph:

@@ -432,6 +432,128 @@ def test_json_parse_error_messages(doc, message):
     assert str(info.value).startswith(message)
 
 
+def test_a_multi_fault_edge_list_names_its_first_faulty_pair():
+    # the range fault comes before the malformed pair, so it is the one named
+    with pytest.raises(ValueError) as info:
+        system_from_json('{"n":3,"graphs":[[[0,1],[0,3],[true,1]]]}')
+    assert str(info.value) == "graph 0: edge (0, 3) has vertex >= n=3"
+    with pytest.raises(ValueError) as info:
+        system_from_json('{"n":3,"graphs":[[[1,0],[0,1],[2,1.5]]]}')
+    assert str(info.value) == "graph 0: duplicate edge (0, 1)"
+    with pytest.raises(ValueError) as info:
+        system_from_json('{"n":3,"graphs":[[[0,1]],[[0,1],[2],[2,2]]]}')
+    assert str(info.value) == "graph 1, edge 1: expected [u, v]"
+
+
+# -- the two-loop edge-list decoder, the oracle for the one-loop decoder --------
+
+
+def two_loop_from_edges(n, edges):
+    """Graph.from_edges before it checked each pair's form, mirrored per edge."""
+    lower = [0] * n
+    for pair in edges:
+        u, v = pair
+        if u > v:
+            u, v = v, u
+        if not 0 <= u < v < n:
+            edge(*pair)  # raises the loop or negative-label error first
+            raise ValueError(f"edge {tuple(pair)} has vertex >= n={n}")
+        if lower[v] >> u & 1:
+            raise ValueError(f"duplicate edge {tuple(pair)}")
+        lower[v] |= 1 << u
+    rows = list(lower)
+    for v in range(n):
+        for u in iter_bits(lower[v]):
+            rows[u] |= 1 << v
+    return Graph(n, rows)
+
+
+def two_loop_decode(doc):
+    """The "graphs" branch of system_from_json_dict when it type-checked every pair first."""
+    n = doc["n"]
+    graphs = []
+    for gi, edge_list in enumerate(doc["graphs"]):
+        for ei, pair in enumerate(edge_list):
+            # `type(x) is int` rejects bools and floats
+            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
+                raise ValueError(f"graph {gi}, edge {ei}: expected [u, v]")
+        try:
+            graphs.append(two_loop_from_edges(n, edge_list))
+        except ValueError as exc:
+            raise ValueError(f"graph {gi}: {exc}") from None
+    return GraphSystem(n=n, graphs=tuple(graphs))
+
+
+def one_fault(rng, kind, n, pairs):
+    """A pair of the given fault kind for an edge list on n vertices holding `pairs`."""
+    u, v = rng.choice(pairs) if pairs else (0, 0)
+    label = rng.randrange(n)
+    if kind == "bool":
+        pair = [u, v]
+        pair[rng.randrange(2)] = rng.choice([True, False])
+        return pair
+    if kind == "float":
+        pair = [u, v]
+        pair[rng.randrange(2)] = float(pair[0]) + rng.choice([0, 0.5])
+        return pair
+    if kind == "length 1":
+        return [label]
+    if kind == "length 3":
+        return [u, v, label]
+    if kind == "string":
+        return rng.choice([f"{u}{v}", [str(u), v], [u, str(v)]])
+    if kind == "loop":
+        return [label, label]
+    if kind == "negative":
+        pair = [label, -rng.randint(1, 3)]
+        return pair if rng.random() < 0.5 else pair[::-1]
+    if kind == "label >= n":
+        pair = [label, n + rng.randrange(3)]
+        return pair if rng.random() < 0.5 else pair[::-1]
+    if kind == "duplicate":
+        return [u, v]
+    assert kind == "flipped duplicate"
+    return [v, u]
+
+
+FAULT_KINDS = ["bool", "float", "length 1", "length 3", "string", "loop", "negative",
+               "label >= n", "duplicate", "flipped duplicate"]
+
+
+def decode_outcome(decode, doc):
+    try:
+        return decode(doc)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_one_loop_decoder_matches_the_two_loop_decoder():
+    rng = random.Random(3434)
+    checked = set()
+    for n in range(1, 65):
+        for density in (0.0, 1.0, rng.random()):
+            t = rng.randint(1, 3)
+            graphs, lists = tuple(random_graph(rng, n, density) for _ in range(t)), []
+            for g in graphs:
+                pairs = [[e.u, e.v] if rng.random() < 0.5 else [e.v, e.u] for e in g.edges()]
+                rng.shuffle(pairs)
+                lists.append(pairs)
+            docs = [{"n": n, "graphs": lists}]
+            for kind in FAULT_KINDS:
+                gi = rng.randrange(t)
+                if kind.endswith("duplicate") and not lists[gi]:
+                    continue
+                faulty = [list(pairs) for pairs in lists]
+                faulty[gi].insert(rng.randint(0, len(faulty[gi])), one_fault(rng, kind, n, lists[gi]))
+                docs.append({"n": n, "graphs": faulty})
+                checked.add(kind)
+            for doc in docs:
+                got = decode_outcome(system_from_json, json.dumps(doc))
+                assert got == decode_outcome(two_loop_decode, doc), doc
+            assert system_from_json(json.dumps(docs[0])) == GraphSystem(n=n, graphs=graphs)
+    assert checked == set(FAULT_KINDS)
+
+
 def test_json_parse_rejects_bad_input():
     with pytest.raises(ValueError, match="loop"):
         system_from_json('{"n":3,"graphs":[[[0,0]]]}')
