@@ -5,9 +5,8 @@ search completed clean), 1 means a certified bound was violated or a rainbow
 triangle was found where freeness was asserted, 2 means usage or input
 error, or a report that could not be written.  JSON mode emits exactly one
 JSON document on stdout, byte for byte as json.dumps(doc, indent=2) writes
-it; `_indented` writes each int list and edge list in one join, where
-json's indenting encoder steps per token, and a system's edge lists
-straight from its graphs' rows.
+it; `_indented` writes each int list in one join and a graph's edge list
+in one % fill, where json's indenting encoder steps per token.
 
 Each command's options are defined once, in `_COMMANDS`.  A call led by a
 command name builds and runs that command's parser alone; any other call,
@@ -23,7 +22,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
 from math import prod
 from typing import Any
 
@@ -73,10 +71,9 @@ def _indented(value: Any, indent: str) -> str:
     """`value` as json.dumps(value, indent=2) writes it, nested at `indent`.
 
     json.dumps with an indent walks the document one token per generator
-    step in pure Python; here a flat list of ints, or of int pairs (every
-    edge list), is one join, and a `Graph` is written as its colex edge
-    list straight from its rows.  `type(x) is int` keeps bools off the int
-    paths; whatever has no path of its own goes to json.dumps itself.
+    step in pure Python; here a flat list of ints is one join and a `Graph`
+    its colex edge list, one % fill.  `type(x) is int` keeps bools off the
+    int paths; whatever has no path of its own goes to json.dumps itself.
     """
     kind = type(value)
     if kind is str:
@@ -85,18 +82,18 @@ def _indented(value: Any, indent: str) -> str:
         return int.__repr__(value)
     if kind is bool or value is None:
         return _CONSTANTS[value]
-    if kind is Graph:
-        return _pair_list(value._flat_edges(), indent)
     inner = indent + "  "
     sep = ",\n" + inner
+    if kind is Graph:
+        flat = value._flat_edges()
+        pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+        body = sep.join([pair] * (len(flat) >> 1)) % tuple(flat)
+        return f"[\n{inner}{body}\n{indent}]" if flat else "[]"
     if kind is list:
         if not value:
             return "[]"
         if all(type(x) is int for x in value):
             body = sep.join(map(int.__repr__, value))
-        elif all(type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
-                 for x in value):
-            return _pair_list(list(chain.from_iterable(value)), indent)
         else:
             body = sep.join([_indented(x, inner) for x in value])
         return f"[\n{inner}{body}\n{indent}]"
@@ -109,29 +106,27 @@ def _indented(value: Any, indent: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def _pair_list(flat: list[int], indent: str) -> str:
-    """The pairs [flat[0], flat[1]], [flat[2], flat[3]], ... as one join and one % fill."""
-    if not flat:
-        return "[]"
-    inner = indent + "  "
-    pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-    body = (",\n" + inner).join([pair] * (len(flat) >> 1)) % tuple(flat)
-    return f"[\n{inner}{body}\n{indent}]"
-
-
-def _system_doc(system: GraphSystem, compact: bool) -> dict[str, Any]:
-    """`system.to_json_dict(compact)`, with each edge list left a `Graph` for `_indented`."""
-    if compact:
-        return system.to_json_dict(compact=True)
-    return {"n": system.n, "graphs": list(system.graphs)}
-
-
 def _emit_json(doc: Any) -> None:
     print(_indented(doc, ""))
 
 
 def _fmt_edges(g: Graph) -> str:
     return " ".join(f"({e.u},{e.v})" for e in g.edges()) or "(none)"
+
+
+def _emit_system(system: GraphSystem, args, head: str, extra: dict[str, Any]) -> None:
+    """`system.to_json_dict(args.compact)` followed by `extra`, or in human mode `head` and
+    one line per graph."""
+    if args.output == "json":
+        if args.compact:
+            doc = system.to_json_dict(compact=True)
+        else:  # the graphs themselves: `_indented` writes each edge list from its rows
+            doc = {"n": system.n, "graphs": list(system.graphs)}
+        _emit_json({**doc, **extra})
+    else:
+        print(head)
+        for i, g in enumerate(system.graphs):
+            print(f"graph {i} ({g.edge_count()} edges): {_fmt_edges(g)}")
 
 
 def _print_report_human(report: CertReport) -> None:
@@ -206,14 +201,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    system = _load_system(args)
-    reduced = nest_reduce(system)
-    if args.output == "json":
-        _emit_json(_system_doc(reduced, args.compact))
-    else:
-        print(f"nested: {is_nested(reduced)}")
-        for i, g in enumerate(reduced.graphs):
-            print(f"graph {i} ({g.edge_count()} edges): {_fmt_edges(g)}")
+    reduced = nest_reduce(_load_system(args))
+    _emit_system(reduced, args, f"nested: {is_nested(reduced)}", {})
     return 0
 
 
@@ -296,16 +285,9 @@ def _cmd_extremal(args) -> int:
     label = "product" if args.kind == "bipartite-triple" else "sum"
     value = prod(counts) if label == "product" else sum(counts)
     rbt_free = find_rainbow_triangle(system) is None
-    if args.output == "json":
-        doc = _system_doc(system, args.compact)
-        doc["objective"] = label
-        doc["value"] = str(value)
-        doc["rbt_free"] = rbt_free
-        _emit_json(doc)
-    else:
-        print(f"{args.kind} on n={args.n}: {label} value {value}, rbt_free={rbt_free}")
-        for i, g in enumerate(system.graphs):
-            print(f"graph {i} ({g.edge_count()} edges): {_fmt_edges(g)}")
+    head = f"{args.kind} on n={args.n}: {label} value {value}, rbt_free={rbt_free}"
+    _emit_system(system, args, head,
+                 {"objective": label, "value": str(value), "rbt_free": rbt_free})
     return 0 if rbt_free else 1
 
 

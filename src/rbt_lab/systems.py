@@ -61,7 +61,14 @@ class GraphSystem(Record):
     def to_json_dict(self, compact: bool = False) -> dict[str, Any]:
         if compact:
             return {"n": self.n, "hex": [g.to_hex() for g in self.graphs]}
-        return {"n": self.n, "graphs": [[list(e) for e in g.edges()] for g in self.graphs]}
+        return {
+            "n": self.n,
+            # the order of Graph.edges(), ascending colex, without an Edge per edge
+            "graphs": [
+                [[u, v] for v, row in enumerate(g.rows) for u in iter_bits(row & ((1 << v) - 1))]
+                for g in self.graphs
+            ],
+        }
 
     def to_json(self, compact: bool = False) -> str:
         return json.dumps(self.to_json_dict(compact))

@@ -935,7 +935,7 @@ def random_json(rng, depth=0):
             items.insert(rng.randrange(len(items) + 1), rng.choice([True, False]))
         return items
     if kind == 6:
-        # an edge list, now and then with a member off the pair path
+        # an edge list, now and then with a bool, a float or a third member in a pair
         pairs = [[rng.randrange(64), rng.choice(INTS)] for _ in range(rng.randrange(1, 6))]
         odd = rng.randrange(5)
         if odd == 1:
@@ -965,7 +965,7 @@ def test_json_writer_matches_json_dumps_indent_2(capsys):
 
 def test_json_writer_falls_back_to_json_dumps_off_its_paths():
     # tuples and dicts with non-str keys go to json.dumps; a pair holding a
-    # bool or a float, to the member-by-member path
+    # bool or a float is written member by member
     for doc in [{"a": (1, 2), 3: [True]}, [[(0, 1)], {"x": {False: None}}], [[1, 2], (3, 4)],
                 {"flag": [[1, True]], "v": [1.0, 2]}]:
         assert cli._indented(doc, "") == json.dumps(doc, indent=2)
