@@ -111,7 +111,8 @@ def _emit_json(doc: Any) -> None:
 
 
 def _fmt_edges(g: Graph) -> str:
-    return " ".join(f"({e.u},{e.v})" for e in g.edges()) or "(none)"
+    flat = g._flat_edges()
+    return " ".join(["(%d,%d)"] * (len(flat) >> 1)) % tuple(flat) or "(none)"
 
 
 def _emit_system(system: GraphSystem, args, head: str, extra: dict[str, Any]) -> None:

@@ -1,18 +1,18 @@
 """Systems of graphs on a shared vertex set and rainbow-triangle machinery.
 
 A rainbow triangle picks its three edges from three distinct graphs of the
-system.  Detection never lists triangles: with ab in G_i, the vertices c
-completing a rainbow triangle are, over every j != i, those joined to a in
-G_j and to b in a graph other than G_i and G_j, one word operation per
-graph G_j for each pair (a, b).  The first rainbow triangle in (b, a, c)
-order takes the least such a over every i with ab in G_i, then its least c.
-Where b has fewer candidate c above it than neighbours a below it, the a
-are first cut to those joined to one of the c, read off the rows of the c.
+system.  Detection never lists triangles: with the graphs in order of edge
+count, a rainbow triangle has an edge uv in the first of its three graphs,
+X, and its third vertex w is joined to u and to v in two distinct later
+graphs.  For each edge uv of X those w are a few word operations on the
+rows of u and v, counted bit-sliced over the later graphs, so the scan
+walks the edges of the sparser graphs and the densest two are never walked.
 """
 
 from __future__ import annotations
 
 import json
+from operator import and_, or_
 from typing import Any, Iterable, Sequence
 
 from .graph import MAX_VERTICES, Edge, Graph, PairError, Record, Triangle, iter_bits
@@ -146,77 +146,83 @@ def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
     Triangles a < b < c of the union are ordered by b, then a, then c, as
     `Graph.triangles` lists them; the witness assigns the first distinct
     graph indices, by index, to the edges ab, ac, bc (see `_pick_sdr`).
-    Systems with fewer than three nonempty graphs cannot contain one.
+    Systems with fewer than three nonempty graphs, or a triangle-free
+    union, cannot contain one.
 
-    For each b and each G_i, only the a <= the least a found so far are
-    tried.  When the candidate c of all of G_i's terms together are fewer
-    than those a, the a are first cut to the ones joined to such a c, so
-    the first a left is the least with a rainbow c; the c are counted only
-    when the terms are fewer than the a.
+    With the graphs sorted by edge count, ties by index, a rainbow triangle
+    has an edge uv in X, the first of its three graphs in that order, and
+    its third vertex w is joined to u and v in two distinct graphs of R,
+    the graphs after X.  The stages take X from the third-densest graph
+    down to the sparsest, so R gains one graph per stage, and scan X's
+    edges uv, u < v, row u by row u.  Each edge gives its first triangle
+    off the bits of its w; a row whose least possible (b, a) comes after
+    the best triangle so far is passed over, and the scan of a stage stops
+    at the first row u past that triangle's b.
     """
     n, t = s.n, s.t
     if t < 3 or sum(1 for g in s.graphs if any(g.rows)) < 3:
         return None
-    rows = [g.rows for g in s.graphs]
-    for b in range(1, n):
-        # above[k]: b's neighbours c > b in G_k; m1, m2, m3: the c joined to
-        # b in at least 1, 2, 3 graphs
-        above = [r[b] >> (b + 1) << (b + 1) for r in rows]
-        m1 = m2 = m3 = 0
-        for x in above:
-            m3 |= m2 & x
-            m2 |= m1 & x
-            m1 |= x
-        if not m1:
-            continue
-        # best: the least a with a rainbow c so far (b while none); hits: its c
-        best, hits = b, 0
-        for i, r in enumerate(rows):
-            # only an a <= best can improve on the witness so far
-            below = r[b] & ((2 << best) - 1)
-            if not below:
+    # by edge count; the sort is stable, so ties keep index order
+    rows = [g.rows for g in sorted(s.graphs, key=lambda g: sum(map(int.bit_count, g.rows)))]
+    # per stage k = t - 3, ..., 0: m1[w], m2[w], the vertices joined to w in
+    # at least 1, 2 of the graphs after rows[k]; with rows[0], m1 is the union
+    m1, m2 = list(map(or_, rows[-2], rows[-1])), list(map(and_, rows[-2], rows[-1]))
+    levels = [(m1, m2)]
+    for x in rows[t - 3:0:-1]:
+        m2 = list(map(or_, m2, map(and_, m1, x)))
+        m1 = list(map(or_, m1, x))
+        levels.append((m1, m2))
+    if Graph._trusted(n, map(or_, m1, rows[0])).is_triangle_free():
+        return None
+    best = (n, n, n)  # (b, a, c) of the first rainbow triangle found so far
+    for k, (m1, m2) in zip(range(t - 3, -1, -1), levels):
+        x, later = rows[k], rows[k + 1:]
+        for u in range(n):
+            if u > best[0]:
+                break
+            up, m1u, m2u = x[u] >> (u + 1) << (u + 1), m1[u], m2[u]
+            if not (up and m1u):
                 continue
-            # with ab in G_i, c is rainbow iff ac in some G_j, j != i, and bc
-            # in a third graph: the terms (rows[j], X_ij) of b's neighbours
-            # above b in a graph other than G_i and G_j, that is m3 | (m2 &
-            # ~(xi & xj)) | (m1 & ~m2 & ~(xi | xj)): a part fixed by i and a
-            # part that xj cuts
-            xi = above[i]
-            fixed, cut = m3 | (m2 & ~xi), m2 | (m1 & ~xi)
-            terms = []
-            for j, xj in enumerate(above):
-                if j != i and (x := fixed | (cut & ~xj)):
-                    terms.append((rows[j], x))
-            if not terms:
+            # the least (b, a) of a triangle on an edge uv of this row: u and
+            # the least w < u joined to u in R, else the least such w > u or
+            # v, and u
+            if low := m1u & ((1 << u) - 1):
+                head = (u, (low & -low).bit_length() - 1)
+            else:
+                high = (m1u | up) >> u
+                head = (u - 1 + (high & -high).bit_length(), u)
+            if head > best[:2]:
                 continue
-            # fewer c than a: keep only the a joined to some rainbow c, read
-            # from the rows of the c
-            size = below.bit_count()
-            if len(terms) < size:
-                count = 0
-                for _, x in terms:
-                    count += x.bit_count()
-                    if count >= size:
-                        break
+            if head == best[:2]:
+                up &= (1 << best[2]) - 1
+            once_u = m1u & ~m2u
+            while up:
+                v = (up & -up).bit_length() - 1
+                up ^= 1 << v
+                # w with uw and vw in two distinct graphs of R; where both
+                # lie in one graph each, that graph must differ
+                w = (m2u & m1[v]) | (m1u & m2[v])
+                if once := once_u & m1[v] & ~m2[v]:
+                    same = 0
+                    for r in later:
+                        same |= r[u] & r[v]
+                    w |= once & ~same
+                if not w:
+                    continue
+                if below := w & ((1 << u) - 1):
+                    tri = (u, (below & -below).bit_length() - 1, v)
+                elif inside := w & ((1 << v) - 1):
+                    tri = ((inside & -inside).bit_length() - 1, u, v)
                 else:
-                    reach = 0
-                    for rj, x in terms:
-                        for c in iter_bits(x):
-                            reach |= rj[c]
-                    below &= reach
-            for a in iter_bits(below):
-                rainbow = 0
-                for rj, x in terms:
-                    rainbow |= rj[a] & x
-                if rainbow:
-                    if a < best:
-                        best, hits = a, rainbow
-                    else:
-                        hits |= rainbow
-                    break
-        if hits:
-            return _witness(s, Triangle(best, b, (hits & -hits).bit_length() - 1))
-    return None
+                    tri = (v, u, (w & -w).bit_length() - 1)
+                if tri < best:
+                    best = tri
+                    if tri[:2] == head:
+                        up &= (1 << tri[2]) - 1
+    if best[0] == n:
+        return None
+    b, a, c = best
+    return _witness(s, Triangle(a, b, c))
 
 
 def is_rbt_free(s: GraphSystem) -> bool:

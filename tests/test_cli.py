@@ -1023,3 +1023,15 @@ def test_reduce_and_extremal_edge_lists_print_json_dumps_indent_2(tmp_path, caps
             assert out == json.dumps(json.loads(out), indent=2) + "\n", (n, flags)
             assert system_from_json(out) == system, (n, flags)
             assert all(is_colex(pairs) for pairs in json.loads(out)["graphs"]), (n, flags)
+
+
+def test_human_edge_lists_print_each_edge_as_before():
+    # `_fmt_edges` fills one template from the rows; the line it writes is the
+    # join of one "(u,v)" per edge of Graph.edges(), "(none)" for no edges
+    rng = random.Random(1729)
+    for n in range(1, 65):
+        m = n * (n - 1) // 2
+        for g in (Graph.empty(n), Graph.from_bits(n, rng.getrandbits(m)),
+                  Graph.from_bits(n, rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m))):
+            expected = " ".join(f"({e.u},{e.v})" for e in g.edges()) or "(none)"
+            assert cli._fmt_edges(g) == expected, n

@@ -214,8 +214,8 @@ def random_matching(rng: random.Random, n: int) -> Graph:
 
 
 def test_witness_matches_reference_few_c_many_a():
-    # each b has a few rainbow c above it and many a below it in K_n, so the
-    # kernel keeps only the a reached from the rows of those c
+    # each b has a few rainbow c above it and many a below it in K_n: only
+    # the triangles on an edge where two of the matchings differ are rainbow
     rng = random.Random(1616)
     for n in (16, 32, 64):
         kn = Graph.complete(n)
@@ -281,6 +281,105 @@ def test_witness_matches_reference_up_to_n64():
             mask_sizes[min(3, s.edge_membership(e.u, e.v).bit_count())] += 1
     assert found > 50 and free > 50
     assert min(mask_sizes[1:]) > 1000
+
+
+def relabel(s: GraphSystem, perm: list[int]) -> GraphSystem:
+    """The system with every vertex x renamed perm[x]."""
+    return GraphSystem.of(*(Graph.from_edges(s.n, [(perm[e.u], perm[e.v]) for e in g.edges()])
+                            for g in s.graphs))
+
+
+def test_witness_matches_reference_dense_relabelled():
+    # the cases of test_witness_matches_reference_dense under a random
+    # relabelling, which moves the first rainbow triangle and the rows the
+    # kernel scans before it finds one
+    rng = random.Random(3131)
+    for n, rounds, copies in ((32, 3, [*range(3, 9), 16, 32]), (64, 1, range(3, 9))):
+        kn, bip = Graph.complete(n), Graph.complete_bipartite(n // 2, n - n // 2)
+        for _ in range(rounds):
+            m = random_matching(rng, n)
+            extra = [e for e in ((n - 1, n - 2), (n - 1, n - 3), (0, 1)) if not m.has_edge(*e)]
+            for t in copies:
+                for graphs in ([kn] + [m] * (t - 1), [bip] * t):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    s = relabel(GraphSystem.of(*graphs), perm)
+                    assert find_rainbow_triangle(s) is None
+                    assert reference_witness(s) is None
+                    for u, v in extra:
+                        grown = graphs[-1].to_bits() | 1 << edge(u, v).index
+                        s = relabel(GraphSystem.of(*graphs[:-1], Graph.from_bits(n, grown)), perm)
+                        w = find_rainbow_triangle(s)
+                        assert w is not None and w == reference_witness(s)
+                        assert w.is_valid_for(s)
+
+
+def test_witness_matches_reference_on_tied_edge_counts():
+    # graphs with equal edge counts, which the kernel's sort leaves in index
+    # order: K_n with three distinct perfect matchings, placed first, last and
+    # second, and t copies of one graph, whose triangles are all rainbow
+    rng = random.Random(2020)
+    for n in (6, 8, 16, 32, 64):
+        kn = Graph.complete(n)
+        for _ in range(4):
+            matchings = []
+            while len(matchings) < 3:
+                m = random_matching(rng, n)
+                if m not in matchings:
+                    matchings.append(m)
+            for graphs in ([kn, *matchings], [*matchings, kn], [matchings[0], kn, *matchings[1:]]):
+                s = GraphSystem.of(*graphs)
+                w = find_rainbow_triangle(s)
+                assert w == reference_witness(s)
+                assert w is None or w.is_valid_for(s)
+        for t in (3, 4, 7):
+            g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+            s = GraphSystem(n=n, graphs=(g,) * t)
+            w = find_rainbow_triangle(s)
+            assert w == reference_witness(s)
+            assert (w is None) == g.is_triangle_free()
+
+
+def test_witness_matches_reference_on_triangle_free_unions():
+    # distinct random halves of one K_{n/2,n/2} have a bipartite union; one
+    # edge added inside a part of one graph makes the triangles through it
+    # the only ones, rainbow where their other two edges lie in two other graphs
+    rng = random.Random(4646)
+    for n in (6, 10, 16, 33, 64):
+        bip = Graph.complete_bipartite(n // 2, n - n // 2)
+        for t in (3, 4, 6):
+            graphs = [Graph.from_bits(n, bip.to_bits() & rng.getrandbits(max_edge_count(n)))
+                      for _ in range(t)]
+            s = GraphSystem.of(*graphs)
+            assert find_rainbow_triangle(s) is None and reference_witness(s) is None
+            for _ in range(3):
+                part = rng.choice([range(n // 2), range(n // 2, n)])
+                u, v = rng.sample(part, 2)
+                k = rng.randrange(t)
+                grown = graphs[:k] + [graphs[k] | Graph.from_edges(n, [(u, v)])] + graphs[k + 1:]
+                s = GraphSystem.of(*grown)
+                w = find_rainbow_triangle(s)
+                assert w == reference_witness(s)
+                assert w is None or w.is_valid_for(s)
+
+
+def test_witness_matches_reference_k64_and_63_matchings():
+    # K_64 + 63 M is rainbow-free; one more edge in any graph but the first
+    # gives a rainbow triangle with the partner of either end
+    rng = random.Random(6363)
+    n = 64
+    kn, m = Graph.complete(n), random_matching(rng, n)
+    graphs = [kn] + [m] * 63
+    assert find_rainbow_triangle(GraphSystem.of(*graphs)) is None
+    assert reference_witness(GraphSystem.of(*graphs)) is None
+    missing = [e for e in kn.edges() if not m.has_edge(*e)]
+    for k in (1, 32, 63):
+        extra = rng.choice(missing)
+        grown = graphs[:k] + [Graph.from_bits(n, m.to_bits() | 1 << extra.index)] + graphs[k + 1:]
+        s = GraphSystem.of(*grown)
+        w = find_rainbow_triangle(s)
+        assert w is not None and w == reference_witness(s)
+        assert w.is_valid_for(s)
 
 
 def test_witness_indices_strictly_increasing():
