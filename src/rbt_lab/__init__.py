@@ -8,7 +8,6 @@ and exhaustive/local search for bound-attaining systems.
 from .graph import Edge, Graph, Triangle, edge, edge_at, iter_bits, mask_of, max_edge_count
 from .matching import (
     MatchingResult,
-    bipartite_deficiency_check,
     greedy_maximal_matching,
     is_nearly_matchable,
     matching_number,
@@ -19,7 +18,6 @@ from .reports import CertReport, PreconditionError, RainbowFoundError
 from .systems import (
     GraphSystem,
     RainbowWitness,
-    auxiliary_incidence_graph,
     edge_multiplicities,
     find_rainbow_triangle,
     is_nested,
@@ -27,17 +25,14 @@ from .systems import (
     nest_reduce,
     system_from_json,
     system_from_json_dict,
-    triangle_incidence,
 )
 from .certify import (
-    PartitionBoundParams,
     alpha_beta_inequality_holds,
     certify_nearly_matchable,
     certify_partition_bounds,
     certify_product_nested,
     certify_sum_t,
     certify_sum_t3,
-    certify_triangle_incidence,
     certify_weighted_sum,
     check_unmatched_cross_degree,
     conjecture_margin,
@@ -46,7 +41,6 @@ from .certify import (
     lpq_inequality_sides,
     matches_balanced_bipartite_copies,
     matches_two_complete_one_empty,
-    partition_bound_params,
     scan_alpha_beta_inequality,
     scan_lpq_inequality,
     theory_bound,

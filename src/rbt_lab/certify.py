@@ -3,18 +3,16 @@
 Every decision here is made in exact integer or rational arithmetic; no
 float ever feeds a pass/fail verdict.  Certifiers raise PreconditionError
 (or RainbowFoundError with a witness) on invalid input and otherwise return
-a CertReport; only the open product conjecture is allowed to report a
-violated bound instead of raising.
+a CertReport, whose slack is negative where the bound fails.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
 from math import comb, gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .graph import Graph, Record, max_edge_count
+from .graph import Graph, max_edge_count
 from .matching import MatchingResult, _nearly_matchable, matching_number
 from .partition import mantel_partition
 from .reports import CertReport, PreconditionError, RainbowFoundError
@@ -34,8 +32,10 @@ def theory_bound(objective: str, n: int, t: int) -> int | None:
 
     sum: n(n-1) for triples on n >= 3 vertices, t*floor(n^2/4) for t >= 4,
     and None where no theorem applies (t <= 2, or triples on n < 3, where
-    three copies of one edge already exceed n(n-1)).  product: the open
-    conjecture floor(n^2/4)^3; the objective is defined for triples only.
+    three copies of one edge already exceed n(n-1)).  product: floor(n^2/4)^3,
+    a theorem when the first graph lies in the other two and false without
+    that at every n >= 15 (see conjecture_margin); the objective is defined
+    for triples only.
     """
     if objective == "sum":
         if t == 3:
@@ -149,8 +149,12 @@ def certify_product_nested(b: Graph, c: Graph, d: Graph) -> CertReport:
 def conjecture_margin(b: Graph, c: Graph, d: Graph) -> CertReport:
     """Product versus floor(n^2/4)^3 with no containment assumed.
 
-    The bound is an open conjecture, so an excess is not an error: the report
-    comes back with negative slack and a full witness for later scrutiny.
+    Without the containment the bound fails from n = 15 on: with S the first
+    3 of 15 vertices and T the rest, G1 = every edge meeting S,
+    G2 = K_S + K_T and G3 = K_T are rainbow-free, and their edge counts
+    39, 69 and 66 multiply to 177,606 > 56^3 = 175,616.  An excess is
+    reported, not raised: the report comes back with negative slack and a
+    full witness.
     """
     s = _triple(b, c, d, "conjecture")
     counts = s.edge_counts()
@@ -164,35 +168,7 @@ def conjecture_margin(b: Graph, c: Graph, d: Graph) -> CertReport:
     return CertReport("conjecture", value, bound, witness)
 
 
-def certify_triangle_incidence(s: GraphSystem) -> CertReport:
-    """Max over all 3-sets of the per-triangle membership count, against the bound 6."""
-    if s.t != 3:
-        raise PreconditionError(f"triangle-incidence needs 3 graphs, got {s.t}")
-    _require_rbt_free(s, "triangle-incidence")
-    n = s.n
-    mult = [[s.edge_membership(u, v).bit_count() for v in range(n)] for u in range(n)]
-    worst, worst_z = 0, []
-    for a, b, c in combinations(range(n), 3):
-        count = mult[a][b] + mult[a][c] + mult[b][c]
-        if count > worst:
-            worst, worst_z = count, [a, b, c]
-    return CertReport("triangle-incidence", worst, 6, {"worst_3set": worst_z})
-
-
 # -- matching-partition parameter bounds ----------------------------------------
-
-
-class PartitionBoundParams(Record):
-    """Matching size l, peak X-to-Z degree p, |Z| = q, and the normalized ratios.
-
-    alpha = p/2l and beta = q/2l are exact rationals, only formed when l >= 1.
-    """
-
-    __slots__ = ("ell", "p", "q", "alpha", "beta")
-
-    def __init__(self, ell: int, p: int, q: int, alpha: Fraction | None,
-                 beta: Fraction | None):
-        self._fill(ell, p, q, alpha, beta)
 
 
 def _ell_p_q(b: Graph) -> tuple[int, int, int]:
@@ -206,15 +182,6 @@ def _ratio_text(num: int, den: int) -> str:
     """str(Fraction(num, den)) for num >= 0 and den > 0, without forming the Fraction."""
     g = gcd(num, den)
     return f"{num // g}" if g == den else f"{num // g}/{den // g}"
-
-
-def partition_bound_params(b: Graph) -> PartitionBoundParams:
-    """Derive (l, p, q) from the matching partition of a triangle-free graph."""
-    from fractions import Fraction
-
-    ell, p, q = _ell_p_q(b)
-    alpha, beta = (Fraction(p, 2 * ell), Fraction(q, 2 * ell)) if ell else (None, None)
-    return PartitionBoundParams(ell=ell, p=p, q=q, alpha=alpha, beta=beta)
 
 
 def certify_partition_bounds(b: Graph, c: Graph, d: Graph) -> CertReport:

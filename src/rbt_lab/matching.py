@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 
 from .graph import Edge, Graph, Record, iter_bits
-from .reports import CertReport, PreconditionError
 
 
 class MatchingResult(Record):
@@ -159,34 +158,3 @@ def _nearly_matchable(ell: int, n: int) -> bool:
 def is_nearly_matchable(g: Graph) -> bool:
     """True iff some matching of size l satisfies 2l >= n - 2."""
     return _nearly_matchable(matching_number(g), g.n)
-
-
-def bipartite_deficiency_check(b: Graph, left: int, right: int) -> CertReport:
-    """Edge bound for a deficient bipartite graph with equal parts of size q.
-
-    When the matching number falls short of q the edge count is at most
-    (q-1)q; when a perfect matching exists the bound does not apply and the
-    report's witness says so.
-    """
-    if left & right:
-        raise PreconditionError("partite sets overlap")
-    if (left | right) != b.vertex_mask:
-        raise PreconditionError("partite sets must cover all vertices")
-    q = left.bit_count()
-    if q != right.bit_count():
-        raise PreconditionError(
-            f"partite sets have different sizes {q} vs {right.bit_count()}"
-        )
-    for v in iter_bits(left):
-        if b.rows[v] & left:
-            raise PreconditionError(f"edge inside the left part at vertex {v}")
-    for v in iter_bits(right):
-        if b.rows[v] & right:
-            raise PreconditionError(f"edge inside the right part at vertex {v}")
-
-    nu = matching_number(b)
-    if nu == q:
-        return CertReport("bipartite-deficiency", b.edge_count(), q * q,
-                          witness={"q": q, "nu": nu, "applicable": False})
-    return CertReport("bipartite-deficiency", b.edge_count(), (q - 1) * q,
-                      witness={"q": q, "nu": nu, "applicable": True})

@@ -704,8 +704,9 @@ def exhaustive_max_product(n: int, *, threads: int = 1, witness_cap: int = 64,
     """Exact maximum of |G1||G2||G3| over rainbow-free triples.
 
     Takes the options of `exhaustive_max_sum`.  The report's seed value is
-    that of the bipartite triple, floor(n^2/4)^3; a best value above it
-    would be a counterexample to the open product conjecture.
+    that of the bipartite triple, floor(n^2/4)^3, which the maxima at
+    n <= 8 equal; without containment that bound fails at every n >= 15
+    (see `certify.conjecture_margin`), past the search's reach.
     """
     return _run_exhaustive("product", n, 3, threads, witness_cap, checkpoint)
 

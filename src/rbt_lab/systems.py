@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from operator import and_, or_
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .graph import MAX_VERTICES, Edge, Graph, PairError, Record, Triangle, iter_bits
 
@@ -227,48 +227,6 @@ def find_rainbow_triangle(s: GraphSystem) -> RainbowWitness | None:
 
 def is_rbt_free(s: GraphSystem) -> bool:
     return find_rainbow_triangle(s) is None
-
-
-def triangle_incidence(s: GraphSystem, z: Iterable[int]) -> int:
-    """Sum over the three graphs of how many of Z's three edges each contains."""
-    _require_t3(s)
-    a, b, c = _three_set(s, z)
-    return sum(
-        s.edge_membership(u, v).bit_count() for u, v in ((a, b), (a, c), (b, c))
-    )
-
-
-def auxiliary_incidence_graph(s: GraphSystem, z: Iterable[int]) -> Graph:
-    """Bipartite graph on 3 + 3 vertices: graph index i meets edge j iff G_i holds it.
-
-    Left side 0..2 are graph indices; right side 3..5 are the edges of Z in
-    the fixed order (a,b), (a,c), (b,c) for a < b < c.  A perfect matching in
-    this graph is exactly a rainbow triangle on Z.
-    """
-    _require_t3(s)
-    a, b, c = _three_set(s, z)
-    pairs = ((a, b), (a, c), (b, c))
-    rows = [0] * 6
-    for j, (u, v) in enumerate(pairs):
-        members = s.edge_membership(u, v)
-        for i in iter_bits(members):
-            rows[i] |= 1 << (3 + j)
-            rows[3 + j] |= 1 << i
-    return Graph(6, rows)
-
-
-def _require_t3(s: GraphSystem) -> None:
-    if s.t != 3:
-        raise ValueError(f"operation requires exactly 3 graphs, system has {s.t}")
-
-
-def _three_set(s: GraphSystem, z: Iterable[int]) -> tuple[int, int, int]:
-    zs = sorted(set(z))
-    if len(zs) != 3:
-        raise ValueError(f"expected a 3-set of vertices, got {zs}")
-    if zs[0] < 0 or zs[-1] >= s.n:
-        raise ValueError(f"vertices {zs} out of range for n={s.n}")
-    return zs[0], zs[1], zs[2]
 
 
 def nest_reduce(s: GraphSystem) -> GraphSystem:

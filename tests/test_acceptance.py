@@ -18,7 +18,6 @@ from rbt_lab import (
     certify_partition_bounds,
     certify_product_nested,
     certify_sum_t3,
-    certify_triangle_incidence,
     certify_weighted_sum,
     check_unmatched_cross_degree,
     edge,
@@ -171,7 +170,7 @@ def test_c07_certifier_property_suite():
     rng = random.Random(70707)
     samples = 0
     applied = {"sum_t3": 0, "weighted": 0, "nearly": 0, "nested": 0,
-               "incidence": 0, "cross": 0, "prop31": 0}
+               "cross": 0, "prop31": 0}
     while samples < 10_000:
         n = rng.randint(3, 8)
         if rng.random() < 0.25:
@@ -195,9 +194,6 @@ def test_c07_certifier_property_suite():
 
         assert certify_sum_t3(s).slack >= 0
         applied["sum_t3"] += 1
-
-        assert certify_triangle_incidence(s).slack >= 0
-        applied["incidence"] += 1
 
         stripped = strip_triangles(b)
         assert certify_weighted_sum(stripped, c, d).slack >= 0

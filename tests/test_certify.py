@@ -1,7 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import pytest
 
@@ -15,25 +16,26 @@ from rbt_lab import (
     certify_product_nested,
     certify_sum_t,
     certify_sum_t3,
-    certify_triangle_incidence,
     certify_weighted_sum,
     check_unmatched_cross_degree,
     conjecture_margin,
     edge,
+    is_rbt_free,
     lpq_inequality_holds,
     lpq_inequality_sides,
     matches_balanced_bipartite_copies,
     matches_two_complete_one_empty,
     max_edge_count,
     maximum_matching,
-    partition_bound_params,
     scan_alpha_beta_inequality,
     scan_lpq_inequality,
-    triangle_incidence,
 )
 from rbt_lab import certify
+from rbt_lab.cli import main
 from rbt_lab.certify import _alpha_beta_row, _lpq_row, _ratio_text, _row_max, _run_above
 from rbt_lab.reports import CertReport, PreconditionError, RainbowFoundError
+
+from test_search import reference_rbt_free
 
 K5 = Graph.complete(5)
 E5 = Graph.empty(5)
@@ -179,22 +181,52 @@ def test_conjecture_margin_examples():
         )
 
 
-def test_triangle_incidence_certifier():
-    r = certify_triangle_incidence(GraphSystem.of(K5, K5, E5))
-    assert r.value == 6 and r.bound == 6 and r.tight
+def two_part_triple(n):
+    """S the first s vertices, T the rest: G1 every edge meeting S, G2 = K_S + K_T, G3 = K_T.
 
-    r = certify_triangle_incidence(GraphSystem.of(E5, E5, E5))
-    assert r.value == 0
+    s is the least maximizer of the product of the three edge counts.
+    """
+    def counts(s):
+        inside_t = comb(n - s, 2)
+        return (comb(n, 2) - inside_t, comb(s, 2) + inside_t, inside_t)
+
+    s = max(range(n + 1), key=lambda s: prod(counts(s)))
+    pairs = list(combinations(range(n), 2))
+    graphs = (
+        Graph.from_edges(n, [(u, v) for u, v in pairs if u < s]),
+        Graph.from_edges(n, [(u, v) for u, v in pairs if (u < s) == (v < s)]),
+        Graph.from_edges(n, [(u, v) for u, v in pairs if u >= s]),
+    )
+    assert tuple(g.edge_count() for g in graphs) == counts(s)
+    return s, graphs
+
+
+def test_two_part_triple_beats_the_product_bound_exactly_from_n15(tmp_path, capsys):
+    for n in range(3, 65):
+        s, graphs = two_part_triple(n)
+        assert is_rbt_free(GraphSystem.of(*graphs))
+        assert reference_rbt_free(n, [g.to_bits() for g in graphs])
+        value = prod(g.edge_count() for g in graphs)
+        assert (value > (n * n // 4) ** 3) == (n >= 15), n
+        assert conjecture_margin(*graphs).witness["counterexample"] == (n >= 15), n
+        if n == 15:
+            assert (s, [g.edge_count() for g in graphs]) == (3, [39, 69, 66])
+        if n in (14, 15):
+            path = tmp_path / f"two-part-{n}.json"
+            path.write_text(GraphSystem.of(*graphs).to_json())
+            argv = ["certify", "--claim", "conjecture", "-i", str(path), "--output", "json"]
+            assert main(argv) == int(n == 15), n
+            report = json.loads(capsys.readouterr().out)
+            assert report["witness"]["counterexample"] is (n == 15)
 
 
 def test_partition_bounds_star_example():
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
-    params = partition_bound_params(star)
-    assert (params.ell, params.p, params.q) == (1, 2, 3)
-    assert params.alpha == Fraction(1) and params.beta == Fraction(3, 2)
-
     r = certify_partition_bounds(star, star, star)
     assert r.witness is not None
+    w = r.witness
+    assert (w["matching_size"], w["p"], w["q"]) == (1, 2, 3)
+    assert (w["alpha"], w["beta"]) == ("1", "3/2")
     assert r.witness["b_value"] == 3 and r.witness["b_bound"] == 3
     assert r.witness["cd_value"] == 6 and r.witness["cd_bound"] == 12
     # headline is the b side: its slack 0 is the smaller one
@@ -221,10 +253,11 @@ def test_prop31_witness_ratios_are_the_params_fractions():
             report = certify_partition_bounds(b, b, b)
         except PreconditionError:
             continue
-        params = partition_bound_params(b)
-        for name in ("alpha", "beta"):
-            value = getattr(params, name)
-            assert report.witness[name] == (None if value is None else str(value))
+        w = report.witness
+        assert w["matching_size"] == maximum_matching(b).size
+        for name, side in (("alpha", "p"), ("beta", "q")):
+            value = Fraction(w[side], 2 * w["matching_size"]) if w["matching_size"] else None
+            assert w[name] == (None if value is None else str(value))
             seen.add(None if value is None else value.denominator)
     # the empty B, whole numbers and halves all met
     assert {None, 1, 2}.issubset(seen) and len(seen) > 4, seen
@@ -348,30 +381,6 @@ def test_alpha_beta_point_query_takes_ints_and_floats(alpha, beta):
     assert alpha_beta_inequality_holds(alpha, beta) == (lhs <= rhs)
     with pytest.raises(PreconditionError):
         alpha_beta_inequality_holds(beta + 1, beta)
-
-
-def reference_triangle_incidence(s: GraphSystem) -> tuple[int, list[int]]:
-    """The first 3-set of greatest incidence, one triangle_incidence call per 3-set."""
-    worst, worst_z = 0, []
-    for z in combinations(range(s.n), 3):
-        count = triangle_incidence(s, z)
-        if count > worst:
-            worst, worst_z = count, list(z)
-    return worst, worst_z
-
-
-def test_triangle_incidence_matches_per_3set_reference():
-    rng = random.Random(3303)
-    checked = 0
-    while checked < 300:
-        s = random_free_triple(rng, rng.randint(3, 9))
-        if s is None:
-            continue
-        checked += 1
-        r = certify_triangle_incidence(s)
-        assert (r.value, r.witness["worst_3set"]) == reference_triangle_incidence(s)
-    e2 = Graph.empty(2)
-    assert certify_triangle_incidence(GraphSystem.of(e2, e2, e2)).witness == {"worst_3set": []}
 
 
 def test_scan_lpq_small():
@@ -595,4 +604,3 @@ def test_certifiers_never_negative_on_random_free_triples():
         checked += 1
         assert certify_sum_t3(s).slack >= 0
         assert conjecture_margin(*s.graphs).slack >= 0
-        assert certify_triangle_incidence(s).slack >= 0

@@ -829,11 +829,11 @@ def test_single_threaded_commands_never_load_the_pool():
 LIGHT_IMPORT = r"""
 import gc, json, sys
 import rbt_lab.cli
-from rbt_lab import Graph, partition_bound_params
+from rbt_lab import alpha_beta_inequality_holds
 
 HEAVY = ("dataclasses", "inspect", "fractions")
 result = {"import": [m for m in HEAVY if m in sys.modules], "frozen": gc.get_freeze_count()}
-partition_bound_params(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+alpha_beta_inequality_holds(0, 1)
 result["rational"] = "fractions" in sys.modules
 print(json.dumps(result))
 """

@@ -5,14 +5,11 @@ import pytest
 from rbt_lab import (
     Graph,
     MatchingResult,
-    bipartite_deficiency_check,
     greedy_maximal_matching,
     is_nearly_matchable,
-    mask_of,
     max_edge_count,
     maximum_matching,
 )
-from rbt_lab.reports import PreconditionError
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
@@ -180,46 +177,3 @@ def test_nearly_matchable_examples():
     assert is_nearly_matchable(Graph.complete(4))
     assert not is_nearly_matchable(Graph.empty(4))
     assert is_nearly_matchable(C5)
-
-
-def test_bipartite_deficiency_examples():
-    # K_{2,3} plus an isolated vertex padded into the 2-side: q=3, nu=2
-    g = Graph.from_edges(6, [(u, v) for u in (0, 1) for v in (3, 4, 5)])
-    report = bipartite_deficiency_check(g, mask_of([0, 1, 2]), mask_of([3, 4, 5]))
-    assert report.witness is not None and report.witness["applicable"]
-    assert report.value == 6 and report.bound == 6 and report.tight
-
-    # perfect matching present: bound not applicable
-    pm = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
-    report = bipartite_deficiency_check(pm, mask_of([0, 1, 2]), mask_of([3, 4, 5]))
-    assert report.witness is not None and not report.witness["applicable"]
-
-    # q=1 with no edges: 0 <= 0, tight
-    report = bipartite_deficiency_check(Graph.empty(2), mask_of([0]), mask_of([1]))
-    assert report.value == 0 and report.bound == 0 and report.tight
-
-
-def test_bipartite_deficiency_rejects_bad_parts():
-    g = Graph.from_edges(4, [(0, 1)])
-    with pytest.raises(PreconditionError):
-        bipartite_deficiency_check(g, mask_of([0, 1]), mask_of([2, 3]))
-    with pytest.raises(PreconditionError):
-        bipartite_deficiency_check(Graph.empty(4), mask_of([0]), mask_of([1, 2, 3]))
-    with pytest.raises(PreconditionError):
-        bipartite_deficiency_check(Graph.empty(4), mask_of([0, 1]), mask_of([1, 2]))
-
-
-def test_bipartite_deficiency_exhaustive_q_le_3():
-    # no violation is ever reported over all bipartite graphs with q <= 3
-    for q in (1, 2, 3):
-        n = 2 * q
-        left = (1 << q) - 1
-        right = ((1 << n) - 1) ^ left
-        cross = [(u, v) for u in range(q) for v in range(q, n)]
-        for bits in range(1 << len(cross)):
-            g = Graph.from_edges(n, [cross[i] for i in range(len(cross)) if bits >> i & 1])
-            report = bipartite_deficiency_check(g, left, right)
-            assert report.slack >= 0
-            if report.witness and report.witness["applicable"] and report.tight:
-                # equality forces the complete bipartite graph on q-1 vs q parts
-                assert g.edge_count() == (q - 1) * q

@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +12,6 @@ from rbt_lab import (
     GraphSystem,
     MantelPartition,
     MatchingResult,
-    PartitionBoundParams,
     RainbowWitness,
     Triangle,
 )
@@ -32,8 +30,6 @@ RECORDS = [
     (GraphSystem, {"n": 3, "graphs": (Graph.complete(3), Graph.empty(3))}, "graphs"),
     (RainbowWitness, {"triangle": Triangle(0, 1, 2), "graph_indices": (0, 1, 2),
                       "edges": (Edge(0, 1), Edge(0, 2), Edge(1, 2))}, "graph_indices"),
-    (PartitionBoundParams, {"ell": 2, "p": 1, "q": 3, "alpha": Fraction(1, 4),
-                            "beta": Fraction(3, 4)}, "q"),
     (SearchReport, SEARCH_FIELDS, "nodes"),
 ]
 FROZEN = [r for r in RECORDS if r[0] is not SearchReport]

@@ -8,20 +8,15 @@ from rbt_lab import (
     Graph,
     GraphSystem,
     RainbowWitness,
-    auxiliary_incidence_graph,
-    bipartite_deficiency_check,
     edge,
     edge_multiplicities,
     find_rainbow_triangle,
     is_nested,
     is_rbt_free,
     iter_bits,
-    mask_of,
     max_edge_count,
-    maximum_matching,
     nest_reduce,
     system_from_json,
-    triangle_incidence,
 )
 
 
@@ -132,9 +127,6 @@ def test_rainbow_agreement_exhaustive_tiny():
             w = find_rainbow_triangle(s)
             if w is None:
                 assert not rainbow_oracle(s)
-                if t == 3:
-                    # per-triangle membership bound over every free triple
-                    assert triangle_incidence(s, (0, 1, 2)) <= 6
             else:
                 assert w.is_valid_for(s)
                 assert rainbow_oracle(s)
@@ -394,51 +386,6 @@ def test_witness_indices_strictly_increasing():
         i1, i2, i3 = w.graph_indices
         assert i1 < i2 < i3
         assert sorted(w.edges) == sorted(w.triangle.edges)
-
-
-def test_incidence_examples():
-    s = GraphSystem.of(Graph.complete(5), Graph.complete(5), Graph.empty(5))
-    assert triangle_incidence(s, (0, 1, 2)) == 6
-    assert triangle_incidence(s, (2, 3, 4)) == 6
-
-    full = GraphSystem.of(*(Graph.complete(4),) * 3)
-    assert triangle_incidence(full, (0, 1, 3)) == 9
-    assert find_rainbow_triangle(full) is not None
-
-    lone = GraphSystem.of(Graph.complete(4), Graph.empty(4), Graph.empty(4))
-    assert triangle_incidence(lone, (0, 1, 2)) == 3
-
-
-def test_incidence_validation():
-    s = GraphSystem.of(Graph.empty(4), Graph.empty(4))
-    with pytest.raises(ValueError):
-        triangle_incidence(s, (0, 1, 2))  # t != 3
-    s3 = GraphSystem.of(*(Graph.empty(4),) * 3)
-    with pytest.raises(ValueError):
-        triangle_incidence(s3, (0, 1))
-    with pytest.raises(ValueError):
-        triangle_incidence(s3, (0, 1, 7))
-
-
-def test_auxiliary_graph_matches_rainbow_structure():
-    rng = random.Random(987)
-    for _ in range(400):
-        s = random_system(rng, rng.randint(3, 7), 3)
-        free = is_rbt_free(s)
-        for z in combinations(range(s.n), 3):
-            aux = auxiliary_incidence_graph(s, z)
-            assert aux.edge_count() == triangle_incidence(s, z)
-            has_pm = maximum_matching(aux).size == 3
-            if has_pm:
-                assert not free
-            if free:
-                # deficient bipartite graph: at most (q-1)q = 6 edges
-                report = bipartite_deficiency_check(
-                    aux, mask_of([0, 1, 2]), mask_of([3, 4, 5])
-                )
-                assert report.witness is not None and report.witness["applicable"]
-                assert report.slack >= 0
-                assert triangle_incidence(s, z) <= 6
 
 
 def test_nest_reduce_forced_example():
