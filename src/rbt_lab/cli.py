@@ -8,21 +8,22 @@ JSON document on stdout, byte for byte as json.dumps(doc, indent=2) writes
 it; `_indented` writes each int list in one join and a graph's edge list
 in one % fill, where json's indenting encoder steps per token.
 
-Each command's options are defined once, in `_COMMANDS`.  A call led by a
-command name builds and runs that command's parser alone; any other call,
-or one with arguments that parser does not know, goes to the full parser,
-so help, usage lines and errors read as from one parser with subcommands.
+Each command's options are defined once, as data in `_COMMANDS`.  A call
+`<command> --flag [value] ...` naming only that command's flags, with valid
+values, is read straight from that table by argparse's own rules, with no
+parser built and argparse not imported; any other argv, and every call that
+ends in help or an error, goes to the one full argparse parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 from functools import cache
 from math import prod
+from types import SimpleNamespace
 from typing import Any
 
 from . import certify as cert
@@ -40,16 +41,18 @@ from .systems import (
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path != "-":
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        if sys.stdin is None:  # started with fd 0 closed
+            raise PreconditionError("stdin is closed, so no system can be read")
+        return sys.stdin.read()
     except OSError as exc:
-        raise PreconditionError(f"cannot read {path}: {exc}") from None
+        raise PreconditionError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from None
 
 
-def _load_system(args: argparse.Namespace) -> GraphSystem:
+def _load_system(args) -> GraphSystem:
     return system_from_json(_read_source(args.input))
 
 
@@ -336,113 +339,136 @@ def _cmd_ineq_scan(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+# one option: its flags and its `add_argument` keywords
+_INPUT = (("--input", "-i"), {"default": "-",
+                              "help": "system JSON file, or - for stdin (default)"})
+_OUTPUT = (("--output",), {"choices": ("human", "json"), "default": "human"})
+_COMPACT = (("--compact",), {"action": "store_true", "help": "emit hex form"})
 
-def _add_io(p: argparse.ArgumentParser, system_input: bool = True) -> None:
-    if system_input:
-        p.add_argument("--input", "-i", default="-",
-                       help="system JSON file, or - for stdin (default)")
-    p.add_argument("--output", choices=("human", "json"), default="human")
-
-
-def _add_partition(p: argparse.ArgumentParser) -> None:
-    _add_io(p)
-    p.add_argument("--index", type=int, default=0, help="which graph of the system")
-
-
-def _add_reduce(p: argparse.ArgumentParser) -> None:
-    _add_io(p)
-    p.add_argument("--compact", action="store_true", help="emit hex form")
-
-
-def _add_certify(p: argparse.ArgumentParser) -> None:
-    _add_io(p)
-    p.add_argument("--claim", choices=_CLAIMS, required=True)
-
-
-def _add_search(p: argparse.ArgumentParser) -> None:
-    _add_io(p, system_input=False)
-    p.add_argument("--objective", choices=("sum", "product"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--local", action="store_true",
-                   help="seeded random maximal fills (default: exhaustive search)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None, help="local restarts (default 8)")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--iso-pruning", action="store_true", default=None,
-                   help="the default: exhaustive search walks one first graph per "
-                        "isomorphism class; changes nothing")
-    p.add_argument("--witness-cap", type=int, default=64)
-    p.add_argument("--checkpoint", default=None,
-                   help="JSON checkpoint for resumable exhaustive runs")
-
-
-def _add_extremal(p: argparse.ArgumentParser) -> None:
-    _add_io(p, system_input=False)
-    p.add_argument("--kind", choices=("two-complete", "bipartite-k", "bipartite-triple"),
-                   required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=None, help="copies for bipartite-k (default 4)")
-    p.add_argument("--compact", action="store_true", help="emit hex form")
-
-
-def _add_ineq_scan(p: argparse.ArgumentParser) -> None:
-    _add_io(p, system_input=False)
-    p.add_argument("--which", choices=("31", "32"), required=True)
-    p.add_argument("--l-max", type=int, default=None, help="scan 31 bound on l (default 30)")
-    p.add_argument("--q-max", type=int, default=None, help="scan 31 bound on q (default 60)")
-    p.add_argument("--step", default=None, help="scan 32 grid step (default 1/100)")
-    p.add_argument("--max", default=None, help="scan 32 grid upper end (default 10)")
-
-
-# command -> (help, the function adding its options, its handler); the one
-# place a command's options are defined, for its own parser and the full one
+# command -> (help, its handler, its options in help order); the one place a
+# command's options are defined, for the full parser and for `_parse`
 _COMMANDS = {
-    "check-rbt": ("test a system for rainbow triangles", _add_io, _cmd_check_rbt),
-    "partition": ("matching-based partition of a triangle-free graph", _add_partition,
-                  _cmd_partition),
-    "reduce": ("rewrite a system into a nested chain", _add_reduce, _cmd_reduce),
-    "certify": ("check one of the quantitative bounds", _add_certify, _cmd_certify),
-    "search": ("maximize an objective over rainbow-free systems", _add_search, _cmd_search),
-    "extremal": ("emit a bound-attaining construction", _add_extremal, _cmd_extremal),
-    "ineq-scan": ("grid scans of the two product inequalities", _add_ineq_scan,
-                  _cmd_ineq_scan),
+    "check-rbt": ("test a system for rainbow triangles", _cmd_check_rbt, (_INPUT, _OUTPUT)),
+    "partition": ("matching-based partition of a triangle-free graph", _cmd_partition, (
+        _INPUT, _OUTPUT,
+        (("--index",), {"type": int, "default": 0, "help": "which graph of the system"}),
+    )),
+    "reduce": ("rewrite a system into a nested chain", _cmd_reduce,
+               (_INPUT, _OUTPUT, _COMPACT)),
+    "certify": ("check one of the quantitative bounds", _cmd_certify, (
+        _INPUT, _OUTPUT,
+        (("--claim",), {"choices": _CLAIMS, "required": True}),
+    )),
+    "search": ("maximize an objective over rainbow-free systems", _cmd_search, (
+        _OUTPUT,
+        (("--objective",), {"choices": ("sum", "product"), "required": True}),
+        (("--n",), {"type": int, "required": True}),
+        (("--t",), {"type": int, "default": 3}),
+        (("--local",), {"action": "store_true",
+                        "help": "seeded random maximal fills (default: exhaustive search)"}),
+        (("--seed",), {"type": int}),
+        (("--restarts",), {"type": int, "help": "local restarts (default 8)"}),
+        (("--threads",), {"type": int, "default": 1}),
+        (("--iso-pruning",), {"action": "store_true", "default": None,
+                              "help": "the default: exhaustive search walks one first graph "
+                                      "per isomorphism class; changes nothing"}),
+        (("--witness-cap",), {"type": int, "default": 64}),
+        (("--checkpoint",), {"help": "JSON checkpoint for resumable exhaustive runs"}),
+    )),
+    "extremal": ("emit a bound-attaining construction", _cmd_extremal, (
+        _OUTPUT,
+        (("--kind",), {"choices": ("two-complete", "bipartite-k", "bipartite-triple"),
+                       "required": True}),
+        (("--n",), {"type": int, "required": True}),
+        (("--t",), {"type": int, "help": "copies for bipartite-k (default 4)"}),
+        _COMPACT,
+    )),
+    "ineq-scan": ("grid scans of the two product inequalities", _cmd_ineq_scan, (
+        _OUTPUT,
+        (("--which",), {"choices": ("31", "32"), "required": True}),
+        (("--l-max",), {"type": int, "help": "scan 31 bound on l (default 30)"}),
+        (("--q-max",), {"type": int, "help": "scan 31 bound on q (default 60)"}),
+        (("--step",), {"help": "scan 32 grid step (default 1/100)"}),
+        (("--max",), {"help": "scan 32 grid upper end (default 10)"}),
+    )),
 }
 
 
 @cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or with a command that command's parser alone; each built once.
+def build_parser():
+    """The full parser, built once: the one source of help, usage lines and errors."""
+    import argparse
 
-    A command's parser is the one the full parser's `add_parser` makes for
-    it, with the same class and prog, so its help and errors read the same.
-    """
-    if command is not None:
-        _, add_options, handler = _COMMANDS[command]
-        parser = argparse.ArgumentParser(prog=f"rbt-lab {command}")
-        add_options(parser)
-        parser.set_defaults(func=handler)
-        return parser
     parser = argparse.ArgumentParser(
         prog="rbt-lab",
         description="analyze rainbow-triangle-free systems of graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_options, handler) in _COMMANDS.items():
+    for name, (text, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        add_options(p)
+        for flags, keywords in options:
+            p.add_argument(*flags, **keywords)
         p.set_defaults(func=handler)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    # the full parser also prints the error for arguments the command's
-    # parser leaves over, since its usage line names every command
+@cache
+def _option_table(command: str) -> tuple[dict[str, tuple], dict[str, Any], frozenset[str]]:
+    """A command's {flag: (dest, takes a value, type, choices)}, its defaults and its
+    required dests, each as argparse derives them from `add_argument`."""
+    flags, defaults, required = {}, {"func": _COMMANDS[command][1]}, set()
+    for names, keywords in _COMMANDS[command][2]:
+        dest = names[0].lstrip("-").replace("-", "_")
+        switch = keywords.get("action") == "store_true"
+        defaults[dest] = keywords.get("default", False if switch else None)
+        if keywords.get("required"):
+            required.add(dest)
+        for name in names:
+            flags[name] = (dest, not switch, keywords.get("type"), keywords.get("choices"))
+    return flags, defaults, frozenset(required)
+
+
+def _parse(argv: list[str]) -> Any:
+    """The namespace the full parser gives `argv`.
+
+    A call `<command> --flag [value] ...` whose flags the table names exactly
+    is read from the table, and its namespace lacks only `command`; any other
+    argv goes to the full parser, and so does every call that would end in
+    help or an error.  A value starting with "-" (other than "-" itself) also
+    goes there, as argparse may read it as an option.
+    """
     if argv and argv[0] in _COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
+        flags, defaults, required = _option_table(argv[0])
+        values = _read_options(argv, flags)
+        if values is not None and required <= values.keys():
+            return SimpleNamespace(**{**defaults, **values})
     return build_parser().parse_args(argv)
+
+
+def _read_options(argv: list[str], flags: dict[str, tuple]) -> dict[str, Any] | None:
+    """{dest: value} for the options after argv[0], or None if the full parser must answer."""
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = flags.get(token)
+        if option is None:
+            return None
+        dest, takes_value, convert, choices = option
+        if not takes_value:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and value != "-":
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:

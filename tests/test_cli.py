@@ -249,6 +249,7 @@ def test_main_parses_as_the_full_parser(monkeypatch, capsys, argv):
 
 
 def test_a_call_builds_one_parser(monkeypatch, capsys):
+    # a well-formed call builds no parser; any other builds the full one, once
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -260,14 +261,116 @@ def test_a_call_builds_one_parser(monkeypatch, capsys):
     build_parser.cache_clear()
     argv = ["search", "--objective", "sum", "--n", "4", "--t", "2", "--output", "json"]
     assert run(capsys, argv)[0] == 0
-    assert built == ["rbt-lab search"]
-    # arguments the command's parser leaves over go to the full parser
-    build_parser.cache_clear()
-    built.clear()
-    code, out, err = run(capsys, argv + ["--bogus"])
-    assert (code, out) == (2, "")
-    assert "unrecognized arguments: --bogus" in err
-    assert built == ["rbt-lab search", "rbt-lab"] + [f"rbt-lab {name}" for name in cli._COMMANDS]
+    assert built == []
+    # an argument the table does not name goes to the full parser
+    for _ in range(2):
+        code, out, err = run(capsys, argv + ["--bogus"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bogus" in err
+    assert built == ["rbt-lab"] + [f"rbt-lab {name}" for name in cli._COMMANDS]
+
+
+class FullParserCalled(Exception):
+    pass
+
+
+def table_parse(monkeypatch, argv):
+    """vars(cli._parse(argv)) when the table answers it alone, else None."""
+    def refuse():
+        raise FullParserCalled
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", refuse)
+        try:
+            return vars(cli._parse(argv))
+        except FullParserCalled:
+            return None
+
+
+def full_parse(argv):
+    """vars() of the full parser's namespace less its `command`, or None if it exits."""
+    try:
+        parsed = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+    assert parsed.pop("command") == argv[0]
+    return parsed
+
+
+def option_values(keywords):
+    """Values for one option: its valid ones and some argparse refuses or reads apart."""
+    if keywords.get("action") == "store_true":
+        return []
+    if "choices" in keywords:
+        return [*keywords["choices"], "nope", "-"]
+    if keywords.get("type") is int:
+        return ["0", "4", "-3", " 7", "+5", "5_0", "x", "", "4.0"]
+    return ["-", "a.json", "", "1/10", "-x", "a b", "=", "--"]
+
+
+EDGE_TOKENS = ["-h", "--help", "--obj", "--n=4", "--", "-3", "", " 7", "+5", "5_0",
+               "--bogus", "-i", "-ia.json", "-", "check-rbt", "--INPUT"]
+
+
+def random_argv(rng):
+    commands = list(cli._COMMANDS)
+    argv = [rng.choice(commands)] if rng.random() < 0.95 else [rng.choice(EDGE_TOKENS)]
+    options = cli._COMMANDS.get(argv[0], ("", None, ()))[2]
+    others = [o for _, _, opts in cli._COMMANDS.values() for o in opts]
+    for _ in range(rng.randrange(7)):
+        roll = rng.random()
+        if roll < 0.08:
+            argv.append(rng.choice(EDGE_TOKENS))
+            continue
+        flags, keywords = rng.choice(options if options and roll < 0.9 else others)
+        argv.append(rng.choice(flags))
+        values = option_values(keywords)
+        if values and rng.random() < 0.9:
+            # valid values mostly, so that many calls are well formed
+            argv.append(rng.choice(values[:2] if rng.random() < 0.6 else values))
+    return argv
+
+
+def test_table_parse_equals_the_full_parser_on_a_fuzz(monkeypatch, capsys):
+    rng = random.Random(20260)
+    taken = 0
+    for _ in range(10_000):
+        argv = random_argv(rng)
+        table = table_parse(monkeypatch, argv)
+        if table is not None:
+            taken += 1
+            assert table == full_parse(argv), argv
+        capsys.readouterr()
+    # the fuzz reaches both paths
+    assert 1_000 < taken < 9_000
+
+
+def test_every_bench_argv_takes_the_table_path(monkeypatch, tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for workload in workloads.WORKLOADS:
+        for job in workloads.build(workload, 7, tmp_path / workload):
+            table = table_parse(monkeypatch, job.argv)
+            assert table is not None and table == full_parse(job.argv), job.argv
+
+
+def test_a_well_formed_call_loads_neither_argparse_nor_locale(tmp_path):
+    path = write(tmp_path, "s.json", TWO_COMPLETE)
+    script = ("import contextlib, io, json, sys\n"
+              "import rbt_lab.cli\n"
+              "loaded = ['argparse' in sys.modules]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = rbt_lab.cli.main(['certify', '--claim', 'sum-t3', '-i', {path!r}])\n"
+              "loaded += [m in sys.modules for m in ('argparse', 'locale')]\n"
+              "print(json.dumps([code, loaded]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(rbt_lab.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, [False, False, False]]
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
@@ -896,6 +999,23 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert proc.returncode == 2
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.splitlines() == ["error: stdout was closed before the report was written"]
+
+
+class UnreadableStdin(io.StringIO):
+    def read(self, *args):
+        raise OSError("Bad file descriptor")
+
+
+# with fd 0 closed at start the interpreter sets sys.stdin to None
+@pytest.mark.parametrize("stdin, error", [
+    (None, "error: stdin is closed, so no system can be read"),
+    (UnreadableStdin(), "error: cannot read stdin: Bad file descriptor"),
+])
+def test_closed_or_unreadable_stdin_exits_2(monkeypatch, capsys, stdin, error):
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, ["check-rbt"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [error]
 
 
 def test_stdout_closed_at_start_exits_2():
